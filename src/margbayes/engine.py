@@ -13,14 +13,15 @@ SeedSequence spawn keys, so every estimate is reproducible bit for bit.
 """
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from . import fit as fitmod
 from .hypotheses import ConstraintSet, ModelSpec
-from .link import LOG_FLOOR, eta_batch, link_for
+from .link import LOG_FLOOR, eta_batch, link_for, logsumexp
 from .tables import StratifiedTable
 
 LN10 = np.log(10.0)
@@ -204,13 +205,13 @@ def _dirichlet_chunk(rng: np.random.Generator, alpha: np.ndarray, n: int) -> np.
     for b in range(s):
         a = alpha[b]
         small = a < 1.0
-        g = rng.standard_gamma(np.where(small, a + 1.0, a), size=(n, r))
-        logg = np.log(np.maximum(g, 1e-300))
+        logg = rng.standard_gamma(np.where(small, a + 1.0, a), size=(n, r))
+        np.log(np.maximum(logg, 1e-300, out=logg), out=logg)
         if np.any(small):
             u = rng.random((n, r))
             logg[:, small] += np.log(u[:, small]) / a[small]
-        logpi = logg - logsumexp(logg, axis=1, keepdims=True)
-        out[:, b, :] = np.exp(np.maximum(logpi, LOG_FLOOR))
+        logg -= logsumexp(logg, axis=1, keepdims=True)
+        np.exp(np.maximum(logg, LOG_FLOOR, out=logg), out=out[:, b, :])
     return out
 
 
@@ -521,21 +522,55 @@ def _centring_model(model: ModelSpec, side: str) -> ModelSpec:
                      model.constraints.scaled_epsilon(frac), model.notes)
 
 
+# Centring fits solved so far in the running replicate_bf call, by
+# _centre_key; None outside such a call, so no fit outlives it.
+_CENTRES: ContextVar[dict | None] = ContextVar("margbayes_centres", default=None)
+
+
+def _centre_key(side: str, fit_model: ModelSpec, table: StratifiedTable,
+                settings: RunSettings, margin: float) -> tuple:
+    """Everything the centring fit reads. The interior margin enters the
+    fit only through the inequality rows, so equality-only models share
+    one fit across the margin ladder."""
+    cs = fit_model.constraints
+    key = [side, tuple(fit_model.logit_types), tuple(table.dims), table.s,
+           settings.smoothing]
+    arrays = [cs.E, cs.U, cs.epsilon]
+    if side == "posterior":
+        arrays.append(table.counts_matrix())
+    for arr in arrays:
+        key += [arr.shape, arr.tobytes()]
+    if cs.n_ineq:
+        key.append(margin)
+    return tuple(key)
+
+
 def _centre(side: str, model: ModelSpec, table: StratifiedTable,
             settings: RunSettings, margin: float | None = None):
     """Importance-density centre per the side: the flat-likelihood interior
-    point for the prior, the constrained MLE for the posterior."""
+    point for the prior, the constrained MLE for the posterior. Inside a
+    replicate_bf call a problem already solved there is not fitted again."""
     fit_model = _centring_model(model, side)
+    if margin is None:
+        margin = settings.prior_margin if side == "prior" else 0.0
+    memo = _CENTRES.get()
+    if memo is not None:
+        key = _centre_key(side, fit_model, table, settings, margin)
+        if key in memo:
+            return memo[key]
     if side == "prior":
-        m = settings.prior_margin if margin is None else margin
         res = fitmod.prior_center(fit_model, table.dims, table.s,
                                   fitmod.FitOptions(smoothing=settings.smoothing),
-                                  interior_margin=m)
-        return res.pi_hat, "prior_center"
-    opts = fitmod.FitOptions(smoothing=settings.smoothing,
-                             interior_margin=0.0 if margin is None else margin)
-    res = fitmod.constrained_mle(table, fit_model, opts)
-    return res.pi_hat, "constrained_mle"
+                                  interior_margin=margin)
+        kind = "prior_center"
+    else:
+        opts = fitmod.FitOptions(smoothing=settings.smoothing, interior_margin=margin)
+        res = fitmod.constrained_mle(table, fit_model, opts)
+        kind = "constrained_mle"
+    res.pi_hat.flags.writeable = False      # may be handed out again from the memo
+    if memo is not None:
+        memo[key] = (res.pi_hat, kind)
+    return res.pi_hat, kind
 
 
 def _tuned_density(side: str, ev: ModelEval, target_alpha, model, table,
@@ -996,19 +1031,23 @@ def replicate_bf(model: ModelSpec, table: StratifiedTable, prior: PriorSpec,
         raise EngineError("need B >= 1 replicates")
     reps = []
     infos = []
-    for i in range(B):
-        rep_seed = int(np.random.SeedSequence(int(seed), spawn_key=(3, i)).generate_state(1)[0])
-        if reference is not None:
-            est = nested_bf(model, reference, table, prior, settings, rep_seed, schedule)
-        else:
-            est = bayes_factor(model, table, prior, settings, rep_seed, schedule)
-        reps.append(est.log10_bf)
-        info = {"log10_bf": est.log10_bf, "route": est.route, "seed": rep_seed}
-        if est.route in ("about_equality", "nested"):
-            info["final_epsilon"] = est.components["final_epsilon"]
-            info["truncated"] = est.components["truncated"]
-            info["n_stages"] = len(est.components["stages"])
-        infos.append(info)
+    centres = _CENTRES.set({})
+    try:
+        for i in range(B):
+            rep_seed = int(np.random.SeedSequence(int(seed), spawn_key=(3, i)).generate_state(1)[0])
+            if reference is not None:
+                est = nested_bf(model, reference, table, prior, settings, rep_seed, schedule)
+            else:
+                est = bayes_factor(model, table, prior, settings, rep_seed, schedule)
+            reps.append(est.log10_bf)
+            info = {"log10_bf": est.log10_bf, "route": est.route, "seed": rep_seed}
+            if est.route in ("about_equality", "nested"):
+                info["final_epsilon"] = est.components["final_epsilon"]
+                info["truncated"] = est.components["truncated"]
+                info["n_stages"] = len(est.components["stages"])
+            infos.append(info)
+    finally:
+        _CENTRES.reset(centres)
     mean = float(np.mean(reps))
     sd = float(np.std(reps, ddof=1)) if B > 1 else 0.0
     return BFEstimate(

@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .hypotheses import ModelSpec
-from .link import LOG_FLOOR, LinkMatrices, eta_from_logpi, eta_jacobian_from_logpi
+from .link import (LOG_FLOOR, LinkMatrices, eta_from_logpi, eta_jacobian_from_logpi,
+                   logsumexp)
 from .tables import ContingencyTable, StratifiedTable
 
 

@@ -92,3 +92,24 @@ def independence_mle(counts_2d: np.ndarray) -> np.ndarray:
     """Closed-form bivariate independence MLE: outer product of margins."""
     n = counts_2d.sum()
     return np.outer(counts_2d.sum(axis=1), counts_2d.sum(axis=0)) / n ** 2
+
+
+def dirichlet_chunk_reference(rng, alpha, n, log_floor=-625.0):
+    """(n, s, r) Dirichlet draws by the engine's log-gamma recipe, written
+    out of place with scipy's logsumexp; the engine's in-place kernel must
+    reproduce it bit for bit from the same generator state."""
+    from scipy.special import logsumexp
+
+    s, r = alpha.shape
+    out = np.empty((n, s, r))
+    for b in range(s):
+        a = alpha[b]
+        small = a < 1.0
+        g = rng.standard_gamma(np.where(small, a + 1.0, a), size=(n, r))
+        logg = np.log(np.maximum(g, 1e-300))
+        if np.any(small):
+            u = rng.random((n, r))
+            logg[:, small] += np.log(u[:, small]) / a[small]
+        logpi = logg - logsumexp(logg, axis=1, keepdims=True)
+        out[:, b, :] = np.exp(np.maximum(logpi, log_floor))
+    return out

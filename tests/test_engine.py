@@ -32,8 +32,10 @@ from margbayes import (
     sample_prior,
     tune_alpha,
 )
+from margbayes import fit as fitmod
+from margbayes import engine
 from margbayes.engine import _importance_stream, substream
-from margbayes.hypotheses import ConstraintSet
+from margbayes.hypotheses import ConstraintSet, model_from_dict
 
 
 def table_2x2(counts=(40.0, 10.0, 12.0, 38.0)):
@@ -389,6 +391,86 @@ def test_more_draws_do_not_increase_sd():
         sds_small.append(small.sd)
         sds_big.append(big.sd)
     assert np.mean(sds_big) <= np.mean(sds_small) * 1.25
+
+
+# ---------------------------------------------------------------------------
+# centring fits within one replicate_bf call
+# ---------------------------------------------------------------------------
+
+def record_fits(monkeypatch):
+    """Count the centring fits the engine makes, each as (kind, E, U, eps,
+    counts, interior margin): the problem the fit was asked to solve."""
+    calls = []
+
+    def problem(kind, model, counts, margin):
+        cs = model.constraints
+        return (kind, cs.E.tobytes(), cs.U.tobytes(), cs.epsilon.tobytes(),
+                None if counts is None else counts.tobytes(), margin)
+
+    orig_mle, orig_pc = fitmod.constrained_mle, fitmod.prior_center
+
+    def constrained_mle(table, model, options=None):
+        calls.append(problem("mle", model, table.counts_matrix(), options.interior_margin))
+        return orig_mle(table, model, options)
+
+    def prior_center(model, dims, s, options=None, interior_margin=1.0):
+        calls.append(problem("prior_center", model, None, interior_margin))
+        return orig_pc(model, dims, s, options, interior_margin)
+
+    monkeypatch.setattr(fitmod, "constrained_mle", constrained_mle)
+    monkeypatch.setattr(fitmod, "prior_center", prior_center)
+    return calls
+
+
+def test_centring_fits_made_once_per_problem_equality_model(monkeypatch):
+    # alzheimer conditional independence: equality rows only, split per stratum
+    table = load_fixture("alzheimer")
+    model = model_from_dict({"name": "ci", "logits": "local",
+                             "constraints": [{"kind": "independence", "epsilon": 0.1}]},
+                            table.dims, table.s)
+    prior = PriorSpec.flat(table.r, table.s, 1.0)
+    settings = RunSettings(n_draws=2_000, pilot_n=1_000, chunk=4096,
+                           alpha_grid=(20.0,), max_retunes=0)
+    sched = EpsilonSchedule(epsilon_start=0.1, b=0.25, max_stages=2)
+    calls = record_fits(monkeypatch)
+
+    first = replicate_bf(model, table, prior, settings, B=1, seed=5, schedule=sched)
+    n_first = len(calls)
+    # the interior margin reaches the fit only through inequality rows, so
+    # every rung of the margin ladder poses the same problem here
+    assert n_first == len({c[:-1] for c in calls})
+
+    second = replicate_bf(model, table, prior, settings, B=1, seed=5, schedule=sched)
+    assert json.dumps(first.to_dict(), sort_keys=True) == \
+        json.dumps(second.to_dict(), sort_keys=True)
+    assert len(calls) == 2 * n_first            # nothing carried over between calls
+
+    # outside replicate_bf every rung fits again, the same problems, to the
+    # same estimate
+    problems = {c[:-1] for c in calls}
+    del calls[:]
+    rep_seed = first.components["replicates"][0]["seed"]
+    plain = bayes_factor(model, table, prior, settings, rep_seed, sched)
+    assert plain.log10_bf == first.log10_bf
+    assert len(calls) > n_first and {c[:-1] for c in calls} == problems
+
+    sub = engine._centring_model(model, "prior")
+    pcs = [fitmod.prior_center(sub, table.dims, table.s, interior_margin=m)
+           for m in (0.25, 2.0)]
+    assert pcs[0].pi_hat.tobytes() == pcs[1].pi_hat.tobytes()
+
+
+def test_centring_fits_keep_distinct_margins_for_inequalities(monkeypatch):
+    t = StratifiedTable(("all",), (ContingencyTable((3, 3), np.array(
+        [20.0, 9.0, 4.0, 8.0, 15.0, 9.0, 3.0, 10.0, 22.0])),))
+    # importance route on both sides, and an ESS target no pilot reaches,
+    # so each side walks the whole margin ladder in both replicates
+    settings = RunSettings(n_draws=4_000, pilot_n=4_000, chunk=4096,
+                           direct_threshold=1.1, ess_floor=1e9, alpha_grid=(5.0, 50.0))
+    calls = record_fits(monkeypatch)
+    replicate_bf(model_pa((3, 3)), t, PriorSpec.flat(9, 1, 1.0), settings, B=2, seed=8)
+    margins = {kind: [c[-1] for c in calls if c[0] == kind] for kind in ("prior_center", "mle")}
+    assert margins == {"prior_center": [1.0, 0.25, 2.0], "mle": [0.0, 0.25, 1.0, 2.0]}
 
 
 def test_compare_models_antisymmetric_and_zero():

@@ -1,0 +1,130 @@
+"""Numerical kernels against their references, bit for bit.
+
+`margbayes.link.logsumexp` must do scipy.special.logsumexp's arithmetic
+for real input, and the in-place Dirichlet sampler must reproduce the
+out-of-place scipy-based recipe in `oracles.dirichlet_chunk_reference`.
+Equal bytes, not a tolerance: every estimate is reproducible per seed,
+and these kernels sit under all of them.
+"""
+import itertools
+
+import numpy as np
+import pytest
+from scipy.special import logsumexp as scipy_logsumexp
+
+from margbayes.engine import _dirichlet_chunk, substream
+from margbayes.link import eta_from_logpi, link_for, logsumexp
+
+from oracles import dirichlet_chunk_reference
+
+
+def assert_same(ours, ref):
+    assert type(ours) is type(ref)
+    ours, ref = np.asarray(ours), np.asarray(ref)
+    assert ours.dtype == ref.dtype and ours.shape == ref.shape
+    assert ours.tobytes() == ref.tobytes(), (ours, ref)
+
+
+def both(a, **kw):
+    with np.errstate(all="ignore"):
+        ref = scipy_logsumexp(a, **kw)
+    return logsumexp(a, **kw), ref
+
+
+# ---------------------------------------------------------------------------
+# logsumexp
+# ---------------------------------------------------------------------------
+
+def fuzz_arrays(rng):
+    """Real inputs covering ties, -inf entries and rows, +inf and nan,
+    huge magnitudes and 1-, 2- and 3-d shapes."""
+    yield rng.normal(size=7)
+    yield rng.normal(scale=300.0, size=(6, 9))
+    yield rng.integers(-2, 3, size=(8, 5)).astype(float)           # many ties
+    a = rng.normal(size=(5, 6))
+    a[rng.random(a.shape) < 0.3] = -np.inf
+    a[2] = -np.inf                                                   # all -inf row
+    yield a
+    a = rng.normal(size=(4, 7))
+    a[1, 3] = np.inf
+    a[2, 0] = np.nan
+    yield a
+    yield np.full((3, 4), 710.0)                                     # exp overflows
+    yield rng.normal(scale=5.0, size=(3, 4, 5))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_logsumexp_fuzz_matches_scipy(seed):
+    rng = np.random.default_rng(seed)
+    for a in fuzz_arrays(rng):
+        axes = [None] + list(range(-a.ndim, a.ndim)) + ([(0, a.ndim - 1)] if a.ndim > 1 else [])
+        for axis, keepdims in itertools.product(axes, (False, True)):
+            assert_same(*both(a, axis=axis, keepdims=keepdims))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_logsumexp_weighted_fuzz_matches_scipy(seed):
+    rng = np.random.default_rng(100 + seed)
+    for a in fuzz_arrays(rng):
+        for b in (rng.integers(0, 3, size=a.shape).astype(float),    # zero weights
+                  rng.normal(size=a.shape),                          # signed
+                  rng.random(a.shape[-1])):                          # broadcast
+            for axis, keepdims in itertools.product((None, -1, 0), (False, True)):
+                assert_same(*both(a, b=b, axis=axis, keepdims=keepdims))
+
+
+def test_logsumexp_zero_weight_edge_cases():
+    a = np.array([[1000.0, -np.inf], [1000.0, 1.0], [-np.inf, -np.inf], [3.0, 3.0]])
+    b = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
+    ours, ref = both(a, b=b, axis=1)
+    assert_same(ours, ref)
+    # an overflowing entry under a zero weight poisons the direct fallback
+    assert np.isnan(ours[0]) and ours[1] == 1.0 and ours[2] == -np.inf
+    assert ours[3] == -np.inf
+
+
+def test_logsumexp_scalar_results_are_float64():
+    for a in (np.array([1.0, 2.0, 2.0]), np.float64(3.0), [0.5, -1.0], np.arange(4)):
+        ours, ref = both(a)
+        assert_same(ours, ref)
+        assert isinstance(ours, np.float64)
+    assert_same(*both(np.float64(3.0), keepdims=True))
+    assert_same(*both(np.zeros((0, 3)), axis=1))
+
+
+@pytest.mark.parametrize("dims,kind", [((2, 2), "local"), ((3, 4), "global"),
+                                       ((3, 2, 3), "continuation")])
+def test_logsumexp_broadcast_link_form(dims, kind):
+    # the form eta_from_logpi uses: one log pi row against every row of M
+    link = link_for(dims, kind)
+    rng = np.random.default_rng(7)
+    for scale in (0.1, 3.0, 200.0):
+        logpi = rng.normal(scale=scale, size=link.r)
+        logpi -= scipy_logsumexp(logpi)
+        a = np.broadcast_to(logpi, link.M.shape)
+        assert_same(*both(a, b=link.M, axis=1))
+        ref = link.C @ scipy_logsumexp(a, b=link.M, axis=1)
+        assert eta_from_logpi(logpi, link).tobytes() == ref.tobytes()
+
+
+def test_logsumexp_rejects_complex():
+    with pytest.raises(TypeError):
+        logsumexp(np.array([1.0 + 1.0j]))
+
+
+# ---------------------------------------------------------------------------
+# Dirichlet kernel
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("alpha", [
+    np.array([[1.0, 2.5, 7.0, 1.0]]),                                 # shapes >= 1
+    np.array([[0.02, 0.5, 0.9, 0.3, 0.1, 0.05]]),                    # boost path
+    np.array([[0.2, 3.0, 1.0], [45.0, 0.7, 12.0]]),                  # mixed, s = 2
+    np.full((2, 36), 1e-3),                                          # floor hits
+])
+def test_dirichlet_chunk_matches_reference(alpha):
+    for seed, n in ((1, 1), (2, 257), (3, 4096)):
+        ours = _dirichlet_chunk(substream(seed, 0), alpha, n)
+        ref = dirichlet_chunk_reference(substream(seed, 0), alpha, n)
+        assert ours.shape == (n,) + alpha.shape
+        assert ours.tobytes() == ref.tobytes()
