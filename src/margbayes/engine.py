@@ -13,6 +13,8 @@ SeedSequence spawn keys, so every estimate is reproducible bit for bit.
 """
 from __future__ import annotations
 
+import os
+import threading
 from contextvars import ContextVar
 from dataclasses import dataclass, field, asdict
 
@@ -25,6 +27,11 @@ from .link import LOG_FLOOR, eta_batch, link_for, logsumexp
 from .tables import StratifiedTable
 
 LN10 = np.log(10.0)
+
+# Threads that share the independent tuning probes: the cores this process
+# may run on. Numpy's gamma sampler, ufuncs and BLAS release the GIL.
+_THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+    else (os.cpu_count() or 1)
 
 DEFAULT_ALPHA_GRID = (0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 30.0, 50.0)
 
@@ -193,6 +200,53 @@ def substream(seed: int, *path) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=key))
 
 
+def _ordered_map(fn, items) -> list:
+    """[fn(x) for x in items], run on up to _THREADS threads.
+
+    The calling thread works rather than waits, so the pool has one thread
+    per core and no more: each extra thread costs a malloc arena that keeps
+    about one item's working set. Each thread takes the next unstarted
+    index from a shared counter, and results land in input order whatever
+    the thread count. With one thread or one item no thread is started.
+    After a failure no further item starts, and once every thread has
+    joined the exception of the lowest failing index is re-raised: the one
+    a plain loop would raise.
+    """
+    items = list(items)
+    out = [None] * len(items)
+    errors = []                          # (index, exception)
+    lock = threading.Lock()
+    next_i = 0
+
+    def work():
+        nonlocal next_i
+        while True:
+            with lock:
+                i = next_i
+                if errors or i >= len(items):
+                    return
+                next_i += 1
+            try:
+                out[i] = fn(items[i])
+            except BaseException as err:
+                with lock:
+                    errors.append((i, err))
+                return
+
+    threads = [threading.Thread(target=work, name=f"margbayes-probe-{k}")
+               for k in range(min(_THREADS, len(items)) - 1)]
+    for t in threads:
+        t.start()
+    try:
+        work()
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]
+    return out
+
+
 def _dirichlet_chunk(rng: np.random.Generator, alpha: np.ndarray, n: int) -> np.ndarray:
     """(n, s, r) Dirichlet draws, sampled via log-gammas.
 
@@ -263,6 +317,9 @@ class ModelEval:
         self.U = cs.U[:, cols]
         self.epsilon = cs.epsilon
         self.cs = cs
+        if self.local_rows.size:
+            # filled here so concurrent tuning probes only read the cache
+            self.link.restricted(self.local_rows)
 
     def stratum_split(self):
         """Per-stratum sub-evaluators when every constraint row touches one
@@ -440,6 +497,14 @@ def tune_alpha(ev: ModelEval, target_alpha: np.ndarray, center: np.ndarray,
 
     Returns (ImportanceDensity, diagnostics). Raises TuningError when no
     concentration, extended included, yields a single accepted draw.
+
+    The grid probes run concurrently (see _ordered_map). Each draws from
+    its own stream substream(seed, "tune", idx). The probes share `ev`,
+    `target_alpha` and `center`, and only read them; the restricted link
+    matrices `ev` evaluates with are filled when it is built. Results are
+    recorded in grid order, so the density and diagnostics are the same
+    whatever the thread count. The geometric extension runs one probe at
+    a time, since each step depends on the one before.
     """
     grid = list(grid if grid is not None else settings.alpha_grid)
     if not grid or any(a <= 0 for a in grid):
@@ -448,16 +513,20 @@ def tune_alpha(ev: ModelEval, target_alpha: np.ndarray, center: np.ndarray,
 
     probe_n = max(4000, settings.pilot_n // 4)
 
-    def probe(mult, idx):
+    def draw(idx, mult):
         g = make_density(center, target_alpha, mult, center_kind)
-        est = _importance_stream(ev, target_alpha, g, probe_n,
-                                 substream(seed, "tune", idx), settings.chunk)
+        return _importance_stream(ev, target_alpha, g, probe_n,
+                                  substream(seed, "tune", idx), settings.chunk)
+
+    def record(mult, est):
         results.append({"multiplier": float(mult),
                         "acceptance": est.accepted / probe_n,
                         "ess": est.ess, "log_value": est.log_value})
         return est
 
-    ests = [probe(m, i) for i, m in enumerate(grid)]
+    ests = _ordered_map(lambda im: draw(*im), enumerate(grid))
+    for m, e in zip(grid, ests):
+        record(m, e)
     qualifying = [(e.ess, m, e) for m, e in zip(grid, ests)
                   if e.accepted / probe_n >= settings.tune_accept_min]
     idx = len(grid)
@@ -466,7 +535,7 @@ def tune_alpha(ev: ModelEval, target_alpha: np.ndarray, center: np.ndarray,
         extra_hits = 0
         while mult < settings.tune_extend_max_multiplier:
             mult *= settings.tune_extend_factor
-            e = probe(mult, idx)
+            e = record(mult, draw(idx, mult))
             idx += 1
             if e.accepted / probe_n >= settings.tune_accept_min:
                 qualifying.append((e.ess, mult, e))

@@ -112,7 +112,11 @@ class LinkMatrices:
         return np.arange(b.lo, b.hi)
 
     def restricted(self, rows) -> tuple:
-        """(C_sub, M_sub) touching only the given eta rows; cached."""
+        """(C_sub, M_sub) touching only the given eta rows; cached.
+
+        The check-then-insert is not atomic: an entry read from several
+        threads at once must be filled first (engine.ModelEval does so).
+        """
         key = tuple(int(i) for i in rows)
         if key not in self._restricted_cache:
             C_sub = self.C[list(key), :]
