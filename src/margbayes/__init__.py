@@ -78,7 +78,6 @@ from .engine import (
     compare_models,
     estimate_bf,
     estimate_proportion_direct,
-    importance_estimate,
     jeffreys_label,
     make_density,
     nested_bf,

@@ -10,13 +10,23 @@ All weight arithmetic is in log space; draws are generated per stratum
 from log-gamma variates (small shapes boosted) so tiny cell probabilities
 never underflow into NaNs. Streams are derived from a master seed via
 SeedSequence spawn keys, so every estimate is reproducible bit for bit.
+
+Independent units of work run concurrently through _ordered_map, under one
+process-wide budget of _THREADS threads: the replicates of replicate_bf,
+the prior and posterior sides of estimate_bf, the strata of
+_side_estimate, the chain parts of _chain_bf (built, then re-checked at
+each level) and the grid probes of tune_alpha. Each unit draws from its
+own substream and results are combined in input order, so every estimate
+is the same bits whatever the thread count.
 """
 from __future__ import annotations
 
 import os
 import threading
-from contextvars import ContextVar
+from concurrent.futures import Future
+from contextvars import ContextVar, copy_context
 from dataclasses import dataclass, field, asdict
+from functools import partial
 
 import numpy as np
 from scipy.special import gammaln
@@ -28,10 +38,15 @@ from .tables import StratifiedTable
 
 LN10 = np.log(10.0)
 
-# Threads that share the independent tuning probes: the cores this process
-# may run on. Numpy's gamma sampler, ufuncs and BLAS release the GIL.
+# Threads that may do margbayes work at once: the cores this process may
+# run on. Numpy's gamma sampler, ufuncs and BLAS release the GIL.
 _THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
     else (os.cpu_count() or 1)
+
+# Rows per block when the Dirichlet sampler normalises its draws, so the
+# temporaries stay small whatever the chunk size. Row sums and elementwise
+# maps do the same arithmetic on a row whatever block holds it.
+_BLOCK = 4096
 
 DEFAULT_ALPHA_GRID = (0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 30.0, 50.0)
 
@@ -200,18 +215,34 @@ def substream(seed: int, *path) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=key))
 
 
+# Threads started by _ordered_map calls that are still taking items.
+_started = 0
+_started_lock = threading.Lock()
+
+
 def _ordered_map(fn, items) -> list:
     """[fn(x) for x in items], run on up to _THREADS threads.
 
-    The calling thread works rather than waits, so the pool has one thread
-    per core and no more: each extra thread costs a malloc arena that keeps
-    about one item's working set. Each thread takes the next unstarted
-    index from a shared counter, and results land in input order whatever
-    the thread count. With one thread or one item no thread is started.
-    After a failure no further item starts, and once every thread has
-    joined the exception of the lowest failing index is re-raised: the one
-    a plain loop would raise.
+    The thread budget is process-wide: the thread that made the outermost
+    call plus the threads that all running maps, nested ones included,
+    have started never number more than _THREADS (read at call time). A
+    map starts at most one thread per item beyond the first, and only as
+    many as the budget has left; with none left it runs every item on the
+    calling thread. It never waits for a thread to free up, so maps nested
+    to any depth cannot deadlock. The calling thread works rather than
+    waits: each extra thread costs a malloc arena that keeps about one
+    item's working set.
+
+    Each thread takes the next unstarted index from a shared counter and
+    hands its place in the budget back once none is left. Started threads
+    run in a copy of the caller's context, so they see its ContextVar
+    values (the centring memo among them). Results land in input order
+    whatever the thread count. After a failure no further item starts,
+    and once every thread has joined the exception of the lowest failing
+    index is re-raised: the one a plain loop would raise. Items already
+    running when another fails still run to the end.
     """
+    global _started
     items = list(items)
     out = [None] * len(items)
     errors = []                          # (index, exception)
@@ -233,13 +264,28 @@ def _ordered_map(fn, items) -> list:
                     errors.append((i, err))
                 return
 
-    threads = [threading.Thread(target=work, name=f"margbayes-probe-{k}")
-               for k in range(min(_THREADS, len(items)) - 1)]
-    for t in threads:
-        t.start()
+    def worker(ctx):
+        global _started
+        try:
+            ctx.run(work)
+        finally:
+            with _started_lock:
+                _started -= 1
+
+    with _started_lock:
+        n_new = max(0, min(_THREADS - 1 - _started, len(items) - 1))
+        _started += n_new
+    threads = []
     try:
+        for k in range(n_new):
+            t = threading.Thread(target=worker, args=(copy_context(),),
+                                 name=f"margbayes-worker-{k}")
+            t.start()
+            threads.append(t)
         work()
     finally:
+        with _started_lock:
+            _started -= n_new - len(threads)     # places of threads never started
         for t in threads:
             t.join()
     if errors:
@@ -253,19 +299,36 @@ def _dirichlet_chunk(rng: np.random.Generator, alpha: np.ndarray, n: int) -> np.
     Shapes below 1 use the boost G_a = G_{a+1} U^{1/a} evaluated in log
     space, then cells are floored at exp(LOG_FLOOR); the floor only touches
     draws whose importance weight is already negligible.
+
+    Per stratum, all gammas are drawn before any uniform, as one (n, r)
+    draw would take them from the stream. They go straight into `out` when
+    its stratum slice is C-contiguous (s = 1), else _BLOCK rows at a time;
+    the boost and the normalisation then work _BLOCK rows at a time.
     """
     s, r = alpha.shape
     out = np.empty((n, s, r))
     for b in range(s):
         a = alpha[b]
         small = a < 1.0
-        logg = rng.standard_gamma(np.where(small, a + 1.0, a), size=(n, r))
-        np.log(np.maximum(logg, 1e-300, out=logg), out=logg)
-        if np.any(small):
-            u = rng.random((n, r))
-            logg[:, small] += np.log(u[:, small]) / a[small]
-        logg -= logsumexp(logg, axis=1, keepdims=True)
-        np.exp(np.maximum(logg, LOG_FLOOR, out=logg), out=out[:, b, :])
+        shape = np.where(small, a + 1.0, a)
+        logg = out[:, b, :]
+        inplace = logg.flags.c_contiguous
+        if inplace:
+            rng.standard_gamma(shape, size=(n, r), out=logg)
+            np.log(np.maximum(logg, 1e-300, out=logg), out=logg)
+        else:
+            for i in range(0, n, _BLOCK):
+                g = rng.standard_gamma(shape, size=(min(_BLOCK, n - i), r))
+                logg[i:i + _BLOCK] = np.log(np.maximum(g, 1e-300, out=g), out=g)
+        for i in range(0, n, _BLOCK):
+            blk = logg[i:i + _BLOCK] if inplace else logg[i:i + _BLOCK].copy()
+            if np.any(small):
+                u = rng.random((blk.shape[0], r))
+                blk[:, small] += np.log(u[:, small]) / a[small]
+            blk -= logsumexp(blk, axis=1, keepdims=True)
+            np.exp(np.maximum(blk, LOG_FLOOR, out=blk), out=blk)
+            if not inplace:
+                logg[i:i + _BLOCK] = blk
     return out
 
 
@@ -367,7 +430,8 @@ class ModelEval:
         eta = self.eta_reduced(P)
         ok = np.ones(P.shape[0], dtype=bool)
         if self.E.shape[0]:
-            ok &= np.all(np.abs(eta @ self.E.T) <= self.epsilon, axis=1)
+            dev = eta @ self.E.T
+            ok &= np.all(np.abs(dev, out=dev) <= self.epsilon, axis=1)
         if self.U.shape[0]:
             ok &= np.all(eta @ self.U.T >= 0, axis=1)
         return ok
@@ -380,7 +444,8 @@ class ModelEval:
         """
         eta = self.eta_reduced(P)
         if self.E.shape[0]:
-            stat = np.max(np.abs(eta @ self.E.T) / self.epsilon, axis=1)
+            dev = eta @ self.E.T
+            stat = np.max(np.divide(np.abs(dev, out=dev), self.epsilon, out=dev), axis=1)
         else:
             stat = np.zeros(P.shape[0])
         ok = np.ones(P.shape[0], dtype=bool)
@@ -414,8 +479,7 @@ def _direct_stream(ev: ModelEval, alpha: np.ndarray, n: int, rng, chunk: int) ->
     done = 0
     while done < n:
         b = min(chunk, n - done)
-        P = _dirichlet_chunk(rng, alpha, b)
-        acc += int(ev.delta(P).sum())
+        acc += int(ev.delta(_dirichlet_chunk(rng, alpha, b)).sum())
         done += b
     p = acc / n
     se = float(np.sqrt(p * (1 - p) / n))
@@ -452,6 +516,7 @@ def _importance_stream(ev: ModelEval, target_alpha: np.ndarray, g: ImportanceDen
             ls2.append(logsumexp(2.0 * logw))
             acc += int(d.sum())
             max_lw = max(max_lw, float(np.max(np.abs(logw))))
+        del P                   # not held while the next chunk is drawn
         done += b
     if acc == 0:
         return ProportionEstimate(
@@ -498,13 +563,17 @@ def tune_alpha(ev: ModelEval, target_alpha: np.ndarray, center: np.ndarray,
     Returns (ImportanceDensity, diagnostics). Raises TuningError when no
     concentration, extended included, yields a single accepted draw.
 
-    The grid probes run concurrently (see _ordered_map). Each draws from
-    its own stream substream(seed, "tune", idx). The probes share `ev`,
-    `target_alpha` and `center`, and only read them; the restricted link
-    matrices `ev` evaluates with are filled when it is built. Results are
-    recorded in grid order, so the density and diagnostics are the same
-    whatever the thread count. The geometric extension runs one probe at
-    a time, since each step depends on the one before.
+    The grid probes are one of the engine's fan-out points (see
+    _ordered_map): they run on whatever is left of the process-wide thread
+    budget, which inside concurrent replicates, sides, strata or chain
+    parts is often nothing, and then they run on the calling thread. Each
+    draws from its own stream substream(seed, "tune", idx). The probes
+    share `ev`, `target_alpha` and `center`, and only read them; the
+    restricted link matrices `ev` evaluates with are filled when it is
+    built. Results are recorded in grid order, so the density and
+    diagnostics are the same whatever the thread count. The geometric
+    extension runs one probe at a time, since each step depends on the one
+    before.
     """
     grid = list(grid if grid is not None else settings.alpha_grid)
     if not grid or any(a <= 0 for a in grid):
@@ -591,9 +660,39 @@ def _centring_model(model: ModelSpec, side: str) -> ModelSpec:
                      model.constraints.scaled_epsilon(frac), model.notes)
 
 
-# Centring fits solved so far in the running replicate_bf call, by
-# _centre_key; None outside such a call, so no fit outlives it.
-_CENTRES: ContextVar[dict | None] = ContextVar("margbayes_centres", default=None)
+class _CentreMemo:
+    """Centring fits solved in one replicate_bf call, by _centre_key.
+
+    Each key is fitted once even when concurrent replicates, sides or
+    strata miss it together: the first caller stores an unfinished Future
+    under the key and fits, and later callers wait on that Future. A
+    failed fit hands its exception to every waiter and leaves the key
+    empty, so a caller that comes after the failure fits again.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._fits = {}
+
+    def get(self, key, fit):
+        with self._lock:
+            fut = self._fits.get(key)
+            owner = fut is None
+            if owner:
+                fut = self._fits[key] = Future()
+        if owner:
+            try:
+                fut.set_result(fit())
+            except BaseException as err:
+                with self._lock:
+                    del self._fits[key]
+                fut.set_exception(err)
+        return fut.result()
+
+
+# The memo of the running replicate_bf call; None outside such a call, so
+# no fit outlives it.
+_CENTRES: ContextVar[_CentreMemo | None] = ContextVar("margbayes_centres", default=None)
 
 
 def _centre_key(side: str, fit_model: ModelSpec, table: StratifiedTable,
@@ -622,24 +721,24 @@ def _centre(side: str, model: ModelSpec, table: StratifiedTable,
     fit_model = _centring_model(model, side)
     if margin is None:
         margin = settings.prior_margin if side == "prior" else 0.0
+
+    def fit():
+        if side == "prior":
+            res = fitmod.prior_center(fit_model, table.dims, table.s,
+                                      fitmod.FitOptions(smoothing=settings.smoothing),
+                                      interior_margin=margin)
+            kind = "prior_center"
+        else:
+            opts = fitmod.FitOptions(smoothing=settings.smoothing, interior_margin=margin)
+            res = fitmod.constrained_mle(table, fit_model, opts)
+            kind = "constrained_mle"
+        res.pi_hat.flags.writeable = False      # may be handed out again from the memo
+        return res.pi_hat, kind
+
     memo = _CENTRES.get()
-    if memo is not None:
-        key = _centre_key(side, fit_model, table, settings, margin)
-        if key in memo:
-            return memo[key]
-    if side == "prior":
-        res = fitmod.prior_center(fit_model, table.dims, table.s,
-                                  fitmod.FitOptions(smoothing=settings.smoothing),
-                                  interior_margin=margin)
-        kind = "prior_center"
-    else:
-        opts = fitmod.FitOptions(smoothing=settings.smoothing, interior_margin=margin)
-        res = fitmod.constrained_mle(table, fit_model, opts)
-        kind = "constrained_mle"
-    res.pi_hat.flags.writeable = False      # may be handed out again from the memo
-    if memo is not None:
-        memo[key] = (res.pi_hat, kind)
-    return res.pi_hat, kind
+    if memo is None:
+        return fit()
+    return memo.get(_centre_key(side, fit_model, table, settings, margin), fit)
 
 
 def _tuned_density(side: str, ev: ModelEval, target_alpha, model, table,
@@ -732,44 +831,11 @@ def _side_estimate(side: str, ev: ModelEval, target_alpha, model, table,
     if subs is None:
         return _side_estimate_one(side, ev, target_alpha, model, table,
                                   settings, seed, path=())
-    parts = []
-    for b, ev_b in enumerate(subs):
-        est_b = _side_estimate_one(side, ev_b, target_alpha[b:b + 1], ev_b.model,
-                                   _sub_table(table, b), settings, seed, path=(b,))
-        parts.append(est_b)
+    parts = _ordered_map(
+        lambda b: _side_estimate_one(side, subs[b], target_alpha[b:b + 1], subs[b].model,
+                                     _sub_table(table, b), settings, seed, path=(b,)),
+        range(len(subs)))
     return _combine_product(parts, settings.n_draws)
-
-
-def importance_estimate(model: ModelSpec, table: StratifiedTable, prior: PriorSpec,
-                        target: str, n: int, seed: int,
-                        settings: RunSettings | None = None,
-                        g: ImportanceDensity | None = None) -> ProportionEstimate:
-    """Importance-sampled constraint-satisfaction proportion under the
-    encompassing prior or posterior; centres and tunes g automatically
-    (per stratum when the model factorises) unless g is supplied."""
-    if target not in _SIDES:
-        raise EngineError(f"target must be 'prior' or 'posterior', got {target!r}")
-    settings = settings or RunSettings()
-    ev = ModelEval(model, table.dims, table.s)
-    target_alpha = prior.concentration if target == "prior" else prior.posterior(table)
-    if g is not None:
-        return _importance_stream(ev, target_alpha, g, n,
-                                  substream(seed, target, "main"), settings.chunk)
-    subs = ev.stratum_split()
-    if subs is None:
-        gg, _ = _tuned_density(target, ev, target_alpha, model, table, settings,
-                               _seed_for(seed, target))
-        return _importance_stream(ev, target_alpha, gg, n,
-                                  substream(seed, target, "main"), settings.chunk)
-    parts = []
-    for b, ev_b in enumerate(subs):
-        gg, _ = _tuned_density(target, ev_b, target_alpha[b:b + 1], ev_b.model,
-                               _sub_table(table, b), settings,
-                               _seed_for(seed, target) + 131 * (b + 1))
-        parts.append(_importance_stream(ev_b, target_alpha[b:b + 1], gg, n,
-                                        substream(seed, target, "main", b),
-                                        settings.chunk))
-    return _combine_product(parts, n)
 
 
 # ---------------------------------------------------------------------------
@@ -785,9 +851,10 @@ def estimate_bf(model: ModelSpec, table: StratifiedTable, prior: PriorSpec,
             f"model {model.name!r} has about-equality rows; use about_equality_bf"
         )
     ev = ModelEval(model, table.dims, table.s)
-    post_alpha = prior.posterior(table)
-    c_side = _side_estimate("prior", ev, prior.concentration, model, table, settings, seed)
-    d_side = _side_estimate("posterior", ev, post_alpha, model, table, settings, seed)
+    targets = {"prior": prior.concentration, "posterior": prior.posterior(table)}
+    c_side, d_side = _ordered_map(
+        lambda side: _side_estimate(side, ev, targets[side], model, table, settings, seed),
+        targets)
     for side, est in (("prior", c_side), ("posterior", d_side)):
         if est.value == 0.0 and est.ess == 0.0:
             raise UnboundedEstimateError(side)
@@ -873,6 +940,7 @@ class _ChainPart:
                 st_d, ok_d = ev_den.eq_stat_and_ineq(P)
                 stat_d[done:done + b] = st_d
                 ineq_d[done:done + b] = ok_d
+            del P               # not held while the next chunk is drawn
             done += b
         self.logw, self.stat_n, self.ineq_n = logw, stat_n, ineq_n
         self.stat_d, self.ineq_d = stat_d, ineq_d
@@ -927,20 +995,19 @@ def _chain_bf(num_model: ModelSpec, den_model, table: StratifiedTable,
     targets = {"prior": prior.concentration, "posterior": post_alpha}
     n_eq = num_model.constraints.n_eq + (den_model.constraints.n_eq if den_model else 0)
 
-    sides = {}
+    subs = ModelEval(num_model, table.dims, table.s).stratum_split() \
+        if den_model is None else None
+    makers = []
     for side in ("prior", "posterior"):
-        parts = None
-        if den_model is None:
-            ev1 = ModelEval(num_model, table.dims, table.s)
-            subs = ev1.stratum_split()
-            if subs is not None:
-                parts = [_ChainPart(side, e.model, None, targets[side][b:b + 1],
-                                    _sub_table(table, b), settings, seed, (b,))
-                         for b, e in enumerate(subs)]
-        if parts is None:
-            parts = [_ChainPart(side, num_model, den_model, targets[side],
-                                table, settings, seed, ())]
-        sides[side] = parts
+        if subs is not None:
+            makers += [partial(_ChainPart, side, e.model, None, targets[side][b:b + 1],
+                               _sub_table(table, b), settings, seed, (b,))
+                       for b, e in enumerate(subs)]
+        else:
+            makers.append(partial(_ChainPart, side, num_model, den_model, targets[side],
+                                  table, settings, seed, ()))
+    parts = _ordered_map(lambda make: make(), makers)
+    sides = {side: [p for p in parts if p.side == side] for side in ("prior", "posterior")}
 
     def side_level(side, scale):
         vals = [p.level(scale) for p in sides[side]]
@@ -960,14 +1027,9 @@ def _chain_bf(num_model: ModelSpec, den_model, table: StratifiedTable,
     prev = {}
     for level in range(1, max_levels + 1):
         scale = schedule.b ** (level - 1)
-        cur = {}
-        redrawn = {s: False for s in sides}
-        for side in sides:
-            for p in sides[side]:
-                if p.ensure(scale):
-                    redrawn[side] = True
-            cur[side] = side_level(side, scale)
-        if (redrawn["prior"] or redrawn["posterior"]) and level > 1:
+        redrawn = any(_ordered_map(lambda p: p.ensure(scale), parts))
+        cur = {side: side_level(side, scale) for side in sides}
+        if redrawn and level > 1:
             # same-sample differencing: refresh the previous level too
             prev = {s: side_level(s, schedule.b ** (level - 2)) for s in sides}
         counts = {s: min(p.level_count(scale) for p in sides[s]) for s in sides}
@@ -1095,28 +1157,31 @@ def replicate_bf(model: ModelSpec, table: StratifiedTable, prior: PriorSpec,
                  reference: ModelSpec | None = None) -> BFEstimate:
     """B independently seeded runs; the reported point estimate is the
     replicate mean of the log Bayes factors. With a reference model the
-    runs use the common-draw nested-pair route."""
+    runs use the common-draw nested-pair route. The runs go concurrently
+    (see _ordered_map) and share one centring memo."""
     if B < 1:
         raise EngineError("need B >= 1 replicates")
-    reps = []
-    infos = []
-    centres = _CENTRES.set({})
+
+    def run(i):
+        rep_seed = int(np.random.SeedSequence(int(seed), spawn_key=(3, i)).generate_state(1)[0])
+        if reference is not None:
+            est = nested_bf(model, reference, table, prior, settings, rep_seed, schedule)
+        else:
+            est = bayes_factor(model, table, prior, settings, rep_seed, schedule)
+        info = {"log10_bf": est.log10_bf, "route": est.route, "seed": rep_seed}
+        if est.route in ("about_equality", "nested"):
+            info["final_epsilon"] = est.components["final_epsilon"]
+            info["truncated"] = est.components["truncated"]
+            info["n_stages"] = len(est.components["stages"])
+        return est.log10_bf, info
+
+    centres = _CENTRES.set(_CentreMemo())
     try:
-        for i in range(B):
-            rep_seed = int(np.random.SeedSequence(int(seed), spawn_key=(3, i)).generate_state(1)[0])
-            if reference is not None:
-                est = nested_bf(model, reference, table, prior, settings, rep_seed, schedule)
-            else:
-                est = bayes_factor(model, table, prior, settings, rep_seed, schedule)
-            reps.append(est.log10_bf)
-            info = {"log10_bf": est.log10_bf, "route": est.route, "seed": rep_seed}
-            if est.route in ("about_equality", "nested"):
-                info["final_epsilon"] = est.components["final_epsilon"]
-                info["truncated"] = est.components["truncated"]
-                info["n_stages"] = len(est.components["stages"])
-            infos.append(info)
+        runs = _ordered_map(run, range(B))
     finally:
         _CENTRES.reset(centres)
+    reps = [r[0] for r in runs]
+    infos = [r[1] for r in runs]
     mean = float(np.mean(reps))
     sd = float(np.std(reps, ddof=1)) if B > 1 else 0.0
     return BFEstimate(
@@ -1195,6 +1260,7 @@ def posterior_draws_under_model(model: ModelSpec, table: StratifiedTable,
         acc += int(d.sum())
         if np.any(d) and acc <= keep_cap:
             kept.append(P[d])
+        del P                   # not held while the next chunk is drawn
         done += b
     warnings = []
     if acc == 0:

@@ -20,6 +20,13 @@ from .tables import LOGIT_TYPES, VariableSpec
 # exp() above the subnormal range so log(M pi) never hits -inf
 LOG_FLOOR = -625.0
 
+# eta_batch evaluates its rows in blocks whose matrix products each take at
+# least this many multiply-adds. OpenBLAS on AVX-512 hosts hands products of
+# up to 1e6 of them to small-matrix kernels that round differently, so with
+# this floor a row's eta has the same bits whatever block it falls in, and
+# the same as from one product over all rows.
+BLOCK_WORK = 1 << 21
+
 
 class LinkError(ValueError):
     """Domain errors in link construction or evaluation."""
@@ -276,13 +283,24 @@ def eta_batch(P: np.ndarray, link: LinkMatrices, rows=None) -> np.ndarray:
     Cells are floored at exp(LOG_FLOOR) so the log never produces -inf;
     draws affected by the floor carry negligible importance weight.
     Restricting to `rows` skips the eta coordinates no constraint reads.
-    The log of M pi is taken in place, so only one (N, rows of M) product
-    is held at a time.
+    Rows are taken in equal blocks of at least BLOCK_WORK / (M rows x
+    min(r, eta rows)) rows, so the (block, M rows) product is the only
+    large temporary besides the result. P is copied for the floor only
+    when some cell is below it; the engine's sampler floors its draws.
     """
-    P = np.maximum(P, np.exp(LOG_FLOOR))
     C_sub, M_sub = (link.C, link.M) if rows is None else link.restricted(rows)
-    x = P @ M_sub.T
-    return np.log(x, out=x) @ C_sub.T
+    floor = np.exp(LOG_FLOOR)
+    if P.size and P.min() < floor:
+        P = np.maximum(P, floor)
+    n = P.shape[0]
+    m, t = M_sub.shape[0], C_sub.shape[0]
+    n_blocks = max(1, n * m * min(P.shape[1], t) // BLOCK_WORK)
+    out = np.empty((n, t))
+    for k in range(n_blocks):
+        i, j = k * n // n_blocks, (k + 1) * n // n_blocks
+        x = P[i:j] @ M_sub.T
+        np.matmul(np.log(x, out=x), C_sub.T, out=out[i:j])
+    return out
 
 
 def eta_jacobian_from_logpi(logpi, link: LinkMatrices) -> np.ndarray:

@@ -113,3 +113,10 @@ def dirichlet_chunk_reference(rng, alpha, n, log_floor=-625.0):
         logpi = logg - logsumexp(logg, axis=1, keepdims=True)
         out[:, b, :] = np.exp(np.maximum(logpi, log_floor))
     return out
+
+
+def eta_batch_reference(P, link, rows=None, log_floor=-625.0):
+    """eta for a batch of rows P (N, r) as one product over all rows: the
+    engine's blocked evaluation must reproduce it bit for bit."""
+    C, M = (link.C, link.M) if rows is None else link.restricted(rows)
+    return np.log(np.maximum(P, np.exp(log_floor)) @ M.T) @ C.T

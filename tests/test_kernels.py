@@ -1,10 +1,11 @@
 """Numerical kernels against their references, bit for bit.
 
 `margbayes.link.logsumexp` must do scipy.special.logsumexp's arithmetic
-for real input, and the in-place Dirichlet sampler must reproduce the
-out-of-place scipy-based recipe in `oracles.dirichlet_chunk_reference`.
-Equal bytes, not a tolerance: every estimate is reproducible per seed,
-and these kernels sit under all of them.
+for real input, the in-place, blocked Dirichlet sampler must reproduce the
+out-of-place scipy-based recipe in `oracles.dirichlet_chunk_reference`,
+and the row-blocked eta and constraint checks must match one product over
+all rows. Equal bytes, not a tolerance: every estimate is reproducible per
+seed, and these kernels sit under all of them.
 """
 import itertools
 
@@ -12,10 +13,12 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp as scipy_logsumexp
 
+from margbayes import ModelEval, engine, link, load_fixture
 from margbayes.engine import _dirichlet_chunk, substream
-from margbayes.link import eta_from_logpi, link_for, logsumexp
+from margbayes.hypotheses import model_from_dict
+from margbayes.link import eta_batch, eta_from_logpi, link_for, logsumexp
 
-from oracles import dirichlet_chunk_reference
+from oracles import dirichlet_chunk_reference, eta_batch_reference
 
 
 def assert_same(ours, ref):
@@ -120,11 +123,48 @@ def test_logsumexp_rejects_complex():
     np.array([[1.0, 2.5, 7.0, 1.0]]),                                 # shapes >= 1
     np.array([[0.02, 0.5, 0.9, 0.3, 0.1, 0.05]]),                    # boost path
     np.array([[0.2, 3.0, 1.0], [45.0, 0.7, 12.0]]),                  # mixed, s = 2
+    np.array([[1.5, 3.0, 1.0], [45.0, 2.0, 12.0]]),                  # shapes >= 1, s = 2
     np.full((2, 36), 1e-3),                                          # floor hits
 ])
 def test_dirichlet_chunk_matches_reference(alpha):
-    for seed, n in ((1, 1), (2, 257), (3, 4096)):
+    # the kernel normalises engine._BLOCK rows at a time, so sizes around
+    # the block and a ragged last block are covered too
+    block = engine._BLOCK
+    for seed, n in ((1, 1), (2, 257), (3, block - 1), (4, block), (5, block + 1),
+                    (6, 3 * block + 7)):
         ours = _dirichlet_chunk(substream(seed, 0), alpha, n)
         ref = dirichlet_chunk_reference(substream(seed, 0), alpha, n)
         assert ours.shape == (n,) + alpha.shape
         assert ours.tobytes() == ref.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Row-blocked eta and constraint checks
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dataset, spec", [
+    ("father_son", {"name": "tp2", "logits": "local", "constraints": [{"kind": "tp2"}]}),
+    ("father_son", {"name": "so", "logits": "global",
+                    "constraints": [{"kind": "stochastic_order", "direction": "ge"}]}),
+    ("alzheimer", {"name": "ci", "logits": "local",                  # s = 2, strided strata
+                   "constraints": [{"kind": "independence", "epsilon": 0.1}]}),
+])
+def test_blocked_constraint_checks_match_one_product(monkeypatch, dataset, spec):
+    table = load_fixture(dataset)
+    ev = ModelEval(model_from_dict(spec, table.dims, table.s), table.dims, table.s)
+    # rows at which eta_batch goes from one block to two
+    C, M = ev.link.restricted(ev.local_rows)
+    block = -(-link.BLOCK_WORK // (M.shape[0] * min(M.shape[1], C.shape[0])))
+    for seed, n in ((1, block - 1), (2, block + 1), (3, 3 * block + 7), (4, 32768)):
+        P = _dirichlet_chunk(substream(seed, 0), np.full((table.s, table.r), 0.7), n)
+        if seed == 2:
+            P[::5, :, 0] = 0.0                                   # below the floor
+        blocked = (ev.delta(P), *ev.eq_stat_and_ineq(P), eta_batch(P[:, 0, :], ev.link))
+        with monkeypatch.context() as m:
+            m.setattr(engine, "eta_batch", eta_batch_reference)
+            whole = (ev.delta(P), *ev.eq_stat_and_ineq(P),
+                     eta_batch_reference(P[:, 0, :], ev.link))
+        for ours, ref in zip(blocked, whole):
+            assert ours.dtype == ref.dtype and ours.shape == ref.shape
+            assert ours.tobytes() == ref.tobytes()
+        assert np.all(np.isfinite(blocked[-1]))

@@ -1,9 +1,12 @@
-"""Tuning probes run on threads: the same estimates whatever the thread count.
+"""Independent work runs on threads: the same estimates whatever the thread count.
 
-`engine._THREADS` is the number of threads `engine._ordered_map` may use;
-the tests set it to 1, 2 and 8. The 8-thread runs also switch threads as
-often as the interpreter allows, to shake out races on shared state.
+`engine._THREADS` is the number of threads that `engine._ordered_map`
+calls, nested ones included, may keep busy at once; the tests set it to 1,
+2 and 8 (and 3 for the budget itself). The 8-thread runs also switch
+threads as often as the interpreter allows, to shake out races on shared
+state.
 """
+import contextvars
 import faulthandler
 import json
 import sys
@@ -29,8 +32,11 @@ from margbayes import (
     tune_alpha,
 )
 from margbayes import engine
+from margbayes import fit as fitmod
 from margbayes.engine import substream
 from margbayes.hypotheses import model_from_dict
+
+from test_engine import record_fits
 
 THREAD_COUNTS = (1, 2, 8)
 
@@ -121,6 +127,68 @@ def test_ordered_map_without_work_to_share_starts_no_thread(monkeypatch, n, item
     assert callers == {threading.get_ident()}
 
 
+TAG = contextvars.ContextVar("test_threads_tag", default="unset")
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 8))
+def test_nested_maps_share_one_thread_budget(monkeypatch, n):
+    lock = threading.Lock()
+    running = peak = 0
+    seen_tags = set()
+
+    def leaf(x):
+        nonlocal running, peak
+        with lock:
+            running += 1
+            peak = max(peak, running)
+            seen_tags.add(TAG.get())
+        time.sleep(0.001 * (x % 3))
+        with lock:
+            running -= 1
+        return x
+
+    def middle(x):
+        return sum(engine._ordered_map(leaf, range(4 * x, 4 * x + 4)))
+
+    def outer(x):
+        return engine._ordered_map(middle, range(3 * x, 3 * x + 3))
+
+    def run():
+        TAG.set("caller")
+        return engine._ordered_map(outer, range(5))
+
+    out = on_threads(monkeypatch, n, lambda: contextvars.copy_context().run(run))
+    assert out == [[sum(range(4 * m, 4 * m + 4)) for m in range(3 * x, 3 * x + 3)]
+                   for x in range(5)]
+    assert 1 <= peak <= n
+    assert seen_tags == {"caller"}
+    assert engine._started == 0                 # every place handed back
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 8))
+def test_inner_maps_run_inline_when_budget_is_spent(monkeypatch, n):
+    # n outer items meet at a barrier before and after their inner maps, so
+    # each of n threads holds one, and all of the budget is in use while
+    # any inner map runs
+    barrier = threading.Barrier(n, timeout=60)
+    inner_threads = {}
+
+    def inner(x):
+        return threading.get_ident()
+
+    def outer(x):
+        barrier.wait()
+        inner_threads[x] = (threading.get_ident(), engine._ordered_map(inner, range(6)))
+        barrier.wait()
+        return x
+
+    assert on_threads(monkeypatch, n, lambda: engine._ordered_map(outer, range(n))) \
+        == list(range(n))
+    assert len({caller for caller, _ in inner_threads.values()}) == n
+    for caller, idents in inner_threads.values():
+        assert idents == [caller] * 6
+
+
 def test_model_eval_fills_restricted_cache_before_any_probe():
     ev = ModelEval(model_tp2_3x3(), (3, 3), 1)
     key = tuple(int(i) for i in ev.local_rows)
@@ -201,3 +269,108 @@ def test_replicate_bf_chain_route_same_at_any_thread_count(monkeypatch):
         outs.append(as_json(est.to_dict()))
     assert est.route == "about_equality"
     assert outs[1] == outs[0] and outs[2] == outs[0]
+
+
+def table_3x3_two_strata():
+    return StratifiedTable(("a", "b"), (
+        ContingencyTable((3, 3), np.array([20.0, 9.0, 4.0, 8.0, 15.0, 9.0, 3.0, 10.0, 22.0])),
+        ContingencyTable((3, 3), np.array([12.0, 7.0, 6.0, 9.0, 11.0, 8.0, 5.0, 9.0, 14.0]))))
+
+
+def test_replicate_bf_direct_route_same_at_any_thread_count(monkeypatch):
+    # replicates and sides are the only fan-out on the direct route
+    table = load_fixture("father_son")
+    model = model_from_dict({"name": "so", "logits": "global",
+                             "constraints": [{"kind": "stochastic_order", "direction": "ge"}]},
+                            table.dims, table.s)
+    settings = RunSettings(n_draws=6_000, pilot_n=3_000, chunk=4096)
+    outs = []
+    for n in THREAD_COUNTS:
+        est = on_threads(monkeypatch, n, lambda: replicate_bf(
+            model, table, PriorSpec.flat(table.r, table.s, 1.0), settings, B=3, seed=15))
+        outs.append(as_json(est.to_dict()))
+    assert est.route == "direct/direct"
+    assert outs[1] == outs[0] and outs[2] == outs[0]
+
+
+def test_replicate_bf_stratum_split_same_at_any_thread_count(monkeypatch):
+    # replicates, sides, strata and tuning probes, nested four deep
+    table = table_3x3_two_strata()
+    model = model_from_dict({"name": "tp2", "logits": "local", "constraints": [{"kind": "tp2"}]},
+                            table.dims, table.s)
+    assert ModelEval(model, table.dims, table.s).stratum_split() is not None
+    settings = RunSettings(n_draws=2_000, pilot_n=2_000, chunk=4096, direct_threshold=1.1,
+                           alpha_grid=(1.0, 5.0, 20.0))
+    outs = []
+    for n in THREAD_COUNTS:
+        est = on_threads(monkeypatch, n, lambda: replicate_bf(
+            model, table, PriorSpec.flat(table.r, table.s, 1.0), settings, B=3, seed=16))
+        outs.append(as_json(est.to_dict()))
+    assert est.route == "importance/importance"
+    assert outs[1] == outs[0] and outs[2] == outs[0]
+
+
+def test_concurrent_replicates_fit_each_centre_once(monkeypatch):
+    # concurrent replicates miss the same keys together; each is fitted once
+    table = table_3x3_two_strata()
+    model = model_from_dict({"name": "tp2", "logits": "local", "constraints": [{"kind": "tp2"}]},
+                            table.dims, table.s)
+    settings = RunSettings(n_draws=2_000, pilot_n=2_000, chunk=4096, direct_threshold=1.1,
+                           ess_floor=1e9, alpha_grid=(5.0, 50.0))
+    calls = record_fits(monkeypatch)
+    fits = {}
+    for n in (1, 8):
+        del calls[:]
+        on_threads(monkeypatch, n, lambda: replicate_bf(
+            model, table, PriorSpec.flat(table.r, table.s, 1.0), settings, B=3, seed=17))
+        fits[n] = sorted(calls)
+    assert fits[1] and fits[8] == fits[1]
+    assert len(set(fits[1])) == len(fits[1])
+
+
+def waiting_on_a_future(thread) -> bool:
+    """True once `thread` waits on the Future of another thread's fit."""
+    frame = sys._current_frames().get(thread.ident)
+    while frame is not None:
+        if frame.f_code.co_name == "result" and "futures" in frame.f_code.co_filename:
+            return True
+        frame = frame.f_back
+    return False
+
+
+def test_failed_centring_fit_reaches_every_waiter():
+    memo = engine._CentreMemo()
+    started = threading.Event()
+    release = threading.Event()
+    fits = []
+    errors = []
+
+    def failing_fit():
+        fits.append(threading.get_ident())
+        started.set()
+        release.wait(60)
+        raise fitmod.FitError("no interior point")
+
+    def caller():
+        try:
+            memo.get("key", failing_fit)
+        except fitmod.FitError as err:
+            errors.append(err)
+
+    owner = threading.Thread(target=caller)
+    owner.start()
+    assert started.wait(60)
+    waiters = [threading.Thread(target=caller) for _ in range(3)]
+    for t in waiters:
+        t.start()
+    deadline = time.monotonic() + 60
+    while not all(waiting_on_a_future(t) for t in waiters):
+        assert time.monotonic() < deadline
+        time.sleep(0.001)
+    release.set()
+    for t in [owner] + waiters:
+        t.join(60)
+        assert not t.is_alive()
+    assert len(fits) == 1 and len(errors) == 4
+    # the failure is not kept: the next caller fits again
+    assert memo.get("key", lambda: "fitted") == "fitted"
