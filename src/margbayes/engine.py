@@ -13,11 +13,12 @@ SeedSequence spawn keys, so every estimate is reproducible bit for bit.
 
 Independent units of work run concurrently through _ordered_map, under one
 process-wide budget of _THREADS threads: the replicates of replicate_bf,
-the prior and posterior sides of estimate_bf, the strata of
-_side_estimate, the chain parts of _chain_bf (built, then re-checked at
-each level) and the grid probes of tune_alpha. Each unit draws from its
-own substream and results are combined in input order, so every estimate
-is the same bits whatever the thread count.
+the strata of _side_estimate, the chain parts of _chain_bf (built, then
+re-checked at each level) and the grid probes of tune_alpha. Each unit
+draws from its own substream and results are combined in input order, so
+every estimate is the same bits whatever the thread count. The two sides
+of estimate_bf run one after the other (see there). Once a unit fails, the
+units after it stop at their next cancel.check().
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ from functools import partial
 import numpy as np
 from scipy.special import gammaln
 
+from . import cancel
 from . import fit as fitmod
 from .hypotheses import ConstraintSet, ModelSpec
 from .link import LOG_FLOOR, eta_batch, link_for, logsumexp
@@ -43,7 +45,7 @@ LN10 = np.log(10.0)
 _THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
     else (os.cpu_count() or 1)
 
-# Rows per block when the Dirichlet sampler normalises its draws, so the
+# Rows per block when the Dirichlet sampler draws and normalises, so the
 # temporaries stay small whatever the chunk size. Row sums and elementwise
 # maps do the same arithmetic on a row whatever block holds it.
 _BLOCK = 4096
@@ -220,6 +222,15 @@ _started = 0
 _started_lock = threading.Lock()
 
 
+class _Fan:
+    """One running _ordered_map call, as cancel.check() sees it."""
+
+    __slots__ = ("failed_at",)
+
+    def __init__(self, n: int):
+        self.failed_at = n               # lowest failing index so far
+
+
 def _ordered_map(fn, items) -> list:
     """[fn(x) for x in items], run on up to _THREADS threads.
 
@@ -239,14 +250,19 @@ def _ordered_map(fn, items) -> list:
     values (the centring memo among them). Results land in input order
     whatever the thread count. After a failure no further item starts,
     and once every thread has joined the exception of the lowest failing
-    index is re-raised: the one a plain loop would raise. Items already
-    running when another fails still run to the end.
+    index is re-raised: the one a plain loop would raise. Once item i has
+    failed, the running items after it, whose results would be dropped,
+    stop at their next cancel.check() (each chunk of draws, each outer
+    iteration of a fit), nested maps included; the items before it run on,
+    since one of them may still fail first.
     """
     global _started
     items = list(items)
     out = [None] * len(items)
     errors = []                          # (index, exception)
     lock = threading.Lock()
+    fan = _Fan(len(items))
+    enclosing = cancel.SCOPE.get()
     next_i = 0
 
     def work():
@@ -257,12 +273,17 @@ def _ordered_map(fn, items) -> list:
                 if errors or i >= len(items):
                     return
                 next_i += 1
+            scope = cancel.SCOPE.set(enclosing + ((fan, i),))
             try:
+                cancel.check()           # an enclosing item may have been given up
                 out[i] = fn(items[i])
             except BaseException as err:
                 with lock:
                     errors.append((i, err))
+                    fan.failed_at = min(fan.failed_at, i)
                 return
+            finally:
+                cancel.SCOPE.reset(scope)
 
     def worker(ctx):
         global _started
@@ -300,10 +321,10 @@ def _dirichlet_chunk(rng: np.random.Generator, alpha: np.ndarray, n: int) -> np.
     space, then cells are floored at exp(LOG_FLOOR); the floor only touches
     draws whose importance weight is already negligible.
 
-    Per stratum, all gammas are drawn before any uniform, as one (n, r)
-    draw would take them from the stream. They go straight into `out` when
-    its stratum slice is C-contiguous (s = 1), else _BLOCK rows at a time;
-    the boost and the normalisation then work _BLOCK rows at a time.
+    Per stratum, the gammas are drawn _BLOCK rows at a time and all before
+    any uniform, as one (n, r) draw would take them from the stream; their
+    logs go straight into `out`, where the boost and the normalisation then
+    work _BLOCK rows at a time.
     """
     s, r = alpha.shape
     out = np.empty((n, s, r))
@@ -312,23 +333,16 @@ def _dirichlet_chunk(rng: np.random.Generator, alpha: np.ndarray, n: int) -> np.
         small = a < 1.0
         shape = np.where(small, a + 1.0, a)
         logg = out[:, b, :]
-        inplace = logg.flags.c_contiguous
-        if inplace:
-            rng.standard_gamma(shape, size=(n, r), out=logg)
-            np.log(np.maximum(logg, 1e-300, out=logg), out=logg)
-        else:
-            for i in range(0, n, _BLOCK):
-                g = rng.standard_gamma(shape, size=(min(_BLOCK, n - i), r))
-                logg[i:i + _BLOCK] = np.log(np.maximum(g, 1e-300, out=g), out=g)
         for i in range(0, n, _BLOCK):
-            blk = logg[i:i + _BLOCK] if inplace else logg[i:i + _BLOCK].copy()
+            g = rng.standard_gamma(shape, size=(min(_BLOCK, n - i), r))
+            np.log(np.maximum(g, 1e-300, out=g), out=logg[i:i + _BLOCK])
+        for i in range(0, n, _BLOCK):
+            blk = logg[i:i + _BLOCK]
             if np.any(small):
                 u = rng.random((blk.shape[0], r))
                 blk[:, small] += np.log(u[:, small]) / a[small]
             blk -= logsumexp(blk, axis=1, keepdims=True)
             np.exp(np.maximum(blk, LOG_FLOOR, out=blk), out=blk)
-            if not inplace:
-                logg[i:i + _BLOCK] = blk
     return out
 
 
@@ -478,6 +492,7 @@ def _direct_stream(ev: ModelEval, alpha: np.ndarray, n: int, rng, chunk: int) ->
     acc = 0
     done = 0
     while done < n:
+        cancel.check()
         b = min(chunk, n - done)
         acc += int(ev.delta(_dirichlet_chunk(rng, alpha, b)).sum())
         done += b
@@ -507,6 +522,7 @@ def _importance_stream(ev: ModelEval, target_alpha: np.ndarray, g: ImportanceDen
     max_lw = -np.inf
     done = 0
     while done < n:
+        cancel.check()
         b = min(chunk, n - done)
         P = _dirichlet_chunk(rng, g.params, b)
         d = ev.delta(P)
@@ -565,9 +581,9 @@ def tune_alpha(ev: ModelEval, target_alpha: np.ndarray, center: np.ndarray,
 
     The grid probes are one of the engine's fan-out points (see
     _ordered_map): they run on whatever is left of the process-wide thread
-    budget, which inside concurrent replicates, sides, strata or chain
-    parts is often nothing, and then they run on the calling thread. Each
-    draws from its own stream substream(seed, "tune", idx). The probes
+    budget, which inside concurrent replicates, strata or chain parts is
+    often nothing, and then they run on the calling thread. Each draws
+    from its own stream substream(seed, "tune", idx). The probes
     share `ev`, `target_alpha` and `center`, and only read them; the
     restricted link matrices `ev` evaluates with are filled when it is
     built. Results are recorded in grid order, so the density and
@@ -663,11 +679,13 @@ def _centring_model(model: ModelSpec, side: str) -> ModelSpec:
 class _CentreMemo:
     """Centring fits solved in one replicate_bf call, by _centre_key.
 
-    Each key is fitted once even when concurrent replicates, sides or
+    Each key is fitted once even when concurrent replicates, chain parts or
     strata miss it together: the first caller stores an unfinished Future
     under the key and fits, and later callers wait on that Future. A
     failed fit hands its exception to every waiter and leaves the key
-    empty, so a caller that comes after the failure fits again.
+    empty, so a caller that comes after the failure fits again. A fit
+    given up with its caller (cancel.Cancelled) is not a failure of the
+    problem: its waiters take the key over, unless they were given up too.
     """
 
     def __init__(self):
@@ -675,19 +693,25 @@ class _CentreMemo:
         self._fits = {}
 
     def get(self, key, fit):
-        with self._lock:
-            fut = self._fits.get(key)
-            owner = fut is None
+        while True:
+            with self._lock:
+                fut = self._fits.get(key)
+                owner = fut is None
+                if owner:
+                    fut = self._fits[key] = Future()
             if owner:
-                fut = self._fits[key] = Future()
-        if owner:
+                try:
+                    fut.set_result(fit())
+                except BaseException as err:
+                    with self._lock:
+                        del self._fits[key]
+                    fut.set_exception(err)
             try:
-                fut.set_result(fit())
-            except BaseException as err:
-                with self._lock:
-                    del self._fits[key]
-                fut.set_exception(err)
-        return fut.result()
+                return fut.result()
+            except cancel.Cancelled:
+                if owner:
+                    raise
+                cancel.check()
 
 
 # The memo of the running replicate_bf call; None outside such a call, so
@@ -851,10 +875,13 @@ def estimate_bf(model: ModelSpec, table: StratifiedTable, prior: PriorSpec,
             f"model {model.name!r} has about-equality rows; use about_equality_bf"
         )
     ev = ModelEval(model, table.dims, table.s)
-    targets = {"prior": prior.concentration, "posterior": prior.posterior(table)}
-    c_side, d_side = _ordered_map(
-        lambda side: _side_estimate(side, ev, targets[side], model, table, settings, seed),
-        targets)
+    post_alpha = prior.posterior(table)
+    # One side after the other, not through _ordered_map: a model that
+    # cannot be tuned fails on its prior side, and its centring fits and
+    # probes are mostly Python, so a posterior side run beside them holds
+    # the GIL and makes that failure several times slower to come.
+    c_side = _side_estimate("prior", ev, prior.concentration, model, table, settings, seed)
+    d_side = _side_estimate("posterior", ev, post_alpha, model, table, settings, seed)
     for side, est in (("prior", c_side), ("posterior", d_side)):
         if est.value == 0.0 and est.ess == 0.0:
             raise UnboundedEstimateError(side)
@@ -930,6 +957,7 @@ class _ChainPart:
         ineq_d = np.empty(n, dtype=bool) if ev_den is not None else None
         done = 0
         while done < n:
+            cancel.check()
             b = min(self.settings.chunk, n - done)
             P = _dirichlet_chunk(rng, g.params, b)
             logw[done:done + b] = np.einsum("nsr,sr->n", np.log(P), dcoef) + dconst

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import cancel
 from .hypotheses import ModelSpec
 from .link import (LOG_FLOOR, LinkMatrices, eta_from_logpi, eta_jacobian_from_logpi,
                    logsumexp)
@@ -196,6 +197,7 @@ def _fit(counts, link, constraints, options: FitOptions, notes="") -> FitResult:
     converged = False
     outer = 0
     for outer in range(1, options.max_outer + 1):
+        cancel.check()
         theta, logpi, pi, eta = _minimize_al(prob, mu, rho, theta, options)
         g = prob.g_of(eta) if prob.m_con else np.zeros(0)
         new_viol = prob.violation(eta)

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from margbayes import (
+    ConstraintSet,
     ContingencyTable,
     EpsilonSchedule,
     ModelEval,
@@ -24,6 +25,8 @@ from margbayes import (
     PriorSpec,
     RunSettings,
     StratifiedTable,
+    TuningError,
+    about_equality_bf,
     link_for,
     load_fixture,
     make_density,
@@ -31,12 +34,12 @@ from margbayes import (
     replicate_bf,
     tune_alpha,
 )
-from margbayes import engine
+from margbayes import cancel, engine
 from margbayes import fit as fitmod
 from margbayes.engine import substream
 from margbayes.hypotheses import model_from_dict
 
-from test_engine import record_fits
+from test_engine import record_fits, table_2x2
 
 THREAD_COUNTS = (1, 2, 8)
 
@@ -189,6 +192,86 @@ def test_inner_maps_run_inline_when_budget_is_spent(monkeypatch, n):
         assert idents == [caller] * 6
 
 
+@pytest.mark.parametrize("n", (3, 8))
+def test_items_after_a_failure_stop_at_their_next_check(monkeypatch, n):
+    # item 1 fails while items 0 and 2 run. Item 2 and the inner map it runs
+    # stop at their next check; item 0 runs to its end, as a plain loop
+    # would have run it before item 1 started.
+    barrier = threading.Barrier(3, timeout=60)
+    item2_stopped = threading.Event()
+    ends = {}
+
+    def spin(x):
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline:
+            cancel.check()
+            time.sleep(0.001)
+        return "not stopped"
+
+    def item(x):
+        barrier.wait()
+        if x == 1:
+            raise ValueError(1)
+        if x == 2:
+            try:
+                ends[2] = engine._ordered_map(spin, range(2))
+            except cancel.Cancelled:
+                item2_stopped.set()
+                raise
+        else:
+            ends[0] = item2_stopped.wait(30)
+            cancel.check()
+        return x
+
+    with pytest.raises(ValueError) as err:
+        on_threads(monkeypatch, n, lambda: engine._ordered_map(item, range(3)))
+    assert err.value.args == (1,)
+    assert ends == {0: True}
+    assert engine._started == 0
+
+
+def test_chain_parts_stop_once_one_fails(monkeypatch):
+    # η3 within 0.1 of 0 and η1 = η2 = 0: no draw can satisfy it. The prior
+    # part fails its tuning within a second; the posterior part, built
+    # beside it, would go on for about 100 s of failing centring fits if
+    # it ran to its end.
+    cs = ConstraintSet(np.array([[0.0, 0.0, 1.0]]),
+                       np.vstack([np.eye(3)[:2], -np.eye(3)[:2]]), np.array([0.1]), 3)
+    model = ModelSpec("no_interior", ("local", "local"), cs)
+    settings = RunSettings(n_draws=4_000, pilot_n=2_000, chunk=2048, alpha_grid=(1.0, 5.0),
+                           tune_extend_max_multiplier=20.0)
+    start = time.monotonic()
+    with pytest.raises(TuningError):
+        on_threads(monkeypatch, 2, lambda: about_equality_bf(
+            model, table_2x2(), PriorSpec.flat(4, 1, 1.0),
+            EpsilonSchedule(epsilon_start=0.1, b=0.5, max_stages=2), settings, seed=16))
+    assert time.monotonic() - start < 30
+
+
+class GivenUp:
+    failed_at = 0                # an enclosing map whose item 0 has failed
+
+
+@pytest.mark.parametrize("loop", ["fit", "direct", "importance"])
+def test_long_loops_stop_once_given_up(loop):
+    ev = ModelEval(model_tp2_3x3(), (3, 3), 1)
+    alpha = np.ones((1, 9))
+    run = {
+        "fit": lambda: fitmod.constrained_mle(table_3x3(), model_tp2_3x3()),
+        "direct": lambda: engine._direct_stream(ev, alpha, 1000, substream(1, 0), 100),
+        "importance": lambda: engine._importance_stream(
+            ev, alpha, make_density(np.full((1, 9), 1 / 9), alpha, 5.0), 1000,
+            substream(1, 0), 100),
+    }[loop]
+    run()                                    # outside any map, check() does nothing
+    scope = cancel.SCOPE.set(((GivenUp(), 1),))
+    try:
+        with pytest.raises(cancel.Cancelled):
+            run()
+    finally:
+        cancel.SCOPE.reset(scope)
+
+
 def test_model_eval_fills_restricted_cache_before_any_probe():
     ev = ModelEval(model_tp2_3x3(), (3, 3), 1)
     key = tuple(int(i) for i in ev.local_rows)
@@ -278,7 +361,7 @@ def table_3x3_two_strata():
 
 
 def test_replicate_bf_direct_route_same_at_any_thread_count(monkeypatch):
-    # replicates and sides are the only fan-out on the direct route
+    # replicates are the only fan-out on the direct route
     table = load_fixture("father_son")
     model = model_from_dict({"name": "so", "logits": "global",
                              "constraints": [{"kind": "stochastic_order", "direction": "ge"}]},
@@ -294,7 +377,7 @@ def test_replicate_bf_direct_route_same_at_any_thread_count(monkeypatch):
 
 
 def test_replicate_bf_stratum_split_same_at_any_thread_count(monkeypatch):
-    # replicates, sides, strata and tuning probes, nested four deep
+    # replicates, strata and tuning probes, nested three deep
     table = table_3x3_two_strata()
     model = model_from_dict({"name": "tp2", "logits": "local", "constraints": [{"kind": "tp2"}]},
                             table.dims, table.s)
@@ -374,3 +457,45 @@ def test_failed_centring_fit_reaches_every_waiter():
     assert len(fits) == 1 and len(errors) == 4
     # the failure is not kept: the next caller fits again
     assert memo.get("key", lambda: "fitted") == "fitted"
+
+
+def test_centring_fit_given_up_is_taken_over_by_a_waiter():
+    # a fit stopped because its caller was given up says nothing about the
+    # problem: a waiter that is still wanted fits it instead
+    memo = engine._CentreMemo()
+    started = threading.Event()
+    release = threading.Event()
+    fits = []
+    ends = []
+
+    def given_up_fit():
+        fits.append("owner")
+        started.set()
+        release.wait(60)
+        raise cancel.Cancelled
+
+    def owner():
+        try:
+            memo.get("key", given_up_fit)
+        except cancel.Cancelled:
+            ends.append("given up")
+
+    def waiter():
+        ends.append(memo.get("key", lambda: fits.append("waiter") or "fitted"))
+
+    first = threading.Thread(target=owner)
+    first.start()
+    assert started.wait(60)
+    second = threading.Thread(target=waiter)
+    second.start()
+    deadline = time.monotonic() + 60
+    while not waiting_on_a_future(second):
+        assert time.monotonic() < deadline
+        time.sleep(0.001)
+    release.set()
+    for t in (first, second):
+        t.join(60)
+        assert not t.is_alive()
+    assert fits == ["owner", "waiter"]
+    assert sorted(ends) == ["fitted", "given up"]
+    assert memo.get("key", lambda: "again") == "fitted"
