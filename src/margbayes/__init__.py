@@ -25,16 +25,13 @@ from .tables import (
     validate,
 )
 from .link import (
-    InversionError,
     LinkError,
     LinkMatrices,
     build_link,
     build_logit_block,
     eta_from_pi,
-    eta_jacobian,
     link_for,
     margin_sets,
-    pi_from_eta,
 )
 from .hypotheses import (
     ConstraintError,
@@ -80,7 +77,6 @@ from .engine import (
     estimate_proportion_direct,
     jeffreys_label,
     make_density,
-    nested_bf,
     posterior_draws_under_model,
     replicate_bf,
     sample_posterior,

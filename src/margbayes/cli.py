@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: datasets (bundled fixtures), bf (Bayes factors from a run
-manifest), sensitivity (prior-concentration sweep), fit (constrained MLE),
-posterior (accepted-draw summaries). Exit codes: 0 success, 1 input error,
-2 estimation failure.
+manifest), sensitivity (the same over a prior-concentration sweep), fit
+(constrained MLE), posterior (accepted-draw summaries). Exit codes: 0
+success, 1 input error, 2 estimation failure.
 """
 from __future__ import annotations
 
@@ -14,8 +14,6 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .engine import (
     LN10,
@@ -23,7 +21,6 @@ from .engine import (
     EpsilonSchedule,
     PriorSpec,
     RunSettings,
-    UnboundedEstimateError,
     compare_models,
     jeffreys_label,
     posterior_draws_under_model,
@@ -56,22 +53,41 @@ def _models_from_manifest(manifest: dict, table):
     base = manifest["_base"]
     models = []
     for entry in manifest.get("models", []):
-        if isinstance(entry, str):
-            obj = json.loads((base / entry).read_text())
-        else:
-            obj = entry
+        obj = json.loads((base / entry).read_text()) if isinstance(entry, str) else entry
         models.append(model_from_dict(obj, table.dims, table.s))
     if not models:
         raise ValueError("manifest lists no models")
     return models
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _setting(k: str, default, v):
+    """Manifest value v as the type of the setting's default; a ValueError
+    naming the setting when it cannot be one."""
+    if isinstance(default, tuple):
+        if isinstance(v, list) and all(_is_number(x) for x in v):
+            return tuple(v)
+        raise ValueError(f"setting {k!r} must be a list of numbers, got {v!r}")
+    if not isinstance(v, (list, dict)):
+        try:
+            return type(default)(v)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"setting {k!r} must be a single {type(default).__name__}, got {v!r}")
+
+
 def _settings_from(manifest: dict, args) -> RunSettings:
     s = RunSettings()
-    for k, v in manifest.get("settings", {}).items():
+    given = manifest.get("settings", {})
+    if not isinstance(given, dict):
+        raise ValueError(f"settings must be an object, got {given!r}")
+    for k, v in given.items():
         if not hasattr(s, k):
             raise ValueError(f"unknown setting {k!r}")
-        setattr(s, k, type(getattr(s, k))(v) if not isinstance(v, list) else tuple(v))
+        setattr(s, k, _setting(k, getattr(s, k), v))
     if args.draws:
         s.n_draws = args.draws
     if args.pilot:
@@ -83,19 +99,39 @@ def _settings_from(manifest: dict, args) -> RunSettings:
 
 def _schedule_from(manifest: dict) -> EpsilonSchedule | None:
     sched = manifest.get("epsilon_schedule")
-    return EpsilonSchedule(**sched) if sched else None
+    if not sched:
+        return None
+    if not isinstance(sched, dict):
+        raise ValueError(f"epsilon_schedule must be an object, got {sched!r}")
+    defaults = asdict(EpsilonSchedule())
+    for k, v in sched.items():
+        if k not in defaults:
+            raise ValueError(f"unknown epsilon_schedule key {k!r}")
+        want_int = isinstance(defaults[k], int)
+        if not _is_number(v) or (want_int and not isinstance(v, int)):
+            raise ValueError(f"epsilon_schedule key {k!r} must be "
+                             f"{'an integer' if want_int else 'a number'}, got {v!r}")
+    try:
+        return EpsilonSchedule(**sched)
+    except EngineError as err:           # a value out of range is an input error too
+        raise ValueError(f"epsilon_schedule: {err}") from None
 
 
 def _display_log(est_log10: float, base: str) -> float:
     return est_log10 if base == "10" else est_log10 * LN10
 
 
-def _emit(report: dict, args) -> None:
-    fmt = args.format
+def _save(report: dict, args, name: str) -> None:
+    """Write the report to <--out>/<name> when --out is given."""
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "report.json").write_text(json.dumps(report, indent=1, sort_keys=True))
+        (out / name).write_text(json.dumps(report, indent=1, sort_keys=True))
+
+
+def _emit(report: dict, args) -> None:
+    fmt = args.format
+    _save(report, args, "report.json")
     if fmt == "json":
         print(json.dumps(report, indent=1, sort_keys=True))
     elif fmt == "csv":
@@ -115,7 +151,7 @@ def _emit(report: dict, args) -> None:
                 print(f"# {k} = {report[k]}")
 
 
-def _bf_table(manifest, table, models, prior, settings, schedule, seed, B, reference):
+def _bf_table(table, models, prior, settings, schedule, seed, B, reference):
     results = []
     estimates = {}
     for model in models:
@@ -153,38 +189,10 @@ def cmd_datasets(args) -> int:
     return 0
 
 
-def cmd_bf(args) -> int:
-    manifest = _load_manifest(args.manifest)
-    table = _load_dataset(manifest["dataset"], manifest["_base"])
-    models = _models_from_manifest(manifest, table)
-    settings = _settings_from(manifest, args)
-    schedule = _schedule_from(manifest)
-    seed = args.seed if args.seed is not None else int(manifest.get("seed", 20240901))
-    B = args.replicates or int(manifest.get("replicates", 1))
-    kappa = float(manifest.get("prior", {}).get("concentration", 1.0))
-    prior = PriorSpec.flat(table.r, table.s, kappa)
-    reference = args.reference or manifest.get("reference")
-    t0 = time.time()
-    results = _bf_table(manifest, table, models, prior, settings, schedule, seed, B, reference)
-    report = {
-        "command": "bf",
-        "dataset": manifest["dataset"],
-        "n": table.n,
-        "seed": seed,
-        "replicates": B,
-        "prior_concentration": kappa,
-        "log_base": settings.log_base,
-        "reference": reference,
-        "settings": settings.to_dict(),
-        "results": results,
-        "elapsed_s": round(time.time() - t0, 3),
-        "version": __version__,
-    }
-    _emit(report, args)
-    return 0
-
-
 def cmd_sensitivity(args) -> int:
+    """bf and sensitivity: Bayes factors of the manifest's models under a
+    flat prior, for each prior concentration of the sweep. bf is the sweep
+    over the manifest's one concentration."""
     manifest = _load_manifest(args.manifest)
     table = _load_dataset(manifest["dataset"], manifest["_base"])
     models = _models_from_manifest(manifest, table)
@@ -192,30 +200,33 @@ def cmd_sensitivity(args) -> int:
     schedule = _schedule_from(manifest)
     seed = args.seed if args.seed is not None else int(manifest.get("seed", 20240901))
     B = args.replicates or int(manifest.get("replicates", 1))
-    kappas = [float(k) for k in (args.concentrations or manifest.get("concentrations", [1.0]))]
     reference = args.reference or manifest.get("reference")
-    sweeps = []
+    if args.command == "bf":
+        kappas = [float(manifest.get("prior", {}).get("concentration", 1.0))]
+    else:
+        kappas = [float(k) for k in (args.concentrations or manifest.get("concentrations", [1.0]))]
     t0 = time.time()
-    for kappa in kappas:
-        prior = PriorSpec.flat(table.r, table.s, kappa)
-        rows = _bf_table(manifest, table, models, prior, settings, schedule, seed, B, reference)
-        sweeps.append({"concentration": kappa, "results": rows})
-    flat = [dict(r, model=f"{r['model']} @k={sw['concentration']}")
-            for sw in sweeps for r in sw["results"]]
+    sweeps = [{"concentration": kappa,
+               "results": _bf_table(table, models, PriorSpec.flat(table.r, table.s, kappa),
+                                    settings, schedule, seed, B, reference)}
+              for kappa in kappas]
     report = {
-        "command": "sensitivity",
+        "command": args.command,
         "dataset": manifest["dataset"],
         "n": table.n,
         "seed": seed,
         "replicates": B,
-        "concentrations": kappas,
         "log_base": settings.log_base,
         "settings": settings.to_dict(),
-        "sweeps": sweeps,
-        "results": flat,
-        "elapsed_s": round(time.time() - t0, 3),
-        "version": __version__,
     }
+    if args.command == "bf":
+        report.update(prior_concentration=kappas[0], reference=reference,
+                      results=sweeps[0]["results"])
+    else:
+        report.update(concentrations=kappas, sweeps=sweeps,
+                      results=[dict(r, model=f"{r['model']} @k={sw['concentration']}")
+                               for sw in sweeps for r in sw["results"]])
+    report.update(elapsed_s=round(time.time() - t0, 3), version=__version__)
     _emit(report, args)
     return 0
 
@@ -239,10 +250,7 @@ def cmd_fit(args) -> int:
               f"kkt {res.kkt_residual:.2e}  outer {res.n_outer}")
     else:
         print(json.dumps(report, indent=1, sort_keys=True))
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "fit.json").write_text(json.dumps(report, indent=1, sort_keys=True))
+    _save(report, args, "fit.json")
     return 0
 
 
@@ -267,10 +275,7 @@ def cmd_posterior(args) -> int:
             print(f"warning: {w}")
     else:
         print(json.dumps(report, indent=1, sort_keys=True))
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "posterior.json").write_text(json.dumps(report, indent=1, sort_keys=True))
+    _save(report, args, "posterior.json")
     return 0
 
 
@@ -297,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bf", help="Bayes factors for the models in a manifest")
     b.add_argument("manifest")
     common(b)
-    b.set_defaults(func=cmd_bf)
+    b.set_defaults(func=cmd_sensitivity)
 
     s = sub.add_parser("sensitivity", help="prior-concentration sweep")
     s.add_argument("manifest")
@@ -329,9 +334,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UnboundedEstimateError as err:
-        print(f"estimation failure: {err}", file=sys.stderr)
-        return 2
     except EngineError as err:
         print(f"estimation failure: {err}", file=sys.stderr)
         return 2

@@ -11,14 +11,18 @@ from log-gamma variates (small shapes boosted) so tiny cell probabilities
 never underflow into NaNs. Streams are derived from a master seed via
 SeedSequence spawn keys, so every estimate is reproducible bit for bit.
 
+Every sampling loop takes its draws from _chunks, the one chunked draw
+loop. A model that factorises over strata is estimated per stratum, as
+_units splits it.
+
 Independent units of work run concurrently through _ordered_map, under one
 process-wide budget of _THREADS threads: the replicates of replicate_bf,
-the strata of _side_estimate, the chain parts of _chain_bf (built, then
-re-checked at each level) and the grid probes of tune_alpha. Each unit
-draws from its own substream and results are combined in input order, so
-every estimate is the same bits whatever the thread count. The two sides
-of estimate_bf run one after the other (see there). Once a unit fails, the
-units after it stop at their next cancel.check().
+the strata of _side_estimate, the chain parts of about_equality_bf (built,
+then re-checked at each level) and the grid probes of tune_alpha. Each
+unit draws from its own substream and results are combined in input
+order, so every estimate is the same bits whatever the thread count. The
+two sides of estimate_bf run one after the other (see there). Once a unit
+fails, the units after it stop at their next cancel.check().
 """
 from __future__ import annotations
 
@@ -35,7 +39,7 @@ from scipy.special import gammaln
 from . import cancel
 from . import fit as fitmod
 from .hypotheses import ConstraintSet, ModelSpec
-from .link import LOG_FLOOR, eta_batch, link_for, logsumexp
+from .link import LOG_FLOOR, eta_batch, logsumexp
 from .tables import StratifiedTable
 
 LN10 = np.log(10.0)
@@ -156,6 +160,8 @@ class EpsilonSchedule:
     def __post_init__(self):
         if not (0 < self.b < 1):
             raise EngineError(f"shrink factor b must be in (0,1), got {self.b}")
+        if np.ndim(self.epsilon_start):
+            raise EngineError("epsilon_start must be a single number")
         if self.epsilon_start <= 0:
             raise EngineError("epsilon_start must be positive")
         if self.max_stages < 1:
@@ -346,6 +352,23 @@ def _dirichlet_chunk(rng: np.random.Generator, alpha: np.ndarray, n: int) -> np.
     return out
 
 
+def _chunks(rng: np.random.Generator, alpha: np.ndarray, n: int, chunk: int):
+    """Yield (offset, draws) over n Dirichlet draws, at most `chunk` at a time.
+
+    The one place that counts draws and checks for cancellation. The
+    generator does not keep a chunk it has yielded, so a consumer that
+    deletes each chunk before asking for the next never holds two.
+    """
+    if chunk < 1:
+        raise EngineError(f"chunk must be at least 1, got {chunk}")
+    done = 0
+    while done < n:
+        cancel.check()
+        b = min(chunk, n - done)
+        yield done, _dirichlet_chunk(rng, alpha, b)
+        done += b
+
+
 def sample_prior(prior: PriorSpec, n: int, seed: int) -> np.ndarray:
     """(n, s, r) i.i.d. draws from the per-stratum encompassing prior."""
     if n < 1:
@@ -355,9 +378,7 @@ def sample_prior(prior: PriorSpec, n: int, seed: int) -> np.ndarray:
 
 def sample_posterior(prior: PriorSpec, table: StratifiedTable, n: int, seed: int) -> np.ndarray:
     """(n, s, r) draws from D(concentration + y) per stratum."""
-    if n < 1:
-        raise EngineError("need n >= 1 draws")
-    return _dirichlet_chunk(substream(seed, 0), prior.posterior(table), n)
+    return sample_prior(PriorSpec(prior.posterior(table)), n, seed)
 
 
 def _logpdf_terms(alpha: np.ndarray):
@@ -365,6 +386,15 @@ def _logpdf_terms(alpha: np.ndarray):
     coefs = alpha - 1.0
     consts = np.array([gammaln(a.sum()) - gammaln(a).sum() for a in alpha])
     return coefs, float(consts.sum())
+
+
+def _log_weight(target_alpha: np.ndarray, params: np.ndarray):
+    """log p/g as a function of draws (n, s, r), for the Dirichlet target p
+    and proposal g with concentrations target_alpha and params."""
+    coef_t, const_t = _logpdf_terms(target_alpha)
+    coef_g, const_g = _logpdf_terms(params)
+    dcoef, dconst = coef_t - coef_g, const_t - const_g
+    return lambda P: np.einsum("nsr,sr->n", np.log(P), dcoef) + dconst
 
 
 # ---------------------------------------------------------------------------
@@ -472,68 +502,49 @@ class ModelEval:
 # Proportion estimators
 # ---------------------------------------------------------------------------
 
+def _direct_result(acc: int, n: int) -> ProportionEstimate:
+    """The direct estimate from acc accepted draws out of n."""
+    p = acc / n
+    se = float(np.sqrt(p * (1 - p) / n))
+    return ProportionEstimate(
+        value=p, n_draws=n, ess=float(acc), se=se, route="direct",
+        log_value=float(np.log(p)) if p > 0 else -np.inf,
+        rel_se=float(se / p) if p > 0 else np.inf, accepted=acc,
+        warnings=[] if acc else ["rare event: no draws satisfied the constraints"],
+    )
+
+
 def estimate_proportion_direct(draws: np.ndarray, ev: ModelEval) -> ProportionEstimate:
     """Acceptance fraction of delta over explicit draws (n, s, r)."""
     if draws.ndim != 3 or draws.shape[0] < 1:
         raise EngineError("draws must be a non-empty (n, s, r) array")
-    n = draws.shape[0]
-    acc = int(ev.delta(draws).sum())
-    p = acc / n
-    se = float(np.sqrt(p * (1 - p) / n))
-    return ProportionEstimate(
-        value=p, n_draws=n, ess=float(acc), se=se, route="direct",
-        log_value=float(np.log(p)) if p > 0 else -np.inf,
-        rel_se=float(se / p) if p > 0 else np.inf, accepted=acc,
-        warnings=[] if acc else ["rare event: no draws satisfied the constraints"],
-    )
+    return _direct_result(int(ev.delta(draws).sum()), draws.shape[0])
 
 
 def _direct_stream(ev: ModelEval, alpha: np.ndarray, n: int, rng, chunk: int) -> ProportionEstimate:
     acc = 0
-    done = 0
-    while done < n:
-        cancel.check()
-        b = min(chunk, n - done)
-        acc += int(ev.delta(_dirichlet_chunk(rng, alpha, b)).sum())
-        done += b
-    p = acc / n
-    se = float(np.sqrt(p * (1 - p) / n))
-    return ProportionEstimate(
-        value=p, n_draws=n, ess=float(acc), se=se, route="direct",
-        log_value=float(np.log(p)) if p > 0 else -np.inf,
-        rel_se=float(se / p) if p > 0 else np.inf, accepted=acc,
-        warnings=[] if acc else ["rare event: no draws satisfied the constraints"],
-    )
-
-
-def _combine_ls(parts):
-    return logsumexp(np.array(parts)) if parts else -np.inf
+    for _, P in _chunks(rng, alpha, n, chunk):
+        acc += int(ev.delta(P).sum())
+        del P                   # not held while the next chunk is drawn
+    return _direct_result(acc, n)
 
 
 def _importance_stream(ev: ModelEval, target_alpha: np.ndarray, g: ImportanceDensity,
                        n: int, rng, chunk: int) -> ProportionEstimate:
     """mean of delta * p/g over n draws from g, all in log space."""
-    coef_t, const_t = _logpdf_terms(target_alpha)
-    coef_g, const_g = _logpdf_terms(g.params)
-    dcoef = coef_t - coef_g                      # (s, r)
-    dconst = const_t - const_g
+    weight = _log_weight(target_alpha, g.params)
     ls1, ls2 = [], []
     acc = 0
     max_lw = -np.inf
-    done = 0
-    while done < n:
-        cancel.check()
-        b = min(chunk, n - done)
-        P = _dirichlet_chunk(rng, g.params, b)
+    for _, P in _chunks(rng, g.params, n, chunk):
         d = ev.delta(P)
         if np.any(d):
-            logw = np.einsum("nsr,sr->n", np.log(P[d]), dcoef) + dconst
+            logw = weight(P[d])
             ls1.append(logsumexp(logw))
             ls2.append(logsumexp(2.0 * logw))
             acc += int(d.sum())
             max_lw = max(max_lw, float(np.max(np.abs(logw))))
         del P                   # not held while the next chunk is drawn
-        done += b
     if acc == 0:
         return ProportionEstimate(
             value=0.0, n_draws=n, ess=0.0, se=0.0, route="importance",
@@ -541,8 +552,8 @@ def _importance_stream(ev: ModelEval, target_alpha: np.ndarray, g: ImportanceDen
             multiplier=g.multiplier, alpha=[float(a) for a in g.alpha],
             warnings=["rare event: no draws satisfied the constraints under g"],
         )
-    l1 = _combine_ls(ls1)
-    l2 = _combine_ls(ls2)
+    l1 = logsumexp(np.array(ls1))
+    l2 = logsumexp(np.array(ls2))
     log_value = l1 - np.log(n)
     ess = float(np.exp(2.0 * l1 - l2))
     rel_var = max(0.0, np.exp(l2 - 2.0 * l1 + np.log(n)) - 1.0) / n
@@ -790,13 +801,22 @@ def _tuned_density(side: str, ev: ModelEval, target_alpha, model, table,
     raise last_err
 
 
-def _sub_table(table: StratifiedTable, b: int) -> StratifiedTable:
-    return StratifiedTable((table.strata[b],), (table.tables[b],))
+def _tune_seed(seed: int, side: str, path: tuple, draw_key: int = 0) -> int:
+    """Seed of the tuning for one side, unit (path) and chain redraw; the
+    low bit keeps the two sides' tuning streams apart."""
+    return ((int(seed) << 1) + _SIDES[side] + 131 * (path[0] + 1 if path else 0)
+            + 977 * draw_key)
 
 
-def _seed_for(seed: int, side: str) -> int:
-    # distinct tuning streams per side under one master seed
-    return (int(seed) << 1) + _SIDES[side]
+def _units(ev: ModelEval, table: StratifiedTable) -> list:
+    """(evaluator, strata slice, table, stream path) for each independent
+    unit of an estimate: one per stratum when the model factorises over
+    strata (see ModelEval.stratum_split), else the whole model."""
+    subs = ev.stratum_split()
+    if subs is None:
+        return [(ev, slice(None), table, ())]
+    return [(e, slice(b, b + 1), StratifiedTable((table.strata[b],), (table.tables[b],)), (b,))
+            for b, e in enumerate(subs)]
 
 
 # ---------------------------------------------------------------------------
@@ -827,19 +847,17 @@ def _combine_product(parts, n_draws: int) -> ProportionEstimate:
     )
 
 
-def _side_estimate_one(side, ev, target_alpha, model, table, settings, seed, path):
+def _side_estimate_one(side, ev, target_alpha, table, settings, seed, path):
     """Pilot-routed estimate over one (possibly joint) evaluation unit."""
-    if ev.cs.is_empty():
-        return ProportionEstimate(value=1.0, n_draws=settings.n_draws,
-                                  ess=float(settings.n_draws), se=0.0, route="direct",
-                                  log_value=0.0, rel_se=0.0, accepted=settings.n_draws)
+    if ev.cs.is_empty():                 # no constraint: every draw is accepted
+        return _direct_result(settings.n_draws, settings.n_draws)
     pilot = _direct_stream(ev, target_alpha, settings.pilot_n,
                            substream(seed, side, "pilot", *path), settings.chunk)
     if pilot.value >= settings.direct_threshold:
         return _direct_stream(ev, target_alpha, settings.n_draws,
                               substream(seed, side, "main", *path), settings.chunk)
-    g, diag = _tuned_density(side, ev, target_alpha, model, table, settings,
-                             _seed_for(seed, side) + 131 * (path[0] + 1 if path else 0))
+    g, diag = _tuned_density(side, ev, target_alpha, ev.model, table, settings,
+                             _tune_seed(seed, side, path))
     est = _importance_stream(ev, target_alpha, g, settings.n_draws,
                              substream(seed, side, "main", *path), settings.chunk)
     if diag.get("fallback"):
@@ -847,19 +865,17 @@ def _side_estimate_one(side, ev, target_alpha, model, table, settings, seed, pat
     return est
 
 
-def _side_estimate(side: str, ev: ModelEval, target_alpha, model, table,
+def _side_estimate(side: str, ev: ModelEval, target_alpha, table,
                    settings: RunSettings, seed: int) -> ProportionEstimate:
     """Route selection per the pilot acceptance; stratum-separable models
     factorise into independent per-stratum estimates."""
-    subs = ev.stratum_split()
-    if subs is None:
-        return _side_estimate_one(side, ev, target_alpha, model, table,
-                                  settings, seed, path=())
-    parts = _ordered_map(
-        lambda b: _side_estimate_one(side, subs[b], target_alpha[b:b + 1], subs[b].model,
-                                     _sub_table(table, b), settings, seed, path=(b,)),
-        range(len(subs)))
-    return _combine_product(parts, settings.n_draws)
+    def one(unit):
+        e, sl, t, path = unit
+        return _side_estimate_one(side, e, target_alpha[sl], t, settings, seed, path)
+
+    parts = _ordered_map(one, _units(ev, table))
+    # a split has one unit per stratum and at least two strata
+    return parts[0] if len(parts) == 1 else _combine_product(parts, settings.n_draws)
 
 
 # ---------------------------------------------------------------------------
@@ -880,8 +896,8 @@ def estimate_bf(model: ModelSpec, table: StratifiedTable, prior: PriorSpec,
     # cannot be tuned fails on its prior side, and its centring fits and
     # probes are mostly Python, so a posterior side run beside them holds
     # the GIL and makes that failure several times slower to come.
-    c_side = _side_estimate("prior", ev, prior.concentration, model, table, settings, seed)
-    d_side = _side_estimate("posterior", ev, post_alpha, model, table, settings, seed)
+    c_side = _side_estimate("prior", ev, prior.concentration, table, settings, seed)
+    d_side = _side_estimate("posterior", ev, post_alpha, table, settings, seed)
     for side, est in (("prior", c_side), ("posterior", d_side)):
         if est.value == 0.0 and est.ess == 0.0:
             raise UnboundedEstimateError(side)
@@ -898,86 +914,64 @@ def estimate_bf(model: ModelSpec, table: StratifiedTable, prior: PriorSpec,
 
 
 # ---------------------------------------------------------------------------
-# Shrinking chains (about-equality models and nested model pairs)
+# Shrinking chain (about-equality models)
 # ---------------------------------------------------------------------------
 
 class _ChainPart:
-    """One reweightable importance sample for a chain: per-draw log-weights
-    plus the equality statistics and inequality flags of the numerator (and
-    optionally denominator) constraint systems, all expressed relative to
-    the stage-1 tolerances so one sample serves every level."""
+    """One reweightable importance sample for the chain: per-draw
+    log-weights plus the equality statistics and inequality flags of the
+    model, all relative to the stage-1 tolerances so one sample serves
+    every level."""
 
-    def __init__(self, side, num_model, den_model, target_alpha, table,
-                 settings, seed, path):
+    def __init__(self, side, model, target_alpha, table, settings, seed, path):
         self.side = side
         self.settings = settings
         self.seed = seed
         self.path = path
         self.table = table
         self.target_alpha = target_alpha
-        self.num_model = num_model          # constraints at stage-1 epsilon
-        self.den_model = den_model          # or None for vs-encompassing
+        self.model = model                  # constraints at stage-1 epsilon
         self.draw_key = 0
-        self.diag = None
+        self.g = None
         self._draw(scale=1.0)
 
-    def _scaled(self, model, scale):
-        cs = model.constraints
-        if cs.n_eq == 0 or scale == 1.0:
-            return model
-        return ModelSpec(model.name, model.logit_types,
-                         cs.with_epsilon(cs.epsilon * scale), model.notes)
-
     def _draw(self, scale):
-        """Tune on the numerator region at the current tolerance scale and
-        draw a fresh sample; stats stay normalised to stage-1 epsilon."""
-        num_now = self._scaled(self.num_model, scale)
-        ev_now = ModelEval(num_now, self.table.dims, self.table.s)
+        """Tune on the region at the current tolerance scale and draw a
+        fresh sample; stats stay normalised to stage-1 epsilon."""
+        now = self.model
+        cs = now.constraints
+        if cs.n_eq and scale != 1.0:
+            now = ModelSpec(now.name, now.logit_types,
+                            cs.with_epsilon(cs.epsilon * scale), now.notes)
+        ev_now = ModelEval(now, self.table.dims, self.table.s)
         grid = None
-        if getattr(self, "g", None) is not None:
+        if self.g is not None:
             m = self.g.multiplier
             grid = [m * f for f in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)]
-        g, diag = _tuned_density(self.side, ev_now, self.target_alpha, num_now,
+        g, diag = _tuned_density(self.side, ev_now, self.target_alpha, now,
                                  self.table, self.settings,
-                                 _seed_for(self.seed, self.side)
-                                 + 131 * (self.path[0] + 1 if self.path else 0)
-                                 + 977 * self.draw_key, grid=grid)
-        coef_t, const_t = _logpdf_terms(self.target_alpha)
-        coef_g, const_g = _logpdf_terms(g.params)
-        dcoef, dconst = coef_t - coef_g, const_t - const_g
+                                 _tune_seed(self.seed, self.side, self.path, self.draw_key),
+                                 grid=grid)
+        weight = _log_weight(self.target_alpha, g.params)
         rng = substream(self.seed, self.side, "main", *self.path, self.draw_key)
         n = self.settings.n_draws
-        ev_num = ModelEval(self.num_model, self.table.dims, self.table.s)
-        ev_den = ModelEval(self.den_model, self.table.dims, self.table.s) \
-            if self.den_model is not None else None
+        ev = ModelEval(self.model, self.table.dims, self.table.s)
         logw = np.empty(n)
-        stat_n = np.empty(n)
-        ineq_n = np.empty(n, dtype=bool)
-        stat_d = np.empty(n) if ev_den is not None else None
-        ineq_d = np.empty(n, dtype=bool) if ev_den is not None else None
-        done = 0
-        while done < n:
-            cancel.check()
-            b = min(self.settings.chunk, n - done)
-            P = _dirichlet_chunk(rng, g.params, b)
-            logw[done:done + b] = np.einsum("nsr,sr->n", np.log(P), dcoef) + dconst
-            st, ok = ev_num.eq_stat_and_ineq(P)
-            stat_n[done:done + b] = st
-            ineq_n[done:done + b] = ok
-            if ev_den is not None:
-                st_d, ok_d = ev_den.eq_stat_and_ineq(P)
-                stat_d[done:done + b] = st_d
-                ineq_d[done:done + b] = ok_d
+        stat = np.empty(n)
+        ineq = np.empty(n, dtype=bool)
+        for i, P in _chunks(rng, g.params, n, self.settings.chunk):
+            j = i + P.shape[0]
+            logw[i:j] = weight(P)
+            stat[i:j], ineq[i:j] = ev.eq_stat_and_ineq(P)
             del P               # not held while the next chunk is drawn
-            done += b
-        self.logw, self.stat_n, self.ineq_n = logw, stat_n, ineq_n
-        self.stat_d, self.ineq_d = stat_d, ineq_d
+        self.logw, self.stat, self.ineq = logw, stat, ineq
         self.g = g
         self.diag = diag
         self.max_abs_logw = float(np.max(np.abs(logw)))
 
-    def _logprop(self, stat, ineq, scale):
-        d = (stat <= scale) & ineq
+    def level(self, scale):
+        """(ln proportion, ess) at a tolerance scale."""
+        d = (self.stat <= scale) & self.ineq
         if not np.any(d):
             return -np.inf, 0.0
         lw = self.logw[d]
@@ -985,18 +979,9 @@ class _ChainPart:
         l2 = logsumexp(2.0 * lw)
         return float(l1 - np.log(self.settings.n_draws)), float(np.exp(2.0 * l1 - l2))
 
-    def level(self, scale):
-        """(ln value, ess) at a tolerance scale: the numerator proportion,
-        or the numerator/denominator ratio for a model pair."""
-        ln_n, ess_n = self._logprop(self.stat_n, self.ineq_n, scale)
-        if self.den_model is None:
-            return ln_n, ess_n
-        ln_d, ess_d = self._logprop(self.stat_d, self.ineq_d, scale)
-        return ln_n - ln_d, min(ess_n, ess_d)
-
     def level_count(self, scale):
-        """Accepted draws at the tolerance scale (numerator region)."""
-        return int(((self.stat_n <= scale) & self.ineq_n).sum())
+        """Accepted draws at the tolerance scale."""
+        return int(((self.stat <= scale) & self.ineq).sum())
 
     def ensure(self, scale):
         """Retune and redraw at the current tolerance when the level has
@@ -1014,46 +999,45 @@ class _ChainPart:
         return True
 
 
-def _chain_bf(num_model: ModelSpec, den_model, table: StratifiedTable,
-              prior: PriorSpec, schedule: EpsilonSchedule, settings: RunSettings,
-              seed: int, route: str) -> BFEstimate:
-    """Common chain driver: per-side reweightable samples, geometric
-    tolerance levels, telescoped stage factors with exact bookkeeping."""
-    post_alpha = prior.posterior(table)
-    targets = {"prior": prior.concentration, "posterior": post_alpha}
-    n_eq = num_model.constraints.n_eq + (den_model.constraints.n_eq if den_model else 0)
+def about_equality_bf(model: ModelSpec, table: StratifiedTable, prior: PriorSpec,
+                      schedule: EpsilonSchedule, settings: RunSettings,
+                      seed: int) -> BFEstimate:
+    """Shrinking-tolerance Bayes factor for a model with about-equality
+    rows: one tuned importance sample per side (per stratum when the model
+    factorises), reweighted across the geometric epsilon levels; the
+    reported value is the exact sum of the stored stage logs.
 
-    subs = ModelEval(num_model, table.dims, table.s).stratum_split() \
-        if den_model is None else None
-    makers = []
-    for side in ("prior", "posterior"):
-        if subs is not None:
-            makers += [partial(_ChainPart, side, e.model, None, targets[side][b:b + 1],
-                               _sub_table(table, b), settings, seed, (b,))
-                       for b, e in enumerate(subs)]
-        else:
-            makers.append(partial(_ChainPart, side, num_model, den_model, targets[side],
-                                  table, settings, seed, ()))
-    parts = _ordered_map(lambda make: make(), makers)
+    A side whose level ESS decays under the floor is re-tuned at the
+    current tolerance and redrawn; if the floor still cannot be held the
+    chain stops early and flags truncation.
+    """
+    cs = model.constraints
+    if cs.n_eq == 0:
+        raise EngineError(f"model {model.name!r} has no equality rows; use estimate_bf")
+    eps1 = np.full(cs.n_eq, schedule.epsilon_start)
+    model = ModelSpec(model.name, model.logit_types, cs.with_epsilon(eps1), model.notes)
+    targets = {"prior": prior.concentration, "posterior": prior.posterior(table)}
+    units = _units(ModelEval(model, table.dims, table.s), table)
+    parts = _ordered_map(
+        lambda make: make(),
+        [partial(_ChainPart, side, ev.model, targets[side][sl], t, settings, seed, path)
+         for side in ("prior", "posterior") for ev, sl, t, path in units])
     sides = {side: [p for p in parts if p.side == side] for side in ("prior", "posterior")}
 
     def side_level(side, scale):
-        vals = [p.level(scale) for p in sides[side]]
-        ln = float(sum(v[0] for v in vals))
-        ess = float(min(v[1] for v in vals))
-        return ln, ess
+        lns, esss = zip(*(p.level(scale) for p in sides[side]))
+        return float(sum(lns)), float(min(esss))
 
     # retunes aim for healthy levels; a level stays usable down to a small
     # accepted-draw count because the stage factors difference the common
     # weight noise away on shared draws
     count_floor = 50
-    max_levels = schedule.max_stages if n_eq else 1
     stage_log10 = []
     stage_info = []
     truncated = False
     warnings = []
     prev = {}
-    for level in range(1, max_levels + 1):
+    for level in range(1, schedule.max_stages + 1):
         scale = schedule.b ** (level - 1)
         redrawn = any(_ordered_map(lambda p: p.ensure(scale), parts))
         cur = {side: side_level(side, scale) for side in sides}
@@ -1097,10 +1081,8 @@ def _chain_bf(num_model: ModelSpec, den_model, table: StratifiedTable,
 
     log10 = float(sum(stage_log10))
     final_scale = stage_info[-1]["epsilon_scale"] if stage_info else 1.0
-    eps1 = num_model.constraints.epsilon
     comp = {
-        "model": num_model.name,
-        "reference": den_model.name if den_model else "encompassing",
+        "model": model.name,
         "stages": stage_info,
         "stage_log10s": [float(v) for v in stage_log10],
         "final_epsilon": [float(e) for e in eps1 * final_scale],
@@ -1114,58 +1096,10 @@ def _chain_bf(num_model: ModelSpec, den_model, table: StratifiedTable,
     return BFEstimate(
         log10_bf=log10, ln_bf=log10 * LN10,
         replicates=[log10], mean=log10, sd=0.0,
-        route=route,
+        route="about_equality",
         components=comp,
         settings={"seed": int(seed), "schedule": asdict(schedule), **settings.to_dict()},
     )
-
-
-def about_equality_bf(model: ModelSpec, table: StratifiedTable, prior: PriorSpec,
-                      schedule: EpsilonSchedule, settings: RunSettings,
-                      seed: int) -> BFEstimate:
-    """Shrinking-tolerance Bayes factor for a model with about-equality
-    rows: one tuned importance sample per side (per stratum when the model
-    factorises), reweighted across the geometric epsilon levels; the
-    reported value is the exact sum of the stored stage logs.
-
-    A side whose level ESS decays under the floor is re-tuned at the
-    current tolerance and redrawn; if the floor still cannot be held the
-    chain stops early and flags truncation.
-    """
-    if model.constraints.n_eq == 0:
-        raise EngineError(f"model {model.name!r} has no equality rows; use estimate_bf")
-    eps1 = np.full(model.constraints.n_eq, schedule.epsilon_start) \
-        if np.isscalar(schedule.epsilon_start) else np.asarray(schedule.epsilon_start)
-    model1 = ModelSpec(model.name, model.logit_types,
-                       model.constraints.with_epsilon(eps1), model.notes)
-    return _chain_bf(model1, None, table, prior, schedule, settings, seed,
-                     route="about_equality")
-
-
-def nested_bf(model_num: ModelSpec, model_den: ModelSpec, table: StratifiedTable,
-              prior: PriorSpec, settings: RunSettings, seed: int,
-              schedule: EpsilonSchedule | None = None) -> BFEstimate:
-    """log Bayes factor of a model against a coarser model it refines,
-    estimated from common draws so the shared constraint-satisfaction
-    factors cancel inside each side's ratio.
-
-    The caller guarantees the nesting (model_num's constraints imply
-    model_den's). Equality tolerances of both models shrink on the common
-    schedule; with no equality rows anywhere this is a single-level run.
-    """
-    if tuple(model_num.logit_types) != tuple(model_den.logit_types):
-        raise EngineError("nested models must share logit types")
-    schedule = schedule or EpsilonSchedule()
-
-    def at_eps1(m):
-        if m.constraints.n_eq == 0:
-            return m
-        eps1 = np.full(m.constraints.n_eq, schedule.epsilon_start)
-        return ModelSpec(m.name, m.logit_types,
-                         m.constraints.with_epsilon(eps1), m.notes)
-
-    return _chain_bf(at_eps1(model_num), at_eps1(model_den), table, prior,
-                     schedule, settings, seed, route="nested")
 
 
 def bayes_factor(model: ModelSpec, table: StratifiedTable, prior: PriorSpec,
@@ -1181,35 +1115,29 @@ def bayes_factor(model: ModelSpec, table: StratifiedTable, prior: PriorSpec,
 
 def replicate_bf(model: ModelSpec, table: StratifiedTable, prior: PriorSpec,
                  settings: RunSettings, B: int, seed: int,
-                 schedule: EpsilonSchedule | None = None,
-                 reference: ModelSpec | None = None) -> BFEstimate:
+                 schedule: EpsilonSchedule | None = None) -> BFEstimate:
     """B independently seeded runs; the reported point estimate is the
-    replicate mean of the log Bayes factors. With a reference model the
-    runs use the common-draw nested-pair route. The runs go concurrently
-    (see _ordered_map) and share one centring memo."""
+    replicate mean of the log Bayes factors. The runs go concurrently (see
+    _ordered_map) and share one centring memo."""
     if B < 1:
         raise EngineError("need B >= 1 replicates")
 
     def run(i):
         rep_seed = int(np.random.SeedSequence(int(seed), spawn_key=(3, i)).generate_state(1)[0])
-        if reference is not None:
-            est = nested_bf(model, reference, table, prior, settings, rep_seed, schedule)
-        else:
-            est = bayes_factor(model, table, prior, settings, rep_seed, schedule)
+        est = bayes_factor(model, table, prior, settings, rep_seed, schedule)
         info = {"log10_bf": est.log10_bf, "route": est.route, "seed": rep_seed}
-        if est.route in ("about_equality", "nested"):
+        if est.route == "about_equality":
             info["final_epsilon"] = est.components["final_epsilon"]
             info["truncated"] = est.components["truncated"]
             info["n_stages"] = len(est.components["stages"])
-        return est.log10_bf, info
+        return info
 
     centres = _CENTRES.set(_CentreMemo())
     try:
-        runs = _ordered_map(run, range(B))
+        infos = _ordered_map(run, range(B))
     finally:
         _CENTRES.reset(centres)
-    reps = [r[0] for r in runs]
-    infos = [r[1] for r in runs]
+    reps = [info["log10_bf"] for info in infos]
     mean = float(np.mean(reps))
     sd = float(np.std(reps, ddof=1)) if B > 1 else 0.0
     return BFEstimate(
@@ -1275,21 +1203,15 @@ def posterior_draws_under_model(model: ModelSpec, table: StratifiedTable,
     rare-event warning is attached when almost nothing is accepted.
     """
     ev = ModelEval(model, table.dims, table.s)
-    link = ev.link
     alpha = prior.posterior(table)
-    rng = substream(seed, 0)
     kept = []
     acc = 0
-    done = 0
-    while done < n:
-        b = min(chunk, n - done)
-        P = _dirichlet_chunk(rng, alpha, b)
-        d = ev.delta(P) if not ev.cs.is_empty() else np.ones(b, dtype=bool)
+    for _, P in _chunks(substream(seed, 0), alpha, n, chunk):
+        d = ev.delta(P) if not ev.cs.is_empty() else np.ones(P.shape[0], dtype=bool)
         acc += int(d.sum())
         if np.any(d) and acc <= keep_cap:
             kept.append(P[d])
         del P                   # not held while the next chunk is drawn
-        done += b
     warnings = []
     if acc == 0:
         raise UnboundedEstimateError(
@@ -1302,7 +1224,7 @@ def posterior_draws_under_model(model: ModelSpec, table: StratifiedTable,
             "about-equality route is likely more appropriate")
     P = np.concatenate(kept, axis=0)
     lo_q, hi_q = (1 - level) / 2, 1 - (1 - level) / 2
-    eta = np.concatenate([eta_batch(P[:, b, :], link) for b in range(table.s)], axis=1)
+    eta = np.concatenate([eta_batch(P[:, b, :], ev.link) for b in range(table.s)], axis=1)
     mean_pi = P.mean(axis=0)
     mean_sat = bool(ev.delta(mean_pi[None, :, :])[0]) if not ev.cs.is_empty() else True
     return PosteriorSummary(

@@ -5,8 +5,8 @@ probability vector to its stacked marginal-interaction parameters
 
     eta = C log(M pi),
 
-with one block per non-empty margin set, and provides the inverse map by
-damped Newton iteration plus the analytic Jacobian used by the fitters.
+with one block per non-empty margin set, and the analytic Jacobian used
+by the constrained fits.
 """
 from __future__ import annotations
 
@@ -30,14 +30,6 @@ BLOCK_WORK = 1 << 21
 
 class LinkError(ValueError):
     """Domain errors in link construction or evaluation."""
-
-
-class InversionError(RuntimeError):
-    """Newton inversion failed to reach tolerance."""
-
-    def __init__(self, msg, residual=None):
-        super().__init__(msg)
-        self.residual = residual
 
 
 def margin_sets(q: int):
@@ -315,117 +307,3 @@ def eta_jacobian_from_logpi(logpi, link: LinkMatrices) -> np.ndarray:
     D = np.where(link.M != 0, logpi[None, :] - logm[:, None], -np.inf)
     J = link.C @ np.exp(D)       # in-support entries are <= 0, never overflow
     return J[:, 1:]
-
-
-def eta_jacobian(pi, link: LinkMatrices) -> np.ndarray:
-    pi = _check_pi(pi, link)
-    return eta_jacobian_from_logpi(np.log(pi), link)
-
-
-# ---------------------------------------------------------------------------
-# Newton inversion
-# ---------------------------------------------------------------------------
-
-def _softmax0(theta):
-    lam = np.concatenate([[0.0], theta])
-    return lam - logsumexp(lam)
-
-
-def pi_from_eta(eta, link: LinkMatrices, tol=1e-10, max_iter=200,
-                max_halvings=30, start=None) -> np.ndarray:
-    """Invert eta -> pi by damped Newton on the minimal log-scale
-    parameterisation; starts from the uniform distribution.
-
-    Raises InversionError (carrying the residual inf-norm) on
-    non-convergence; never returns NaN.
-    """
-    eta = np.asarray(eta, dtype=float)
-    if eta.shape != (link.t,):
-        raise LinkError(f"eta has shape {eta.shape}, expected ({link.t},)")
-    if not np.all(np.isfinite(eta)):
-        raise LinkError("eta must be finite")
-    theta0 = np.zeros(link.r - 1) if start is None else np.array(start, dtype=float)
-
-    theta, res = _newton_leg(eta, theta0, link, tol, max_iter, max_halvings)
-    if res > tol:
-        # homotopy fallback: walk the target from eta(start) to eta along a
-        # straight line, warm-starting each leg; rescues stiff global-type
-        # links whose least-squares landscape has spurious basins
-        eta_here = eta_from_logpi(_softmax0(theta0), link)
-        cur, stepsize = 0.0, 0.5
-        theta = theta0
-        while cur < 1.0 and stepsize >= 1.0 / 1024.0:
-            tau = min(1.0, cur + stepsize)
-            target = eta_here + tau * (eta - eta_here)
-            cand, res_leg = _newton_leg(target, theta, link, tol, 80, max_halvings)
-            if res_leg <= max(tol, 1e-9):
-                theta, cur = cand, tau
-                stepsize *= 2.0
-            else:
-                stepsize *= 0.5
-        theta, res = _newton_leg(eta, theta, link, tol, max_iter, max_halvings)
-    if res <= tol:
-        return _positive_pi(_softmax0(theta))
-    raise InversionError(
-        f"Newton inversion stalled at residual {res:.3e} (tol {tol:.1e})",
-        residual=float(res),
-    )
-
-
-def _positive_pi(logpi):
-    # floor keeps the result strictly positive even when the solution sits
-    # against the simplex boundary
-    p = np.exp(np.maximum(logpi - logsumexp(logpi), LOG_FLOOR))
-    return p / p.sum()
-
-
-def _newton_leg(eta, theta, link, tol, max_iter, max_halvings):
-    """Damped Newton with Levenberg-Marquardt rescue; returns (theta, res)."""
-    theta = theta.copy()
-    logpi = _softmax0(theta)
-    F = eta_from_logpi(logpi, link) - eta
-    res = np.max(np.abs(F))
-    damping = 0.0
-
-    def try_step(step):
-        nonlocal theta, logpi, F, res
-        scale = 1.0
-        for _ in range(max_halvings):
-            cand = theta - scale * step
-            logpi_c = _softmax0(cand)
-            F_c = eta_from_logpi(logpi_c, link) - eta
-            res_c = np.max(np.abs(F_c))
-            if res_c < res:
-                theta, logpi, F, res = cand, logpi_c, F_c, res_c
-                return True
-            scale *= 0.5
-        return False
-
-    for _ in range(max_iter):
-        if res <= tol:
-            break
-        J = eta_jacobian_from_logpi(logpi, link)
-        moved = False
-        if damping == 0.0:
-            try:
-                step = np.linalg.solve(J, F) if J.shape[0] == J.shape[1] else \
-                    np.linalg.lstsq(J, F, rcond=None)[0]
-            except np.linalg.LinAlgError:
-                step = np.linalg.lstsq(J, F, rcond=None)[0]
-            moved = try_step(step)
-        if not moved:
-            A0 = J.T @ J
-            diag = np.diag(A0).copy()
-            diag[diag <= 0] = 1.0
-            g = J.T @ F
-            damping = max(damping, 1e-6)
-            while damping <= 1e10 and not moved:
-                step = np.linalg.solve(A0 + damping * np.diag(diag), g)
-                moved = try_step(step)
-                if not moved:
-                    damping *= 10.0
-            if moved:
-                damping = max(damping * 0.1, 1e-8)
-        if not moved:
-            break
-    return theta, res

@@ -1,0 +1,87 @@
+"""The command-line front end, run in-process through margbayes.cli.main."""
+import json
+
+import pytest
+
+from margbayes import cli
+
+MODELS = [
+    {"schema_version": 1, "name": "stochastic_order", "logits": "global",
+     "constraints": [{"kind": "stochastic_order", "direction": "ge"}]},
+    {"schema_version": 1, "name": "saturated", "logits": "local", "constraints": []},
+]
+
+
+def write_manifest(tmp_path, **extra):
+    manifest = {"dataset": "father_son", "models": MODELS,
+                "settings": {"n_draws": 4000, "pilot_n": 2000},
+                "replicates": 2, "seed": 3, **extra}
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    return str(path)
+
+
+def run(capsys, *argv):
+    rc = cli.main([*argv, "--format", "json"])
+    out, err = capsys.readouterr()
+    return rc, (json.loads(out) if rc == 0 else None), err
+
+
+def test_bf_is_sensitivity_over_one_concentration(tmp_path, capsys):
+    path = write_manifest(tmp_path)
+    rc, bf, _ = run(capsys, "bf", path)
+    assert rc == 0
+    rc, sens, _ = run(capsys, "sensitivity", path, "--concentrations", "1")
+    assert rc == 0
+    assert bf["command"] == "bf" and sens["command"] == "sensitivity"
+    assert bf["prior_concentration"] == 1.0 and sens["concentrations"] == [1.0]
+    assert sens["sweeps"] == [{"concentration": 1.0, "results": bf["results"]}]
+    assert sens["results"] == [dict(r, model=f"{r['model']} @k=1.0") for r in bf["results"]]
+    assert [r["model"] for r in bf["results"]] == ["stochastic_order", "saturated"]
+
+
+def test_sensitivity_sweeps_each_concentration(tmp_path, capsys):
+    rc, sens, _ = run(capsys, "sensitivity", write_manifest(tmp_path),
+                      "--concentrations", "1", "2")
+    assert rc == 0
+    assert [sw["concentration"] for sw in sens["sweeps"]] == [1.0, 2.0]
+    assert len(sens["results"]) == 4
+    assert sens["results"][-1]["model"] == "saturated @k=2.0"
+
+
+def test_reference_adds_vs_reference(tmp_path, capsys):
+    path = write_manifest(tmp_path)
+    rc, plain, _ = run(capsys, "bf", path)
+    assert rc == 0 and plain["reference"] is None
+    assert all("vs_reference" not in r for r in plain["results"])
+    rc, ref, _ = run(capsys, "bf", path, "--reference", "saturated")
+    assert rc == 0 and ref["reference"] == "saturated"
+    by_name = {r["model"]: r for r in ref["results"]}
+    assert by_name["saturated"]["vs_reference"] == 0.0
+    assert by_name["stochastic_order"]["vs_reference"] == \
+        by_name["stochastic_order"]["log_bf"] - by_name["saturated"]["log_bf"]
+    # the reference only adds a column; the estimates are those of a plain run
+    assert [{k: v for k, v in r.items() if k != "vs_reference"} for r in ref["results"]] \
+        == plain["results"]
+
+
+def test_unknown_reference_is_an_input_error(tmp_path, capsys):
+    rc, _, err = run(capsys, "bf", write_manifest(tmp_path), "--reference", "nope")
+    assert rc == 1 and "input error" in err and "nope" in err
+
+
+@pytest.mark.parametrize("extra,needle", [
+    ({"epsilon_schedule": {"shrink": 0.5}}, "'shrink'"),
+    ({"epsilon_schedule": {"epsilon_start": [0.1, 0.2]}}, "'epsilon_start'"),
+    ({"epsilon_schedule": {"max_stages": 2.5}}, "'max_stages'"),
+    ({"epsilon_schedule": {"b": 1.5}}, "epsilon_schedule: shrink factor b"),
+    ({"epsilon_schedule": [0.1]}, "epsilon_schedule must be an object"),
+    ({"settings": {"alpha_grid": 5}}, "'alpha_grid'"),
+    ({"settings": {"n_draws": [4000]}}, "'n_draws'"),
+    ({"settings": {"no_such_setting": 1}}, "'no_such_setting'"),
+    ({"settings": [4000]}, "settings must be an object"),
+])
+def test_bad_manifest_is_an_input_error(tmp_path, capsys, extra, needle):
+    rc, _, err = run(capsys, "bf", write_manifest(tmp_path, **extra))
+    assert rc == 1
+    assert err.startswith("input error") and needle in err

@@ -307,6 +307,20 @@ def test_about_equality_requires_equality_rows():
                           EpsilonSchedule(), SMALL, seed=18)
 
 
+@pytest.mark.parametrize("kw", [{"epsilon_start": np.array([0.1, 0.2])},
+                                {"epsilon_start": np.array([0.1])},
+                                {"epsilon_start": 0.0}, {"b": 1.0}, {"max_stages": 0}])
+def test_epsilon_schedule_rejects_bad_values(kw):
+    with pytest.raises(engine.EngineError):
+        EpsilonSchedule(**kw)
+
+
+def test_zero_chunk_is_rejected_not_looped_on():
+    ev = ModelEval(model_pa(), (2, 2), 1)
+    with pytest.raises(engine.EngineError, match="chunk"):
+        engine._direct_stream(ev, np.ones((1, 4)), 100, substream(1, 0), 0)
+
+
 def test_about_equality_single_stage_is_fixed_epsilon():
     t = table_2x2((20.0, 18.0, 22.0, 21.0))
     sched = EpsilonSchedule(epsilon_start=0.2, b=0.5, stop_tol=0.0, max_stages=1)
