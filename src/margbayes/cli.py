@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict
@@ -71,12 +72,27 @@ def _setting(k: str, default, v):
         if isinstance(v, list) and all(_is_number(x) for x in v):
             return tuple(v)
         raise ValueError(f"setting {k!r} must be a list of numbers, got {v!r}")
-    if not isinstance(v, (list, dict)):
-        try:
-            return type(default)(v)
-        except (TypeError, ValueError):
-            pass
+    if isinstance(default, int):
+        if isinstance(v, int) and not isinstance(v, bool):
+            return v
+    elif isinstance(default, float):
+        if _is_number(v):
+            return float(v)
+    elif not isinstance(v, (list, dict)):
+        return str(v)
     raise ValueError(f"setting {k!r} must be a single {type(default).__name__}, got {v!r}")
+
+
+def _check_run(sizes: dict, concentrations) -> None:
+    """The one range check of a run's sizes and prior: a ValueError naming
+    the first size that is not a whole number >= 1, or the first prior
+    concentration that is not a positive finite number."""
+    for name, v in sizes.items():
+        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+            raise ValueError(f"{name} must be a whole number >= 1, got {v!r}")
+    for k in concentrations:
+        if not _is_number(k) or not 0 < k < math.inf:
+            raise ValueError(f"prior concentration must be a positive number, got {k!r}")
 
 
 def _settings_from(manifest: dict, args) -> RunSettings:
@@ -88,9 +104,9 @@ def _settings_from(manifest: dict, args) -> RunSettings:
         if not hasattr(s, k):
             raise ValueError(f"unknown setting {k!r}")
         setattr(s, k, _setting(k, getattr(s, k), v))
-    if args.draws:
+    if args.draws is not None:
         s.n_draws = args.draws
-    if args.pilot:
+    if args.pilot is not None:
         s.pilot_n = args.pilot
     if args.log_base:
         s.log_base = args.log_base
@@ -199,12 +215,20 @@ def cmd_sensitivity(args) -> int:
     settings = _settings_from(manifest, args)
     schedule = _schedule_from(manifest)
     seed = args.seed if args.seed is not None else int(manifest.get("seed", 20240901))
-    B = args.replicates or int(manifest.get("replicates", 1))
+    B = args.replicates if args.replicates is not None else manifest.get("replicates", 1)
     reference = args.reference or manifest.get("reference")
+    prior = manifest.get("prior", {})
+    if not isinstance(prior, dict):
+        raise ValueError(f"prior must be an object, got {prior!r}")
     if args.command == "bf":
-        kappas = [float(manifest.get("prior", {}).get("concentration", 1.0))]
+        kappas = [prior.get("concentration", 1.0)]
     else:
-        kappas = [float(k) for k in (args.concentrations or manifest.get("concentrations", [1.0]))]
+        kappas = args.concentrations or manifest.get("concentrations", [1.0])
+        if not isinstance(kappas, list):
+            raise ValueError(f"concentrations must be a list, got {kappas!r}")
+    _check_run({"n_draws": settings.n_draws, "pilot_n": settings.pilot_n,
+                "chunk": settings.chunk, "replicates": B}, kappas)
+    kappas = [float(k) for k in kappas]
     t0 = time.time()
     sweeps = [{"concentration": kappa,
                "results": _bf_table(table, models, PriorSpec.flat(table.r, table.s, kappa),
@@ -258,8 +282,10 @@ def cmd_posterior(args) -> int:
     table = _load_dataset(args.dataset, Path.cwd())
     obj = json.loads(Path(args.model).read_text())
     model = model_from_dict(obj, table.dims, table.s)
+    draws = args.draws if args.draws is not None else 100_000
+    _check_run({"draws": draws}, [args.concentration])
     prior = PriorSpec.flat(table.r, table.s, args.concentration)
-    summary = posterior_draws_under_model(model, table, prior, args.draws or 100_000,
+    summary = posterior_draws_under_model(model, table, prior, draws,
                                           args.seed if args.seed is not None else 20240901)
     report = {
         "command": "posterior",

@@ -18,7 +18,8 @@ _units splits it.
 Independent units of work run concurrently through _ordered_map, under one
 process-wide budget of _THREADS threads: the replicates of replicate_bf,
 the strata of _side_estimate, the chain parts of about_equality_bf (built,
-then re-checked at each level) and the grid probes of tune_alpha. Each
+then re-checked at each level), the grid probes of tune_alpha and the
+strata of posterior_draws_under_model's summaries. Each
 unit draws from its own substream and results are combined in input
 order, so every estimate is the same bits whatever the thread count. The
 two sides of estimate_bf run one after the other (see there). Once a unit
@@ -1199,19 +1200,31 @@ def posterior_draws_under_model(model: ModelSpec, table: StratifiedTable,
                                 level: float = 0.95) -> PosteriorSummary:
     """Accepted encompassing-posterior draws and their summaries.
 
-    Stores up to keep_cap accepted draws for the quantile summaries; a
-    rare-event warning is attached when almost nothing is accepted.
+    Of the n draws, the first min(accepted, keep_cap) accepted ones, in
+    draw order, are kept for the means and quantiles; the acceptance rate
+    counts them all. A rare-event warning is attached when almost nothing
+    is accepted.
+
+    Each stratum's summaries are one unit of _ordered_map: the quantiles
+    of its pi columns, then its eta rows (one eta_batch call), their mean
+    and their quantiles. Both quantile levels are taken in one partition
+    of a private transposed copy, so the bits are those of two separate
+    np.quantile calls over the whole array.
     """
+    if n < 1:
+        raise EngineError(f"need n >= 1 posterior draws, got {n}")
     ev = ModelEval(model, table.dims, table.s)
     alpha = prior.posterior(table)
-    kept = []
-    acc = 0
-    for _, P in _chunks(substream(seed, 0), alpha, n, chunk):
-        d = ev.delta(P) if not ev.cs.is_empty() else np.ones(P.shape[0], dtype=bool)
-        acc += int(d.sum())
-        if np.any(d) and acc <= keep_cap:
-            kept.append(P[d])
-        del P                   # not held while the next chunk is drawn
+    P = np.empty((min(n, keep_cap), table.s, table.r))
+    acc = kept = 0
+    for _, D in _chunks(substream(seed, 0), alpha, n, chunk):
+        if not ev.cs.is_empty():
+            D = D[ev.delta(D)]
+        acc += D.shape[0]
+        m = min(D.shape[0], P.shape[0] - kept)
+        P[kept:kept + m] = D[:m]
+        kept += m
+        del D                   # not held while the next chunk is drawn
     warnings = []
     if acc == 0:
         raise UnboundedEstimateError(
@@ -1222,15 +1235,29 @@ def posterior_draws_under_model(model: ModelSpec, table: StratifiedTable,
         warnings.append(
             f"acceptance {frac:.2e} is tiny; summaries rest on few draws and an "
             "about-equality route is likely more appropriate")
-    P = np.concatenate(kept, axis=0)
-    lo_q, hi_q = (1 - level) / 2, 1 - (1 - level) / 2
-    eta = np.concatenate([eta_batch(P[:, b, :], ev.link) for b in range(table.s)], axis=1)
+    P = P[:kept]
+    q = [(1 - level) / 2, 1 - (1 - level) / 2]
+
+    def quantiles(X):
+        # (2, columns); X is a private (columns, draws) copy, partitioned in place
+        return np.quantile(X, q, axis=1, overwrite_input=True)
+
+    def summarise(b):
+        pi_q = quantiles(np.ascontiguousarray(P[:, b, :].T))
+        eta = eta_batch(P[:, b, :], ev.link)
+        eta_mean = eta.mean(axis=0)
+        eta_t = np.ascontiguousarray(eta.T)
+        del eta
+        return pi_q, eta_mean, quantiles(eta_t)
+
+    pi_q, eta_mean, eta_q = zip(*_ordered_map(summarise, range(table.s)))
+    pi_q = np.stack(pi_q, axis=1)                # (2, s, r)
+    eta_q = np.concatenate(eta_q, axis=1)        # (2, s*t)
     mean_pi = P.mean(axis=0)
     mean_sat = bool(ev.delta(mean_pi[None, :, :])[0]) if not ev.cs.is_empty() else True
     return PosteriorSummary(
         n_drawn=n, n_accepted=acc, acceptance=frac,
-        pi_mean=mean_pi, pi_lo=np.quantile(P, lo_q, axis=0), pi_hi=np.quantile(P, hi_q, axis=0),
-        eta_mean=eta.mean(axis=0), eta_lo=np.quantile(eta, lo_q, axis=0),
-        eta_hi=np.quantile(eta, hi_q, axis=0),
+        pi_mean=mean_pi, pi_lo=pi_q[0], pi_hi=pi_q[1],
+        eta_mean=np.concatenate(eta_mean), eta_lo=eta_q[0], eta_hi=eta_q[1],
         mean_satisfies=mean_sat, warnings=warnings,
     )

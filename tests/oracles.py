@@ -120,3 +120,39 @@ def eta_batch_reference(P, link, rows=None, log_floor=-625.0):
     engine's blocked evaluation must reproduce it bit for bit."""
     C, M = (link.C, link.M) if rows is None else link.restricted(rows)
     return np.log(np.maximum(P, np.exp(log_floor)) @ M.T) @ C.T
+
+
+def posterior_summary_reference(model, table, prior, n, seed, chunk=32768,
+                                keep_cap=200_000, level=0.95) -> dict:
+    """PosteriorSummary.to_dict() the straightforward way: accepted draws
+    kept in a list and concatenated, the first min(accepted, keep_cap) of
+    them summarised by whole-array np.quantile calls, one per level, and
+    eta concatenated over strata. The engine's per-stratum summaries must
+    reproduce it bit for bit."""
+    from margbayes.engine import ModelEval, _chunks, substream
+    from margbayes.link import eta_batch
+
+    ev = ModelEval(model, table.dims, table.s)
+    kept, acc = [], 0
+    for _, P in _chunks(substream(seed, 0), prior.posterior(table), n, chunk):
+        d = ev.delta(P) if not ev.cs.is_empty() else np.ones(P.shape[0], dtype=bool)
+        acc += int(d.sum())
+        kept.append(P[d])
+    P = np.concatenate(kept, axis=0)[:keep_cap]
+    lo_q, hi_q = (1 - level) / 2, 1 - (1 - level) / 2
+    eta = np.concatenate([eta_batch(P[:, b, :], ev.link) for b in range(table.s)], axis=1)
+    mean_pi = P.mean(axis=0)
+    frac = acc / n
+    return {
+        "n_drawn": n, "n_accepted": acc, "acceptance": frac,
+        "pi_mean": mean_pi.tolist(),
+        "pi_lo": np.quantile(P, lo_q, axis=0).tolist(),
+        "pi_hi": np.quantile(P, hi_q, axis=0).tolist(),
+        "eta_mean": eta.mean(axis=0).tolist(),
+        "eta_lo": np.quantile(eta, lo_q, axis=0).tolist(),
+        "eta_hi": np.quantile(eta, hi_q, axis=0).tolist(),
+        "mean_satisfies": bool(ev.delta(mean_pi[None])[0]) if not ev.cs.is_empty() else True,
+        "warnings": [] if frac >= 1e-3 else [
+            f"acceptance {frac:.2e} is tiny; summaries rest on few draws and an "
+            "about-equality route is likely more appropriate"],
+    }

@@ -85,3 +85,53 @@ def test_bad_manifest_is_an_input_error(tmp_path, capsys, extra, needle):
     rc, _, err = run(capsys, "bf", write_manifest(tmp_path, **extra))
     assert rc == 1
     assert err.startswith("input error") and needle in err
+
+
+@pytest.mark.parametrize("extra,needle", [
+    ({"settings": {"n_draws": 0}}, "n_draws must be a whole number >= 1, got 0"),
+    ({"settings": {"pilot_n": 0}}, "pilot_n must be a whole number >= 1, got 0"),
+    ({"settings": {"chunk": -1}}, "chunk must be a whole number >= 1, got -1"),
+    ({"replicates": 0}, "replicates must be a whole number >= 1, got 0"),
+    ({"replicates": 1.5}, "replicates must be a whole number >= 1, got 1.5"),
+    ({"settings": {"n_draws": 2.5}}, "setting 'n_draws' must be a single int, got 2.5"),
+    ({"settings": {"pilot_n": True}}, "setting 'pilot_n' must be a single int, got True"),
+    ({"settings": {"ess_floor": "50"}}, "setting 'ess_floor' must be a single float, got '50'"),
+    ({"prior": 2}, "prior must be an object, got 2"),
+    ({"prior": {"concentration": 0}}, "prior concentration must be a positive number, got 0"),
+    ({"prior": {"concentration": "1"}}, "prior concentration must be a positive number, got '1'"),
+])
+def test_bad_run_size_or_prior_in_manifest_is_an_input_error(tmp_path, capsys, extra, needle):
+    rc, _, err = run(capsys, "bf", write_manifest(tmp_path, **extra))
+    assert rc == 1
+    assert err.startswith("input error") and needle in err
+
+
+@pytest.mark.parametrize("flags,needle", [
+    (("--draws", "0"), "n_draws must be a whole number >= 1, got 0"),
+    (("--draws", "-5"), "n_draws must be a whole number >= 1, got -5"),
+    (("--pilot", "0"), "pilot_n must be a whole number >= 1, got 0"),
+    (("--replicates", "0"), "replicates must be a whole number >= 1, got 0"),
+])
+def test_bad_run_size_flag_is_an_input_error(tmp_path, capsys, flags, needle):
+    rc, _, err = run(capsys, "bf", write_manifest(tmp_path), *flags)
+    assert rc == 1
+    assert err.startswith("input error") and needle in err
+
+
+def test_bad_sweep_concentration_is_an_input_error(tmp_path, capsys):
+    rc, _, err = run(capsys, "sensitivity", write_manifest(tmp_path), "--concentrations", "1", "0")
+    assert rc == 1
+    assert err.startswith("input error") and "got 0.0" in err
+
+
+@pytest.mark.parametrize("flags,needle", [
+    (("--draws", "0"), "draws must be a whole number >= 1, got 0"),
+    (("--draws", "-5"), "draws must be a whole number >= 1, got -5"),
+    (("--concentration", "0"), "prior concentration must be a positive number, got 0.0"),
+])
+def test_bad_posterior_run_is_an_input_error(tmp_path, capsys, flags, needle):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(MODELS[1]))
+    rc, _, err = run(capsys, "posterior", "father_son", str(model), *flags)
+    assert rc == 1
+    assert err.startswith("input error") and needle in err

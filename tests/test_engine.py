@@ -37,6 +37,8 @@ from margbayes import engine
 from margbayes.engine import _importance_stream, substream
 from margbayes.hypotheses import ConstraintSet, model_from_dict
 
+from oracles import posterior_summary_reference
+
 
 def table_2x2(counts=(40.0, 10.0, 12.0, 38.0)):
     return StratifiedTable(("all",), (ContingencyTable((2, 2), np.array(counts)),))
@@ -533,3 +535,53 @@ def test_posterior_summary_rare_model_raises_or_warns():
     with pytest.raises(UnboundedEstimateError):
         posterior_draws_under_model(model_indep(eps=1e-6), t,
                                     PriorSpec.flat(4, 1, 1.0), n=20_000, seed=33)
+
+
+def posterior_cases():
+    """(name, model, table, prior, run sizes) of the posterior summary
+    checks: one constrained stratum, and two unconstrained strata."""
+    fs = load_fixture("father_son")
+    so = model_from_dict({"name": "so", "logits": "global",
+                          "constraints": [{"kind": "stochastic_order", "direction": "ge"}]},
+                         fs.dims, fs.s)
+    skin = load_fixture("skin_trial")
+    sat = model_from_dict({"name": "saturated", "logits": "local", "constraints": []},
+                          skin.dims, skin.s)
+    return [
+        ("father_son_so", so, fs, PriorSpec.flat(fs.r, fs.s, 1.0),
+         dict(n=20_000, seed=41, chunk=4096)),
+        ("skin_trial_saturated", sat, skin, PriorSpec.flat(skin.r, skin.s, 1.0),
+         dict(n=3_000, seed=42, chunk=1024)),
+    ]
+
+
+@pytest.mark.parametrize("case", posterior_cases(), ids=lambda c: c[0])
+def test_posterior_summary_matches_reference_bit_for_bit(case):
+    _, model, table, prior, sizes = case
+    s = posterior_draws_under_model(model, table, prior, **sizes)
+    assert 0 < s.n_accepted <= s.n_drawn
+    assert json.dumps(s.to_dict()) == json.dumps(
+        posterior_summary_reference(model, table, prior, **sizes))
+
+
+@pytest.mark.parametrize("model, chunk", [(model_saturated(), 30), (model_pa(), 7)])
+def test_posterior_summary_keeps_first_keep_cap_accepted_draws(model, chunk):
+    # the chunk that crosses keep_cap is cut, not dropped
+    t = table_2x2()
+    prior = PriorSpec.flat(4, 1, 1.0)
+    s = posterior_draws_under_model(model, t, prior, n=100, seed=43, chunk=chunk, keep_cap=50)
+    assert s.n_accepted > 50
+    assert json.dumps(s.to_dict()) == json.dumps(posterior_summary_reference(
+        model, t, prior, n=100, seed=43, chunk=chunk, keep_cap=50))
+    draws = np.concatenate([D for _, D in engine._chunks(substream(43, 0), prior.posterior(t),
+                                                          100, chunk)])
+    ev = ModelEval(model, (2, 2), 1)
+    accepted = draws if ev.cs.is_empty() else draws[ev.delta(draws)]
+    assert np.array_equal(s.pi_mean, accepted[:50].mean(axis=0))
+
+
+@pytest.mark.parametrize("n", [0, -5])
+def test_posterior_summary_needs_a_draw(n):
+    with pytest.raises(engine.EngineError, match=f"got {n}"):
+        posterior_draws_under_model(model_saturated(), table_2x2(), PriorSpec.flat(4, 1, 1.0),
+                                    n=n, seed=1)

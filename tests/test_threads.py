@@ -39,7 +39,8 @@ from margbayes import fit as fitmod
 from margbayes.engine import substream
 from margbayes.hypotheses import model_from_dict
 
-from test_engine import record_fits, table_2x2
+from oracles import posterior_summary_reference
+from test_engine import posterior_cases, record_fits, table_2x2
 
 THREAD_COUNTS = (1, 2, 8)
 
@@ -391,6 +392,17 @@ def test_replicate_bf_stratum_split_same_at_any_thread_count(monkeypatch):
         outs.append(as_json(est.to_dict()))
     assert est.route == "importance/importance"
     assert outs[1] == outs[0] and outs[2] == outs[0]
+
+
+@pytest.mark.parametrize("case", posterior_cases(), ids=lambda c: c[0])
+def test_posterior_summary_same_at_any_thread_count(monkeypatch, case):
+    # one stratum per unit; one stratum runs inline whatever the budget
+    _, model, table, prior, sizes = case
+    want = as_json(posterior_summary_reference(model, table, prior, **sizes))
+    for n in THREAD_COUNTS:
+        s = on_threads(monkeypatch, n, lambda: engine.posterior_draws_under_model(
+            model, table, prior, **sizes))
+        assert as_json(s.to_dict()) == want
 
 
 def test_concurrent_replicates_fit_each_centre_once(monkeypatch):
