@@ -35,6 +35,9 @@ from .tables import TableError, list_fixtures, load_fixture, load_table, validat
 INPUT_ERRORS = (TableError, ConstraintError, LinkError, FitError, FileNotFoundError,
                 json.JSONDecodeError, KeyError, ValueError)
 
+# bases a log Bayes factor may be printed in
+LOG_BASES = ("10", "e")
+
 
 def _load_dataset(ref: str, base: Path):
     try:
@@ -78,8 +81,8 @@ def _setting(k: str, default, v):
     elif isinstance(default, float):
         if _is_number(v):
             return float(v)
-    elif not isinstance(v, (list, dict)):
-        return str(v)
+    elif isinstance(v, str):
+        return v
     raise ValueError(f"setting {k!r} must be a single {type(default).__name__}, got {v!r}")
 
 
@@ -110,6 +113,8 @@ def _settings_from(manifest: dict, args) -> RunSettings:
         s.pilot_n = args.pilot
     if args.log_base:
         s.log_base = args.log_base
+    if s.log_base not in LOG_BASES:
+        raise ValueError(f"log_base must be one of {', '.join(LOG_BASES)}, got {s.log_base!r}")
     return s
 
 
@@ -321,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--pilot", type=int, default=None)
         sp.add_argument("--replicates", type=int, default=None)
         sp.add_argument("--reference", default=None)
-        sp.add_argument("--log-base", choices=["10", "e"], default=None)
+        sp.add_argument("--log-base", choices=LOG_BASES, default=None)
         sp.add_argument("--out", default=None)
         sp.add_argument("--format", choices=["text", "json", "csv"], default="text")
 

@@ -425,9 +425,6 @@ class ModelEval:
         self.U = cs.U[:, cols]
         self.epsilon = cs.epsilon
         self.cs = cs
-        if self.local_rows.size:
-            # filled here so concurrent tuning probes only read the cache
-            self.link.restricted(self.local_rows)
 
     def stratum_split(self):
         """Per-stratum sub-evaluators when every constraint row touches one
@@ -596,9 +593,8 @@ def tune_alpha(ev: ModelEval, target_alpha: np.ndarray, center: np.ndarray,
     budget, which inside concurrent replicates, strata or chain parts is
     often nothing, and then they run on the calling thread. Each draws
     from its own stream substream(seed, "tune", idx). The probes
-    share `ev`, `target_alpha` and `center`, and only read them; the
-    restricted link matrices `ev` evaluates with are filled when it is
-    built. Results are recorded in grid order, so the density and
+    share `ev`, `target_alpha` and `center`, and only read them.
+    Results are recorded in grid order, so the density and
     diagnostics are the same whatever the thread count. The geometric
     extension runs one probe at a time, since each step depends on the one
     before.
@@ -932,6 +928,7 @@ class _ChainPart:
         self.table = table
         self.target_alpha = target_alpha
         self.model = model                  # constraints at stage-1 epsilon
+        self.ev = ModelEval(model, table.dims, table.s)
         self.draw_key = 0
         self.g = None
         self._draw(scale=1.0)
@@ -939,12 +936,12 @@ class _ChainPart:
     def _draw(self, scale):
         """Tune on the region at the current tolerance scale and draw a
         fresh sample; stats stay normalised to stage-1 epsilon."""
-        now = self.model
+        now, ev_now = self.model, self.ev
         cs = now.constraints
         if cs.n_eq and scale != 1.0:
             now = ModelSpec(now.name, now.logit_types,
                             cs.with_epsilon(cs.epsilon * scale), now.notes)
-        ev_now = ModelEval(now, self.table.dims, self.table.s)
+            ev_now = ModelEval(now, self.table.dims, self.table.s)
         grid = None
         if self.g is not None:
             m = self.g.multiplier
@@ -956,14 +953,13 @@ class _ChainPart:
         weight = _log_weight(self.target_alpha, g.params)
         rng = substream(self.seed, self.side, "main", *self.path, self.draw_key)
         n = self.settings.n_draws
-        ev = ModelEval(self.model, self.table.dims, self.table.s)
         logw = np.empty(n)
         stat = np.empty(n)
         ineq = np.empty(n, dtype=bool)
         for i, P in _chunks(rng, g.params, n, self.settings.chunk):
             j = i + P.shape[0]
             logw[i:j] = weight(P)
-            stat[i:j], ineq[i:j] = ev.eq_stat_and_ineq(P)
+            stat[i:j], ineq[i:j] = self.ev.eq_stat_and_ineq(P)
             del P               # not held while the next chunk is drawn
         self.logw, self.stat, self.ineq = logw, stat, ineq
         self.g = g

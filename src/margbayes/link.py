@@ -7,10 +7,23 @@ probability vector to its stacked marginal-interaction parameters
 
 with one block per non-empty margin set, and the analytic Jacobian used
 by the constrained fits.
+
+C and M are Kronecker products of small per-variable blocks, and batches
+of draws are evaluated through that structure rather than through the
+dense pair: `eta_batch` sums each needed margin out of the joint table,
+forms each active variable's distinct aggregates (cells, cumulative or
+reverse-cumulative sums), takes their logs once and differences
+numerator minus denominator along each active axis. It calls no BLAS:
+OpenBLAS rounds a row of a product differently with the product's shape
+and with how many threads split it, so a draw's eta would depend on the
+rows evaluated beside it and on the host's thread count. With only
+elementwise ufuncs and slice adds in a fixed order, each draw's eta
+depends on that draw alone. The dense (C, M) pair serves the per-vector
+`eta_from_logpi` and `eta_jacobian_from_logpi` used by the fits.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,12 +33,9 @@ from .tables import LOGIT_TYPES, VariableSpec
 # exp() above the subnormal range so log(M pi) never hits -inf
 LOG_FLOOR = -625.0
 
-# eta_batch evaluates its rows in blocks whose matrix products each take at
-# least this many multiply-adds. OpenBLAS on AVX-512 hosts hands products of
-# up to 1e6 of them to small-matrix kernels that round differently, so with
-# this floor a row's eta has the same bits whatever block it falls in, and
-# the same as from one product over all rows.
-BLOCK_WORK = 1 << 21
+# eta_batch evaluates this many draws at a time, laid out cells x draws; the
+# block's margins, aggregates and logs stay a few MB on the largest fixture
+BLOCK_ROWS = 2048
 
 
 class LinkError(ValueError):
@@ -89,7 +99,6 @@ class LinkMatrices:
     M: np.ndarray
     blocks: list
     t: int
-    _restricted_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def q(self) -> int:
@@ -109,19 +118,6 @@ class LinkMatrices:
     def rows_of(self, z) -> np.ndarray:
         b = self.block_for(z)
         return np.arange(b.lo, b.hi)
-
-    def restricted(self, rows) -> tuple:
-        """(C_sub, M_sub) touching only the given eta rows; cached.
-
-        The check-then-insert is not atomic: an entry read from several
-        threads at once must be filled first (engine.ModelEval does so).
-        """
-        key = tuple(int(i) for i in rows)
-        if key not in self._restricted_cache:
-            C_sub = self.C[list(key), :]
-            needed = np.nonzero(np.any(C_sub != 0, axis=0))[0]
-            self._restricted_cache[key] = (C_sub[:, needed], self.M[needed, :])
-        return self._restricted_cache[key]
 
 
 def build_link(variables) -> LinkMatrices:
@@ -274,25 +270,119 @@ def eta_batch(P: np.ndarray, link: LinkMatrices, rows=None) -> np.ndarray:
 
     Cells are floored at exp(LOG_FLOOR) so the log never produces -inf;
     draws affected by the floor carry negligible importance weight.
-    Restricting to `rows` skips the eta coordinates no constraint reads.
-    Rows are taken in equal blocks of at least BLOCK_WORK / (M rows x
-    min(r, eta rows)) rows, so the (block, M rows) product is the only
-    large temporary besides the result. P is copied for the floor only
-    when some cell is below it; the engine's sampler floors its draws.
+    Restricting to `rows` skips the margins no requested eta row needs.
+
+    Draws are taken BLOCK_ROWS at a time and copied, floored, into a
+    cells x draws table. For each margin set a requested row falls in, the
+    table's inactive variables are summed out (_margin), the active
+    variables' aggregates are logged and differenced (_margin_eta), and
+    the block's rows are written to the result. Only elementwise ufuncs
+    and slice adds, in an order fixed by the link, touch a draw's numbers.
+    No BLAS product is used, since its rounding of a row varies with the
+    product's shape and thread split, and no multi-axis or pairwise sum,
+    whose order varies with the memory layout. So a draw's eta has the
+    same bits in any batch, in any block, at any BLAS thread count.
     """
-    C_sub, M_sub = (link.C, link.M) if rows is None else link.restricted(rows)
-    floor = np.exp(LOG_FLOOR)
-    if P.size and P.min() < floor:
-        P = np.maximum(P, floor)
     n = P.shape[0]
-    m, t = M_sub.shape[0], C_sub.shape[0]
-    n_blocks = max(1, n * m * min(P.shape[1], t) // BLOCK_WORK)
-    out = np.empty((n, t))
-    for k in range(n_blocks):
-        i, j = k * n // n_blocks, (k + 1) * n // n_blocks
-        x = P[i:j] @ M_sub.T
-        np.matmul(np.log(x, out=x), C_sub.T, out=out[i:j])
+    sel = np.arange(link.t) if rows is None else np.asarray(rows, dtype=np.intp)
+    parts = []                  # (margin set, its rows wanted, their places in sel)
+    for b in link.blocks:
+        at = np.nonzero((sel >= b.lo) & (sel < b.hi))[0]
+        if at.size:
+            within = sel[at] - b.lo
+            if np.array_equal(within, np.arange(b.hi - b.lo)):
+                within = slice(None)
+            if np.array_equal(at, np.arange(at[0], at[0] + at.size)):
+                at = slice(at[0], at[0] + at.size)
+            parts.append((b.z, within, at))
+    floor = np.exp(LOG_FLOOR)
+    joint = (1,) * link.q
+    out = np.empty((n, sel.size))
+    for i in range(0, n, BLOCK_ROWS):
+        j = min(n, i + BLOCK_ROWS)
+        X = np.empty((link.r, j - i))
+        np.copyto(X, P[i:j].T)
+        np.maximum(X, floor, out=X)
+        margins = {joint: X.reshape(*link.dims, j - i)}
+        res = np.empty((sel.size, j - i))
+        for z, within, at in parts:
+            eta = _margin_eta(_margin(margins, z), z, link.logit_types)
+            res[at] = eta.reshape(-1, j - i)[within]
+        out[i:j] = res.T
     return out
+
+
+def _front(X, ax):
+    """View of X with axis ax moved to the front."""
+    return X.transpose(ax, *range(ax), *range(ax + 1, X.ndim))
+
+
+def _margin(margins, z):
+    """Margin table of set z, axes in variable order with draws last.
+
+    Memoised in `margins` for one block; each margin is its parent's with
+    the lowest inactive variable summed out by slice adds in category
+    order, so its bits do not depend on which margins were asked for.
+    """
+    if z not in margins:
+        v = z.index(0)
+        parent = z[:v] + (1,) + z[v + 1:]
+        cells = _front(_margin(margins, parent), sum(parent[:v]))
+        acc = cells[0] + cells[1]
+        for c in cells[2:]:
+            acc += c
+        margins[z] = acc
+    return margins[z]
+
+
+def _margin_eta(X, z, kinds):
+    """eta block of margin set z from its margin table X: shape (m_i - 1
+    for each active i, draws), first active variable slowest.
+
+    Each active variable's distinct aggregates are stacked along its axis,
+    denominators before numerators as in build_logit_block: local logits
+    need the cells alone; global ones the cumulative and reverse-cumulative
+    sums; continuation ones the cell and the reverse-cumulative sum;
+    reverse-continuation ones the cumulative sum and the cell. Their logs
+    are taken once and differenced, numerator minus denominator, one
+    active axis after another.
+    """
+    active = [v for v in range(len(z)) if z[v]]
+    cuts = []
+    fresh = False
+    for ax, v in enumerate(active):
+        A, num_den = _aggregate(X, ax, kinds[v])
+        fresh |= A is not X
+        X = A
+        cuts.append(num_den)
+    L = np.log(X, out=X) if fresh else np.log(X)
+    for ax, (num, den) in enumerate(cuts):
+        L = np.subtract(L[(slice(None),) * ax + (num,)], L[(slice(None),) * ax + (den,)])
+    return L
+
+
+def _aggregate(X, ax, kind):
+    """(aggregates, (numerator slice, denominator slice)) along axis ax."""
+    cells = _front(X, ax)
+    m = len(cells)
+    if kind == "local" or m == 2:
+        return X, (slice(1, m), slice(0, m - 1))
+    A = np.empty(X.shape[:ax] + (2 * (m - 1),) + X.shape[ax + 1:])
+    agg = _front(A, ax)
+    den, num = agg[:m - 1], agg[m - 1:]
+    if kind in ("global", "reverse_continuation"):
+        np.copyto(den[0], cells[0])
+        for k in range(1, m - 1):       # cells 0..k
+            np.add(den[k - 1], cells[k], out=den[k])
+    else:
+        np.copyto(den, cells[:m - 1])
+    if kind in ("global", "continuation"):
+        np.copyto(num[-1], cells[-1])
+        for k in range(m - 3, -1, -1):  # cells k+1..m-1
+            np.add(num[k + 1], cells[k + 1], out=num[k])
+    else:
+        np.copyto(num, cells[1:])
+    return A, (slice(m - 1, 2 * m - 2), slice(0, m - 1))
 
 
 def eta_jacobian_from_logpi(logpi, link: LinkMatrices) -> np.ndarray:

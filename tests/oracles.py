@@ -116,10 +116,11 @@ def dirichlet_chunk_reference(rng, alpha, n, log_floor=-625.0):
 
 
 def eta_batch_reference(P, link, rows=None, log_floor=-625.0):
-    """eta for a batch of rows P (N, r) as one product over all rows: the
-    engine's blocked evaluation must reproduce it bit for bit."""
-    C, M = (link.C, link.M) if rows is None else link.restricted(rows)
-    return np.log(np.maximum(P, np.exp(log_floor)) @ M.T) @ C.T
+    """eta for a batch of rows P (N, r) as C log(M pi), one dense product
+    over all rows: the engine's per-variable evaluation sums and
+    differences in another order, so it must agree within 1e-12."""
+    C = link.C if rows is None else link.C[rows]
+    return np.log(np.maximum(P, np.exp(log_floor)) @ link.M.T) @ C.T
 
 
 def posterior_summary_reference(model, table, prior, n, seed, chunk=32768,

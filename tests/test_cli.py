@@ -99,6 +99,9 @@ def test_bad_manifest_is_an_input_error(tmp_path, capsys, extra, needle):
     ({"prior": 2}, "prior must be an object, got 2"),
     ({"prior": {"concentration": 0}}, "prior concentration must be a positive number, got 0"),
     ({"prior": {"concentration": "1"}}, "prior concentration must be a positive number, got '1'"),
+    ({"settings": {"log_base": "2"}}, "log_base must be one of 10, e, got '2'"),
+    ({"settings": {"log_base": 2}}, "setting 'log_base' must be a single str, got 2"),
+    ({"settings": {"log_base": "ln"}}, "log_base must be one of 10, e, got 'ln'"),
 ])
 def test_bad_run_size_or_prior_in_manifest_is_an_input_error(tmp_path, capsys, extra, needle):
     rc, _, err = run(capsys, "bf", write_manifest(tmp_path, **extra))

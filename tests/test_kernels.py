@@ -3,9 +3,11 @@
 `margbayes.link.logsumexp` must do scipy.special.logsumexp's arithmetic
 for real input, the in-place, blocked Dirichlet sampler must reproduce the
 out-of-place scipy-based recipe in `oracles.dirichlet_chunk_reference`,
-and the row-blocked eta and constraint checks must match one product over
-all rows. Equal bytes, not a tolerance: every estimate is reproducible per
-seed, and these kernels sit under all of them.
+and the row-blocked eta and constraint checks must match one evaluation
+over all rows and each draw evaluated alone. Equal bytes, not a
+tolerance: every estimate is reproducible per seed, and these kernels sit
+under all of them. Only against the dense C log(M pi) product, whose sums
+run in another order, is a tolerance (1e-12) allowed.
 """
 import itertools
 
@@ -148,23 +150,45 @@ def test_dirichlet_chunk_matches_reference(alpha):
                     "constraints": [{"kind": "stochastic_order", "direction": "ge"}]}),
     ("alzheimer", {"name": "ci", "logits": "local",                  # s = 2, strided strata
                    "constraints": [{"kind": "independence", "epsilon": 0.1}]}),
+    ("skin_trial", {"name": "sat", "logits": "local", "constraints": []}),   # full eta, 3^4
 ])
 def test_blocked_constraint_checks_match_one_product(monkeypatch, dataset, spec):
     table = load_fixture(dataset)
     ev = ModelEval(model_from_dict(spec, table.dims, table.s), table.dims, table.s)
-    # rows at which eta_batch goes from one block to two
-    C, M = ev.link.restricted(ev.local_rows)
-    block = -(-link.BLOCK_WORK // (M.shape[0] * min(M.shape[1], C.shape[0])))
-    for seed, n in ((1, block - 1), (2, block + 1), (3, 3 * block + 7), (4, 32768)):
+
+    def evaluate(P):
+        return (ev.delta(P), *ev.eq_stat_and_ineq(P), eta_batch(P[:, 0, :], ev.link))
+
+    block = link.BLOCK_ROWS
+    for seed, n in ((1, 1), (2, block - 1), (3, block + 1), (4, 3 * block + 7), (5, 32768)):
         P = _dirichlet_chunk(substream(seed, 0), np.full((table.s, table.r), 0.7), n)
-        if seed == 2:
+        if seed == 3:
             P[::5, :, 0] = 0.0                                   # below the floor
-        blocked = (ev.delta(P), *ev.eq_stat_and_ineq(P), eta_batch(P[:, 0, :], ev.link))
+        blocked = evaluate(P)
+        with monkeypatch.context() as m:
+            m.setattr(link, "BLOCK_ROWS", n)
+            whole = evaluate(P)
+        for ours, ref in zip(blocked, whole):
+            assert_same(ours, ref)
+        for k in sorted({0, n // 2, n - 1}):
+            for ours, ref in zip(evaluate(P[k:k + 1]), blocked):
+                assert_same(ours, ref[k:k + 1])
+        assert np.all(np.isfinite(blocked[-1]))
+
+        # the dense product sums in another order: eta within 1e-12, and a
+        # check may differ only for a draw within 1e-12 of a bound
+        eta_ref = eta_batch_reference(P[:, 0, :], ev.link)
+        assert np.max(np.abs(blocked[-1] - eta_ref)) <= 1e-12
         with monkeypatch.context() as m:
             m.setattr(engine, "eta_batch", eta_batch_reference)
-            whole = (ev.delta(P), *ev.eq_stat_and_ineq(P),
-                     eta_batch_reference(P[:, 0, :], ev.link))
-        for ours, ref in zip(blocked, whole):
-            assert ours.dtype == ref.dtype and ours.shape == ref.shape
-            assert ours.tobytes() == ref.tobytes()
-        assert np.all(np.isfinite(blocked[-1]))
+            dense = evaluate(P)[:3]
+            red = ev.eta_reduced(P)
+        near = np.zeros(n, dtype=bool)
+        if ev.E.shape[0]:
+            near |= np.any(np.abs(np.abs(red @ ev.E.T) - ev.epsilon) <= 1e-12, axis=1)
+            stat_tol = 1e-12 / ev.epsilon.min()
+            assert np.max(np.abs(blocked[1] - dense[1])) <= stat_tol
+        if ev.U.shape[0]:
+            near |= np.any(np.abs(red @ ev.U.T) <= 1e-12, axis=1)
+        for ours, ref in ((blocked[0], dense[0]), (blocked[2], dense[2])):
+            assert not np.any((ours != ref) & ~near)

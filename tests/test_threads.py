@@ -273,12 +273,6 @@ def test_long_loops_stop_once_given_up(loop):
         cancel.SCOPE.reset(scope)
 
 
-def test_model_eval_fills_restricted_cache_before_any_probe():
-    ev = ModelEval(model_tp2_3x3(), (3, 3), 1)
-    key = tuple(int(i) for i in ev.local_rows)
-    assert key in ev.link._restricted_cache
-
-
 # ---------------------------------------------------------------------------
 # estimates at 1, 2 and 8 threads
 # ---------------------------------------------------------------------------
