@@ -86,16 +86,36 @@ def _setting(k: str, default, v):
     raise ValueError(f"setting {k!r} must be a single {type(default).__name__}, got {v!r}")
 
 
-def _check_run(sizes: dict, concentrations) -> None:
-    """The one range check of a run's sizes and prior: a ValueError naming
-    the first size that is not a whole number >= 1, or the first prior
-    concentration that is not a positive finite number."""
+# Range of each tuning setting: (name, test of one value or list entry,
+# what the test asks). A tune_extend_factor <= 1 would never end the
+# tuner's grid extension.
+_TUNING_RANGES = (
+    ("tune_extend_factor", lambda v: 1 < v < math.inf, "a finite number > 1"),
+    ("tune_extend_max_multiplier", lambda v: 0 < v < math.inf, "a finite number > 0"),
+    ("alpha_grid", lambda v: 0 < v < math.inf, "a non-empty list of finite numbers > 0"),
+    ("margin_ladder", lambda v: 0 <= v < math.inf, "a list of finite numbers >= 0"),
+    ("tune_accept_min", lambda v: 0 <= v <= 1, "a number in [0, 1]"),
+    ("ess_floor", lambda v: v >= 0, "a number >= 0"),
+    ("max_retunes", lambda v: v >= 0, "a whole number >= 0"),
+)
+
+
+def _check_run(sizes: dict, concentrations, settings: RunSettings | None = None) -> None:
+    """The one range check of a run's sizes, prior and tuning settings: a
+    ValueError naming the first size that is not a whole number >= 1, the
+    first prior concentration that is not a positive finite number, or the
+    first tuning setting out of its range (_TUNING_RANGES)."""
     for name, v in sizes.items():
         if not isinstance(v, int) or isinstance(v, bool) or v < 1:
             raise ValueError(f"{name} must be a whole number >= 1, got {v!r}")
     for k in concentrations:
         if not _is_number(k) or not 0 < k < math.inf:
             raise ValueError(f"prior concentration must be a positive number, got {k!r}")
+    for name, ok, want in _TUNING_RANGES if settings is not None else ():
+        v = getattr(settings, name)
+        values = v if isinstance(v, tuple) else (v,)
+        if (name == "alpha_grid" and not values) or not all(ok(x) for x in values):
+            raise ValueError(f"{name} must be {want}, got {v!r}")
 
 
 def _settings_from(manifest: dict, args) -> RunSettings:
@@ -232,7 +252,7 @@ def cmd_sensitivity(args) -> int:
         if not isinstance(kappas, list):
             raise ValueError(f"concentrations must be a list, got {kappas!r}")
     _check_run({"n_draws": settings.n_draws, "pilot_n": settings.pilot_n,
-                "chunk": settings.chunk, "replicates": B}, kappas)
+                "chunk": settings.chunk, "replicates": B}, kappas, settings)
     kappas = [float(k) for k in kappas]
     t0 = time.time()
     sweeps = [{"concentration": kappa,

@@ -586,7 +586,8 @@ def tune_alpha(ev: ModelEval, target_alpha: np.ndarray, center: np.ndarray,
     nothing on it reaches the floor.
 
     Returns (ImportanceDensity, diagnostics). Raises TuningError when no
-    concentration, extended included, yields a single accepted draw.
+    concentration, extended included, yields a single accepted draw, and
+    EngineError before any probe when tune_extend_factor is not above 1.
 
     The grid probes are one of the engine's fan-out points (see
     _ordered_map): they run on whatever is left of the process-wide thread
@@ -602,6 +603,9 @@ def tune_alpha(ev: ModelEval, target_alpha: np.ndarray, center: np.ndarray,
     grid = list(grid if grid is not None else settings.alpha_grid)
     if not grid or any(a <= 0 for a in grid):
         raise EngineError("alpha grid must be non-empty and positive")
+    if not settings.tune_extend_factor > 1:      # the extension would never grow
+        raise EngineError(
+            f"tune_extend_factor must be > 1, got {settings.tune_extend_factor!r}")
     results = []
 
     probe_n = max(4000, settings.pilot_n // 4)
@@ -730,8 +734,7 @@ _CENTRES: ContextVar[_CentreMemo | None] = ContextVar("margbayes_centres", defau
 def _centre_key(side: str, fit_model: ModelSpec, table: StratifiedTable,
                 settings: RunSettings, margin: float) -> tuple:
     """Everything the centring fit reads. The interior margin enters the
-    fit only through the inequality rows, so equality-only models share
-    one fit across the margin ladder."""
+    fit only through the inequality rows."""
     cs = fit_model.constraints
     key = [side, tuple(fit_model.logit_types), tuple(table.dims), table.s,
            settings.smoothing]
@@ -746,13 +749,11 @@ def _centre_key(side: str, fit_model: ModelSpec, table: StratifiedTable,
 
 
 def _centre(side: str, model: ModelSpec, table: StratifiedTable,
-            settings: RunSettings, margin: float | None = None):
+            settings: RunSettings, margin: float):
     """Importance-density centre per the side: the flat-likelihood interior
     point for the prior, the constrained MLE for the posterior. Inside a
     replicate_bf call a problem already solved there is not fitted again."""
     fit_model = _centring_model(model, side)
-    if margin is None:
-        margin = settings.prior_margin if side == "prior" else 0.0
 
     def fit():
         if side == "prior":
@@ -776,11 +777,24 @@ def _centre(side: str, model: ModelSpec, table: StratifiedTable,
 def _tuned_density(side: str, ev: ModelEval, target_alpha, model, table,
                    settings: RunSettings, seed: int, grid=None):
     """Centre + tune, walking the interior-margin ladder until the pilot
-    ESS looks healthy (or nothing works at any margin)."""
-    margins = [None] + list(settings.margin_ladder)
+    ESS looks healthy (or nothing works at any margin). The ladder is the
+    side's default margin (prior_margin for the prior, 0 for the
+    posterior), then margin_ladder.
+
+    The ladder walks distinct centring problems: a rung whose margin is
+    that of an earlier rung, or any rung after the first when the model
+    has no inequality rows (the margin then never reaches the fit), is
+    skipped. Rung j tunes with seed + j whether or not rungs before it
+    were skipped."""
+    default = settings.prior_margin if side == "prior" else 0.0
+    walked = set()
     last_err = None
     best = None
-    for j, margin in enumerate(margins):
+    for j, margin in enumerate([default, *settings.margin_ladder]):
+        problem = margin if model.constraints.n_ineq else None
+        if problem in walked:
+            continue
+        walked.add(problem)
         try:
             center, kind = _centre(side, model, table, settings, margin)
             g, diag = tune_alpha(ev, target_alpha, center, settings,
@@ -1169,6 +1183,11 @@ def jeffreys_label(log_bf: float) -> str:
 # Posterior draws under an accepted model
 # ---------------------------------------------------------------------------
 
+# columns per block of the posterior quantiles: a block's private transposed
+# copy is small, so a stratum's eta is never held twice
+_SUMMARY_COLS = 8
+
+
 @dataclass
 class PosteriorSummary:
     n_drawn: int
@@ -1204,8 +1223,9 @@ def posterior_draws_under_model(model: ModelSpec, table: StratifiedTable,
     Each stratum's summaries are one unit of _ordered_map: the quantiles
     of its pi columns, then its eta rows (one eta_batch call), their mean
     and their quantiles. Both quantile levels are taken in one partition
-    of a private transposed copy, so the bits are those of two separate
-    np.quantile calls over the whole array.
+    of a small private transposed copy of a few columns; a column's
+    partition does not depend on the other columns, so the bits are those
+    of two separate np.quantile calls over the whole array.
     """
     if n < 1:
         raise EngineError(f"need n >= 1 posterior draws, got {n}")
@@ -1235,16 +1255,18 @@ def posterior_draws_under_model(model: ModelSpec, table: StratifiedTable,
     q = [(1 - level) / 2, 1 - (1 - level) / 2]
 
     def quantiles(X):
-        # (2, columns); X is a private (columns, draws) copy, partitioned in place
-        return np.quantile(X, q, axis=1, overwrite_input=True)
+        # (2, columns) of X (draws, columns), _SUMMARY_COLS columns at a time,
+        # each block from a private (columns, draws) copy partitioned in place
+        out = np.empty((2, X.shape[1]))
+        for c in range(0, X.shape[1], _SUMMARY_COLS):
+            block = np.ascontiguousarray(X[:, c:c + _SUMMARY_COLS].T)
+            out[:, c:c + _SUMMARY_COLS] = np.quantile(block, q, axis=1, overwrite_input=True)
+        return out
 
     def summarise(b):
-        pi_q = quantiles(np.ascontiguousarray(P[:, b, :].T))
+        pi_q = quantiles(P[:, b, :])
         eta = eta_batch(P[:, b, :], ev.link)
-        eta_mean = eta.mean(axis=0)
-        eta_t = np.ascontiguousarray(eta.T)
-        del eta
-        return pi_q, eta_mean, quantiles(eta_t)
+        return pi_q, eta.mean(axis=0), quantiles(eta)
 
     pi_q, eta_mean, eta_q = zip(*_ordered_map(summarise, range(table.s)))
     pi_q = np.stack(pi_q, axis=1)                # (2, s, r)

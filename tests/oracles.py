@@ -157,3 +157,53 @@ def posterior_summary_reference(model, table, prior, n, seed, chunk=32768,
             f"acceptance {frac:.2e} is tiny; summaries rest on few draws and an "
             "about-equality route is likely more appropriate"],
     }
+
+
+def _log_gamma_density(a: float, h: float):
+    """Density of log G, G ~ Gamma(a), on the grid k*h over its mass:
+    (first k, values). The grid runs 22 sd below the mean (the heavy
+    side) and 10 above."""
+    from scipy.special import digamma, gammaln, polygamma
+
+    mu, sd = digamma(a), np.sqrt(polygamma(1, a))
+    k = np.arange(np.floor((mu - 22 * sd) / h), np.ceil((mu + 10 * sd) / h) + 1)
+    x = k * h
+    return int(k[0]), np.exp(a * x - np.exp(x) - gammaln(a))
+
+
+def _sum_density(d1, d2, h: float):
+    """Density of the sum of two independent grid densities."""
+    (k1, f1), (k2, f2) = d1, d2
+    return k1 + k2, h * np.convolve(f1, f2)
+
+
+def _difference_density_at(S, T, m: int, h: float) -> float:
+    """Density of S - T at m*h: h * sum_i f_S(s_i) f_T(s_i - m*h)."""
+    (kS, fS), (kT, fT) = S, T
+    off = kS - kT - m                     # f_T index of s_i - m*h is i + off
+    i0, i1 = max(0, -off), min(fS.size, fT.size - off)
+    return h * float(fS[i0:i1] @ fT[i0 + off:i1 + off]) if i1 > i0 else 0.0
+
+
+def about_equality_2x2(counts, eps: float, kappa: float = 1.0, h: float = 0.01) -> float:
+    """P(|log odds ratio| <= eps) under Dirichlet(kappa + counts) on a 2x2
+    table, cells in row-major order.
+
+    The cells are normalised independent gammas G_i ~ Gamma(kappa + n_i),
+    so the log odds ratio is L1 + L4 - L2 - L3 with L_i = log G_i. The
+    densities of S = L1 + L4 and T = L2 + L3 are direct numerical
+    convolutions on a grid of step at most h (the trapezoid rule, which
+    for these smooth, fast-decaying densities is accurate far beyond the
+    step); the density of S - T is then taken at the grid points of
+    [-eps, eps] and integrated by Simpson's rule.
+    """
+    k = int(np.ceil(eps / h))
+    h = eps / k                           # +-eps fall on the grid
+    a = kappa + np.asarray(counts, dtype=float)
+    dens = [_log_gamma_density(ai, h) for ai in a]
+    S = _sum_density(dens[0], dens[3], h)
+    T = _sum_density(dens[1], dens[2], h)
+    f = np.array([_difference_density_at(S, T, m, h) for m in range(-k, k + 1)])
+    w = np.ones(2 * k + 1)
+    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+    return float(h / 3.0 * (w @ f))

@@ -138,3 +138,36 @@ def test_bad_posterior_run_is_an_input_error(tmp_path, capsys, flags, needle):
     rc, _, err = run(capsys, "posterior", "father_son", str(model), *flags)
     assert rc == 1
     assert err.startswith("input error") and needle in err
+
+
+@pytest.mark.parametrize("extra,needle", [
+    # a factor <= 1 never grows the tuner's grid extension, which then
+    # never ends once no grid probe qualifies
+    ({"tune_extend_factor": 1}, "tune_extend_factor must be a finite number > 1, got 1.0"),
+    ({"tune_extend_factor": 0.5}, "tune_extend_factor must be a finite number > 1, got 0.5"),
+    ({"tune_extend_factor": "2"}, "setting 'tune_extend_factor' must be a single float, got '2'"),
+    ({"tune_extend_factor": float("nan")}, "tune_extend_factor must be a finite number > 1"),
+    ({"tune_extend_max_multiplier": 0}, "tune_extend_max_multiplier must be a finite number > 0"),
+    ({"tune_extend_max_multiplier": float("inf")},
+     "tune_extend_max_multiplier must be a finite number > 0, got inf"),
+    ({"alpha_grid": []}, "alpha_grid must be a non-empty list of finite numbers > 0, got ()"),
+    ({"alpha_grid": [1, 0]}, "alpha_grid must be a non-empty list of finite numbers > 0"),
+    ({"margin_ladder": [0.5, -1]}, "margin_ladder must be a list of finite numbers >= 0"),
+    ({"margin_ladder": [float("inf")]}, "margin_ladder must be a list of finite numbers >= 0"),
+    ({"tune_accept_min": 1.5}, "tune_accept_min must be a number in [0, 1], got 1.5"),
+    ({"tune_accept_min": -0.1}, "tune_accept_min must be a number in [0, 1], got -0.1"),
+    ({"ess_floor": -1}, "ess_floor must be a number >= 0, got -1.0"),
+    ({"max_retunes": -1}, "max_retunes must be a whole number >= 0, got -1"),
+])
+def test_bad_tuning_setting_is_an_input_error(tmp_path, capsys, extra, needle):
+    rc, _, err = run(capsys, "bf", write_manifest(tmp_path, settings={
+        "n_draws": 4000, "pilot_n": 2000, **extra}))
+    assert rc == 1
+    assert err.startswith("input error") and needle in err
+
+
+def test_tuning_settings_at_their_bounds_run(tmp_path, capsys):
+    rc, _, _ = run(capsys, "bf", write_manifest(tmp_path, settings={
+        "n_draws": 4000, "pilot_n": 2000, "tune_accept_min": 0, "ess_floor": 0,
+        "max_retunes": 0, "margin_ladder": []}))
+    assert rc == 0

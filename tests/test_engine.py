@@ -37,7 +37,7 @@ from margbayes import engine
 from margbayes.engine import _importance_stream, substream
 from margbayes.hypotheses import ConstraintSet, model_from_dict
 
-from oracles import posterior_summary_reference
+from oracles import about_equality_2x2, posterior_summary_reference
 
 
 def table_2x2(counts=(40.0, 10.0, 12.0, 38.0)):
@@ -255,6 +255,20 @@ def test_tune_alpha_error_when_nothing_accepts():
         tune_alpha(ev, prior.concentration, np.full((1, 4), 0.25), settings, seed=10)
 
 
+@pytest.mark.parametrize("factor", [1.0, 0.5])
+def test_tune_alpha_rejects_an_extension_that_never_grows(monkeypatch, factor):
+    # a tight tube where nothing on the grid qualifies, so the extension
+    # would run, and with a factor <= 1 never end
+    probes = []
+    monkeypatch.setattr(engine, "_importance_stream", lambda *a: probes.append(a))
+    ev = ModelEval(model_indep(eps=0.01), (2, 2), 1)
+    settings = RunSettings(pilot_n=4_000, chunk=4096, alpha_grid=(0.5, 1.0),
+                           tune_extend_factor=factor)
+    with pytest.raises(engine.EngineError, match="tune_extend_factor must be > 1"):
+        tune_alpha(ev, np.ones((1, 4)), np.full((1, 4), 0.25), settings, seed=9)
+    assert probes == []
+
+
 # ---------------------------------------------------------------------------
 # Bayes factors
 # ---------------------------------------------------------------------------
@@ -363,6 +377,19 @@ def test_about_equality_determinism():
     assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
 
 
+def test_about_equality_fixed_epsilon_matches_exact_2x2():
+    # log10 P_post(|log OR| <= 0.1) - log10 P_prior(|log OR| <= 0.1) under a
+    # flat prior, exactly -2.2926; the seed mean must lie within 4 SE of it
+    counts, eps = (30.0, 10.0, 12.0, 25.0), 0.1
+    exact = np.log10(about_equality_2x2(counts, eps, 1.0)
+                     / about_equality_2x2((0, 0, 0, 0), eps, 1.0))
+    sched = EpsilonSchedule(epsilon_start=eps, max_stages=1)
+    ests = [about_equality_bf(model_indep(eps=eps), table_2x2(counts), PriorSpec.flat(4, 1, 1.0),
+                              sched, SMALL, seed=seed).log10_bf for seed in range(1, 13)]
+    se = np.std(ests, ddof=1) / np.sqrt(len(ests))
+    assert abs(np.mean(ests) - exact) < 4 * se
+
+
 # ---------------------------------------------------------------------------
 # replication, comparison, labels
 # ---------------------------------------------------------------------------
@@ -453,7 +480,9 @@ def test_centring_fits_made_once_per_problem_equality_model(monkeypatch):
     first = replicate_bf(model, table, prior, settings, B=1, seed=5, schedule=sched)
     n_first = len(calls)
     # the interior margin reaches the fit only through inequality rows, so
-    # every rung of the margin ladder poses the same problem here
+    # the margin ladder has one rung here, and the two strata's prior parts
+    # pose one problem: one prior fit and one posterior fit per stratum
+    assert [c[0] for c in calls] == ["prior_center", "mle", "mle"]
     assert n_first == len({c[:-1] for c in calls})
 
     second = replicate_bf(model, table, prior, settings, B=1, seed=5, schedule=sched)
@@ -461,14 +490,14 @@ def test_centring_fits_made_once_per_problem_equality_model(monkeypatch):
         json.dumps(second.to_dict(), sort_keys=True)
     assert len(calls) == 2 * n_first            # nothing carried over between calls
 
-    # outside replicate_bf every rung fits again, the same problems, to the
-    # same estimate
+    # outside replicate_bf each of the four chain parts (two sides, two
+    # strata) fits once, the same problems, to the same estimate
     problems = {c[:-1] for c in calls}
     del calls[:]
     rep_seed = first.components["replicates"][0]["seed"]
     plain = bayes_factor(model, table, prior, settings, rep_seed, sched)
     assert plain.log10_bf == first.log10_bf
-    assert len(calls) > n_first and {c[:-1] for c in calls} == problems
+    assert len(calls) == 4 and {c[:-1] for c in calls} == problems
 
     sub = engine._centring_model(model, "prior")
     pcs = [fitmod.prior_center(sub, table.dims, table.s, interior_margin=m)
@@ -487,6 +516,56 @@ def test_centring_fits_keep_distinct_margins_for_inequalities(monkeypatch):
     replicate_bf(model_pa((3, 3)), t, PriorSpec.flat(9, 1, 1.0), settings, B=2, seed=8)
     margins = {kind: [c[-1] for c in calls if c[0] == kind] for kind in ("prior_center", "mle")}
     assert margins == {"prior_center": [1.0, 0.25, 2.0], "mle": [0.0, 0.25, 1.0, 2.0]}
+
+
+# ---------------------------------------------------------------------------
+# the margin ladder walks distinct centring problems
+# ---------------------------------------------------------------------------
+
+def record_tunes(monkeypatch):
+    """The seed of each tune_alpha call the engine makes."""
+    seeds = []
+    orig = engine.tune_alpha
+
+    def tune_alpha(ev, target_alpha, center, settings, seed, **kw):
+        seeds.append(seed)
+        return orig(ev, target_alpha, center, settings, seed, **kw)
+
+    monkeypatch.setattr(engine, "tune_alpha", tune_alpha)
+    return seeds
+
+
+def ladder_walk(monkeypatch, model, table, side, seed=100):
+    """(fit margin, tuning seed offset) of each rung one _tuned_density call
+    runs, with an ESS target no pilot reaches so that no rung ends the walk."""
+    settings = RunSettings(pilot_n=4_000, chunk=4096, ess_floor=1e9, alpha_grid=(5.0, 50.0))
+    prior = PriorSpec.flat(table.r, table.s, 1.0)
+    target = prior.concentration if side == "prior" else prior.posterior(table)
+    fits, seeds = record_fits(monkeypatch), record_tunes(monkeypatch)
+    engine._tuned_density(side, ModelEval(model, table.dims, table.s), target, model,
+                          table, settings, seed)
+    assert len(fits) == len(seeds)
+    return [(c[-1], s - seed) for c, s in zip(fits, seeds)]
+
+
+@pytest.mark.parametrize("side,margin", [("prior", 1.0), ("posterior", 0.0)])
+def test_ladder_tunes_an_equality_model_once(monkeypatch, side, margin):
+    # the margin reaches the centring fit only through inequality rows
+    walk = ladder_walk(monkeypatch, model_indep(eps=0.1), table_2x2((30.0, 10.0, 12.0, 25.0)),
+                       side)
+    assert walk == [(margin, 0)]
+
+
+def test_ladder_skips_a_repeated_margin_and_keeps_rung_seeds(monkeypatch):
+    t = StratifiedTable(("all",), (ContingencyTable((3, 3), np.array(
+        [20.0, 9.0, 4.0, 8.0, 15.0, 9.0, 3.0, 10.0, 22.0])),))
+    # the first rung is prior_margin = 1.0 on the prior side, so rung 1.0 repeats it
+    assert ladder_walk(monkeypatch, model_pa((3, 3)), t, "prior") == \
+        [(1.0, 0), (0.25, 1), (2.0, 3)]
+    monkeypatch.undo()
+    # the first rung is 0.0 on the posterior side: every rung is a new problem
+    assert ladder_walk(monkeypatch, model_pa((3, 3)), t, "posterior") == \
+        [(0.0, 0), (0.25, 1), (1.0, 2), (2.0, 3)]
 
 
 def test_compare_models_antisymmetric_and_zero():
