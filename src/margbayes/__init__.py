@@ -70,10 +70,8 @@ from .engine import (
     RunSettings,
     TuningError,
     UnboundedEstimateError,
-    about_equality_bf,
     bayes_factor,
     compare_models,
-    estimate_bf,
     estimate_proportion_direct,
     jeffreys_label,
     make_density,

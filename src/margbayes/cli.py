@@ -86,18 +86,31 @@ def _setting(k: str, default, v):
     raise ValueError(f"setting {k!r} must be a single {type(default).__name__}, got {v!r}")
 
 
-# Range of each tuning setting: (name, test of one value or list entry,
+# Range of each tuning setting: name -> (test of one value or list entry,
 # what the test asks). A tune_extend_factor <= 1 would never end the
-# tuner's grid extension.
-_TUNING_RANGES = (
-    ("tune_extend_factor", lambda v: 1 < v < math.inf, "a finite number > 1"),
-    ("tune_extend_max_multiplier", lambda v: 0 < v < math.inf, "a finite number > 0"),
-    ("alpha_grid", lambda v: 0 < v < math.inf, "a non-empty list of finite numbers > 0"),
-    ("margin_ladder", lambda v: 0 <= v < math.inf, "a list of finite numbers >= 0"),
-    ("tune_accept_min", lambda v: 0 <= v <= 1, "a number in [0, 1]"),
-    ("ess_floor", lambda v: v >= 0, "a number >= 0"),
-    ("max_retunes", lambda v: v >= 0, "a whole number >= 0"),
-)
+# tuner's grid extension, and a negative smoothing sends the centring fit
+# to its iteration cap. A direct_threshold above 1 is kept: it sends every
+# side down the importance route.
+_TUNING_RANGES = {
+    "tune_extend_factor": (lambda v: 1 < v < math.inf, "a finite number > 1"),
+    "tune_extend_max_multiplier": (lambda v: 0 < v < math.inf, "a finite number > 0"),
+    "alpha_grid": (lambda v: 0 < v < math.inf, "a non-empty list of finite numbers > 0"),
+    "margin_ladder": (lambda v: 0 <= v < math.inf, "a list of finite numbers >= 0"),
+    "tune_accept_min": (lambda v: 0 <= v <= 1, "a number in [0, 1]"),
+    "ess_floor": (lambda v: v >= 0, "a number >= 0"),
+    "max_retunes": (lambda v: v >= 0, "a whole number >= 0"),
+    "smoothing": (lambda v: 0 <= v < math.inf, "a finite number >= 0"),
+    "prior_margin": (lambda v: 0 <= v < math.inf, "a finite number >= 0"),
+    "direct_threshold": (lambda v: 0 <= v < math.inf, "a finite number >= 0"),
+}
+
+
+def _check_tuning(name: str, v) -> None:
+    """A ValueError naming the tuning setting when v is out of its range."""
+    ok, want = _TUNING_RANGES[name]
+    values = v if isinstance(v, tuple) else (v,)
+    if (name == "alpha_grid" and not values) or not all(ok(x) for x in values):
+        raise ValueError(f"{name} must be {want}, got {v!r}")
 
 
 def _check_run(sizes: dict, concentrations, settings: RunSettings | None = None) -> None:
@@ -111,11 +124,8 @@ def _check_run(sizes: dict, concentrations, settings: RunSettings | None = None)
     for k in concentrations:
         if not _is_number(k) or not 0 < k < math.inf:
             raise ValueError(f"prior concentration must be a positive number, got {k!r}")
-    for name, ok, want in _TUNING_RANGES if settings is not None else ():
-        v = getattr(settings, name)
-        values = v if isinstance(v, tuple) else (v,)
-        if (name == "alpha_grid" and not values) or not all(ok(x) for x in values):
-            raise ValueError(f"{name} must be {want}, got {v!r}")
+    for name in _TUNING_RANGES if settings is not None else ():
+        _check_tuning(name, getattr(settings, name))
 
 
 def _settings_from(manifest: dict, args) -> RunSettings:
@@ -187,6 +197,9 @@ def _emit(report: dict, args) -> None:
             ref = f"  vs-ref {r['vs_reference']:+.3f}" if "vs_reference" in r else ""
             print(f"{r['model']:>24}: log BF = {r['log_bf']:+9.3f}  sd {r['sd']:.3f}  "
                   f"[{r['label']}] ({r['route']}){ref}")
+            for i, rep in enumerate(r["estimate"]["components"]["replicates"], 1):
+                for w in rep["warnings"]:
+                    print(f"warning: {r['model']} replicate {i}: {w}")
         for k in ("dataset", "n", "elapsed_s"):
             if k in report:
                 print(f"# {k} = {report[k]}")
@@ -281,6 +294,7 @@ def cmd_sensitivity(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    _check_tuning("smoothing", args.smoothing)
     table = _load_dataset(args.dataset, Path.cwd())
     obj = json.loads(Path(args.model).read_text())
     model = model_from_dict(obj, table.dims, table.s)

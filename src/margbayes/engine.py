@@ -2,9 +2,10 @@
 
 Estimates constraint-satisfaction proportions under the encompassing
 Dirichlet prior and posterior (directly, or by importance sampling with a
-tuned Dirichlet centred at a constrained fit), assembles Bayes factors as
-posterior-over-prior proportion ratios, and runs the geometric
-epsilon-shrinking chain for about-equality models.
+tuned Dirichlet centred at a constrained fit) and assembles Bayes factors
+as posterior-over-prior proportion ratios. bayes_factor is the one route:
+a model with about-equality rows runs the geometric epsilon-shrinking
+chain, and an inequality-only model is that chain's first level.
 
 All weight arithmetic is in log space; draws are generated per stratum
 from log-gamma variates (small shapes boosted) so tiny cell probabilities
@@ -17,13 +18,12 @@ _units splits it.
 
 Independent units of work run concurrently through _ordered_map, under one
 process-wide budget of _THREADS threads: the replicates of replicate_bf,
-the strata of _side_estimate, the chain parts of about_equality_bf (built,
+the parts of bayes_factor (both sides times each stratum unit; built,
 then re-checked at each level), the grid probes of tune_alpha and the
-strata of posterior_draws_under_model's summaries. Each
-unit draws from its own substream and results are combined in input
-order, so every estimate is the same bits whatever the thread count. The
-two sides of estimate_bf run one after the other (see there). Once a unit
-fails, the units after it stop at their next cancel.check().
+strata of posterior_draws_under_model's summaries. Each unit draws from
+its own substream and results are combined in input order, so every
+estimate is the same bits whatever the thread count. Once a unit fails,
+the units after it stop at their next cancel.check().
 """
 from __future__ import annotations
 
@@ -138,11 +138,6 @@ class ProportionEstimate:
     max_abs_log_weight: float = 0.0
     warnings: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["alpha"] = list(self.alpha) if self.alpha is not None else None
-        return d
-
 
 @dataclass
 class EpsilonSchedule:
@@ -200,7 +195,7 @@ class BFEstimate:
     replicates: list                 # per-replicate log10 values
     mean: float                      # mean of replicates (log10)
     sd: float
-    route: str                       # "direct+importance mix" | "about_equality"
+    route: str                       # "<prior route>/<posterior route>", e.g. "direct/importance"
     components: dict
     settings: dict
 
@@ -774,6 +769,58 @@ def _centre(side: str, model: ModelSpec, table: StratifiedTable,
     return memo.get(_centre_key(side, fit_model, table, settings, margin), fit)
 
 
+def _max_slack(G: np.ndarray, h: np.ndarray, tol: float = 1e-12) -> float:
+    """max s over (x, s), x free, subject to G x + s <= h and s <= 1.
+
+    A dense tableau simplex with Bland's rule, which cannot cycle: x is
+    split into its positive and negative parts and s = s0 + sigma with
+    s0 = min(h, 1), so the slack basis at x = 0, sigma = 0 is feasible.
+    Returns inf, which reads as slack, if the pivots do not settle.
+    """
+    m, n = G.shape
+    s0 = min(float(np.min(h, initial=1.0)), 1.0)
+    width = 2 * n + 1                            # x+, x-, sigma
+    T = np.zeros((m + 2, width + m + 2))
+    T[:m, :n], T[:m, n:2 * n] = G, -G
+    T[:m + 1, 2 * n] = 1.0                       # the last constraint row is sigma <= 1 - s0
+    T[:m + 1, width:width + m + 1] = np.eye(m + 1)
+    T[:m, -1], T[m, -1] = h - s0, 1.0 - s0
+    T[-1, 2 * n] = -1.0                          # maximise sigma
+    basis = list(range(width, width + m + 1))
+    for _ in range(50 * (m + n + 2)):
+        entering = np.flatnonzero(T[-1, :-1] < -tol)
+        if not entering.size:
+            return s0 + T[-1, -1]
+        j = entering[0]
+        rows = np.flatnonzero(T[:-1, j] > tol)
+        if not rows.size:
+            return np.inf
+        ratios = T[rows, -1] / T[rows, j]
+        i = min(rows[ratios <= ratios.min() + tol], key=basis.__getitem__)
+        T[i] /= T[i, j]
+        pivot_row = T[i].copy()
+        T -= np.outer(T[:, j], pivot_row)
+        T[i] = pivot_row
+        basis[i] = j
+    return np.inf
+
+
+def _has_interior(side: str, model: ModelSpec, margin: float) -> bool:
+    """Whether the side's centring problem at this interior margin has an
+    interior point: one LP over (eta, s) maximises the slack s subject to
+    U eta - s >= margin, |E_j eta| <= eps_j (1 - s) and s <= 1, and the
+    answer is s* > 1e-9. The tube rows measure their slack as a share of
+    the tolerance, so the answer does not hang on its size. Without an
+    interior the fit runs to its iteration cap, and at margin 0 the region
+    has probability 0 under every Dirichlet, so no draw could be
+    accepted."""
+    cs = _centring_model(model, side).constraints
+    E = cs.E / cs.epsilon[:, None]
+    G = np.vstack([-cs.U, E, -E])                # G eta + s <= h
+    h = np.concatenate([np.full(cs.n_ineq, -float(margin)), np.ones(2 * cs.n_eq)])
+    return _max_slack(G, h) > 1e-9
+
+
 def _tuned_density(side: str, ev: ModelEval, target_alpha, model, table,
                    settings: RunSettings, seed: int, grid=None):
     """Centre + tune, walking the interior-margin ladder until the pilot
@@ -784,8 +831,10 @@ def _tuned_density(side: str, ev: ModelEval, target_alpha, model, table,
     The ladder walks distinct centring problems: a rung whose margin is
     that of an earlier rung, or any rung after the first when the model
     has no inequality rows (the margin then never reaches the fit), is
-    skipped. Rung j tunes with seed + j whether or not rungs before it
-    were skipped."""
+    skipped, and so is a rung whose problem has no interior
+    (_has_interior), without a fit. Rung j tunes with seed + j whether or
+    not rungs before it were skipped. Raises TuningError when no rung has
+    an interior."""
     default = settings.prior_margin if side == "prior" else 0.0
     walked = set()
     last_err = None
@@ -795,6 +844,10 @@ def _tuned_density(side: str, ev: ModelEval, target_alpha, model, table,
         if problem in walked:
             continue
         walked.add(problem)
+        if not _has_interior(side, model, margin):
+            last_err = last_err or TuningError(
+                f"the {side}-side constraint region has no interior at margin {margin:g}")
+            continue
         try:
             center, kind = _centre(side, model, table, settings, margin)
             g, diag = tune_alpha(ev, target_alpha, center, settings,
@@ -831,168 +884,99 @@ def _units(ev: ModelEval, table: StratifiedTable) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Side estimates (proportion under prior or posterior)
+# Bayes factors: one route for every model
 # ---------------------------------------------------------------------------
 
-def _combine_product(parts, n_draws: int) -> ProportionEstimate:
-    """Product of independent per-stratum proportion estimates."""
-    log_value = float(sum(p.log_value for p in parts))
-    finite = np.isfinite(log_value)
-    rel_se = float(np.sqrt(sum(min(p.rel_se, 1e6) ** 2 for p in parts))) if finite else np.inf
-    value = float(np.exp(log_value)) if finite else 0.0
-    routes = sorted({p.route for p in parts})
-    warnings = [w for p in parts for w in p.warnings]
-    mults = [p.multiplier for p in parts]
-    return ProportionEstimate(
-        value=value, n_draws=n_draws,
-        ess=float(min(p.ess for p in parts)),
-        se=value * rel_se if finite else 0.0,
-        route="+".join(routes),
-        log_value=log_value, rel_se=rel_se,
-        accepted=int(min(p.accepted for p in parts)),
-        multiplier=None if all(m is None for m in mults) else
-        float(max(m for m in mults if m is not None)),
-        alpha=[float(a) for p in parts if p.alpha for a in p.alpha] or None,
-        max_abs_log_weight=float(max(p.max_abs_log_weight for p in parts)),
-        warnings=warnings,
-    )
+class _Part:
+    """One side of a Bayes factor over one _units unit: a sample that one
+    level after another reweights.
 
+    The pilot routes it: when the pilot accepts at least direct_threshold
+    of its draws, the sample comes from the side's target, else from a
+    density tuned on the region. Only the draws that the level-1 model
+    accepts are kept, each with its equality statistic relative to the
+    level-1 tolerances and, if tuned, its log-weight. A level at tolerance
+    scale c <= 1 accepts the kept draws with statistic <= c. A model
+    without equality rows has no statistic (stat is None): it has one
+    level, which accepts every kept draw.
+    """
 
-def _side_estimate_one(side, ev, target_alpha, table, settings, seed, path):
-    """Pilot-routed estimate over one (possibly joint) evaluation unit."""
-    if ev.cs.is_empty():                 # no constraint: every draw is accepted
-        return _direct_result(settings.n_draws, settings.n_draws)
-    pilot = _direct_stream(ev, target_alpha, settings.pilot_n,
-                           substream(seed, side, "pilot", *path), settings.chunk)
-    if pilot.value >= settings.direct_threshold:
-        return _direct_stream(ev, target_alpha, settings.n_draws,
-                              substream(seed, side, "main", *path), settings.chunk)
-    g, diag = _tuned_density(side, ev, target_alpha, ev.model, table, settings,
-                             _tune_seed(seed, side, path))
-    est = _importance_stream(ev, target_alpha, g, settings.n_draws,
-                             substream(seed, side, "main", *path), settings.chunk)
-    if diag.get("fallback"):
-        est.warnings.append(f"tuner fell back to {diag['fallback']}")
-    return est
-
-
-def _side_estimate(side: str, ev: ModelEval, target_alpha, table,
-                   settings: RunSettings, seed: int) -> ProportionEstimate:
-    """Route selection per the pilot acceptance; stratum-separable models
-    factorise into independent per-stratum estimates."""
-    def one(unit):
-        e, sl, t, path = unit
-        return _side_estimate_one(side, e, target_alpha[sl], t, settings, seed, path)
-
-    parts = _ordered_map(one, _units(ev, table))
-    # a split has one unit per stratum and at least two strata
-    return parts[0] if len(parts) == 1 else _combine_product(parts, settings.n_draws)
-
-
-# ---------------------------------------------------------------------------
-# Bayes factors: plain proportion ratio (inequality-only models)
-# ---------------------------------------------------------------------------
-
-def estimate_bf(model: ModelSpec, table: StratifiedTable, prior: PriorSpec,
-                settings: RunSettings, seed: int) -> BFEstimate:
-    """log Bayes factor of an inequality-constrained model versus the
-    encompassing model: posterior over prior satisfaction proportions."""
-    if model.constraints.n_eq:
-        raise EngineError(
-            f"model {model.name!r} has about-equality rows; use about_equality_bf"
-        )
-    ev = ModelEval(model, table.dims, table.s)
-    post_alpha = prior.posterior(table)
-    # One side after the other, not through _ordered_map: a model that
-    # cannot be tuned fails on its prior side, and its centring fits and
-    # probes are mostly Python, so a posterior side run beside them holds
-    # the GIL and makes that failure several times slower to come.
-    c_side = _side_estimate("prior", ev, prior.concentration, table, settings, seed)
-    d_side = _side_estimate("posterior", ev, post_alpha, table, settings, seed)
-    for side, est in (("prior", c_side), ("posterior", d_side)):
-        if est.value == 0.0 and est.ess == 0.0:
-            raise UnboundedEstimateError(side)
-    ln_bf = d_side.log_value - c_side.log_value
-    log10 = ln_bf / LN10
-    return BFEstimate(
-        log10_bf=float(log10), ln_bf=float(ln_bf),
-        replicates=[float(log10)], mean=float(log10), sd=0.0,
-        route=f"{c_side.route}/{d_side.route}",
-        components={"prior": c_side.to_dict(), "posterior": d_side.to_dict(),
-                    "model": model.name},
-        settings={"seed": int(seed), **settings.to_dict()},
-    )
-
-
-# ---------------------------------------------------------------------------
-# Shrinking chain (about-equality models)
-# ---------------------------------------------------------------------------
-
-class _ChainPart:
-    """One reweightable importance sample for the chain: per-draw
-    log-weights plus the equality statistics and inequality flags of the
-    model, all relative to the stage-1 tolerances so one sample serves
-    every level."""
-
-    def __init__(self, side, model, target_alpha, table, settings, seed, path):
+    def __init__(self, side, ev, target_alpha, table, settings, seed, path):
         self.side = side
+        self.ev = ev                        # constraints at level-1 epsilon
+        self.target_alpha = target_alpha
+        self.table = table
         self.settings = settings
         self.seed = seed
         self.path = path
-        self.table = table
-        self.target_alpha = target_alpha
-        self.model = model                  # constraints at stage-1 epsilon
-        self.ev = ModelEval(model, table.dims, table.s)
         self.draw_key = 0
-        self.g = None
-        self._draw(scale=1.0)
+        self.g = self.diag = None
+        if ev.cs.is_empty():                # no constraint: every draw is accepted
+            self.kept, self.stat, self.logw = settings.n_draws, None, None
+            return
+        pilot = _direct_stream(ev, target_alpha, settings.pilot_n,
+                               substream(seed, side, "pilot", *path), settings.chunk)
+        self._draw(1.0, direct=pilot.value >= settings.direct_threshold)
 
-    def _draw(self, scale):
-        """Tune on the region at the current tolerance scale and draw a
-        fresh sample; stats stay normalised to stage-1 epsilon."""
-        now, ev_now = self.model, self.ev
-        cs = now.constraints
-        if cs.n_eq and scale != 1.0:
-            now = ModelSpec(now.name, now.logit_types,
-                            cs.with_epsilon(cs.epsilon * scale), now.notes)
-            ev_now = ModelEval(now, self.table.dims, self.table.s)
-        grid = None
-        if self.g is not None:
-            m = self.g.multiplier
-            grid = [m * f for f in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)]
-        g, diag = _tuned_density(self.side, ev_now, self.target_alpha, now,
-                                 self.table, self.settings,
-                                 _tune_seed(self.seed, self.side, self.path, self.draw_key),
-                                 grid=grid)
-        weight = _log_weight(self.target_alpha, g.params)
-        rng = substream(self.seed, self.side, "main", *self.path, self.draw_key)
-        n = self.settings.n_draws
-        logw = np.empty(n)
-        stat = np.empty(n)
-        ineq = np.empty(n, dtype=bool)
-        for i, P in _chunks(rng, g.params, n, self.settings.chunk):
-            j = i + P.shape[0]
-            logw[i:j] = weight(P)
-            stat[i:j], ineq[i:j] = self.ev.eq_stat_and_ineq(P)
+    @property
+    def route(self) -> str:
+        return "direct" if self.logw is None else "importance"
+
+    @property
+    def max_abs_logw(self) -> float:
+        return 0.0 if self.logw is None else float(np.max(np.abs(self.logw), initial=0.0))
+
+    def _draw(self, scale, direct=False):
+        """Draw a fresh sample: from the target when direct, else from a
+        density tuned on the region at the current tolerance scale."""
+        if direct:
+            alpha, weight = self.target_alpha, None
+            rng = substream(self.seed, self.side, "main", *self.path)
+        else:
+            now, ev_now = self.ev.model, self.ev
+            cs = now.constraints
+            if cs.n_eq and scale != 1.0:
+                now = ModelSpec(now.name, now.logit_types,
+                                cs.with_epsilon(cs.epsilon * scale), now.notes)
+                ev_now = ModelEval(now, self.table.dims, self.table.s)
+            grid = None
+            if self.g is not None:
+                grid = [self.g.multiplier * f for f in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)]
+            self.g, self.diag = _tuned_density(
+                self.side, ev_now, self.target_alpha, now, self.table, self.settings,
+                _tune_seed(self.seed, self.side, self.path, self.draw_key), grid=grid)
+            alpha, weight = self.g.params, _log_weight(self.target_alpha, self.g.params)
+            rng = substream(self.seed, self.side, "main", *self.path, self.draw_key)
+        tube = self.ev.cs.n_eq > 0
+        stats, logws, self.kept = [], [], 0
+        for _, P in _chunks(rng, alpha, self.settings.n_draws, self.settings.chunk):
+            if tube:
+                stat, ok = self.ev.eq_stat_and_ineq(P)
+                keep = ok & (stat <= 1.0)
+                stats.append(stat[keep])
+            else:
+                keep = self.ev.delta(P)
+            self.kept += int(keep.sum())
+            if weight is not None:
+                logws.append(weight(P[keep]))
             del P               # not held while the next chunk is drawn
-        self.logw, self.stat, self.ineq = logw, stat, ineq
-        self.g = g
-        self.diag = diag
-        self.max_abs_logw = float(np.max(np.abs(logw)))
+        self.stat = np.concatenate(stats) if tube else None
+        self.logw = None if weight is None else np.concatenate(logws)
 
     def level(self, scale):
-        """(ln proportion, ess) at a tolerance scale."""
-        d = (self.stat <= scale) & self.ineq
-        if not np.any(d):
-            return -np.inf, 0.0
+        """(ln proportion, ess, accepted draws) at a tolerance scale. A
+        direct sample's ESS is its accepted count."""
+        n = self.settings.n_draws
+        d = slice(None) if self.stat is None else self.stat <= scale
+        acc = self.kept if self.stat is None else int(d.sum())
+        if not acc:
+            return -np.inf, 0.0, 0
+        if self.logw is None:
+            return float(np.log(acc / n)), float(acc), acc
         lw = self.logw[d]
         l1 = logsumexp(lw)
         l2 = logsumexp(2.0 * lw)
-        return float(l1 - np.log(self.settings.n_draws)), float(np.exp(2.0 * l1 - l2))
-
-    def level_count(self, scale):
-        """Accepted draws at the tolerance scale."""
-        return int(((self.stat <= scale) & self.ineq).sum())
+        return float(l1 - np.log(n)), float(np.exp(2.0 * l1 - l2)), acc
 
     def ensure(self, scale):
         """Retune and redraw at the current tolerance when the level has
@@ -1000,8 +984,8 @@ class _ChainPart:
         a redraw happened. Stage factors difference the common weight noise
         away on shared draws, so the accepted count is the binding
         requirement."""
-        _, ess = self.level(scale)
-        healthy = (self.level_count(scale) >= max(200, int(0.02 * self.settings.n_draws))
+        _, ess, acc = self.level(scale)
+        healthy = (acc >= max(200, int(0.02 * self.settings.n_draws))
                    and ess >= self.settings.ess_floor)
         if healthy or self.draw_key >= self.settings.max_retunes:
             return False
@@ -1010,34 +994,45 @@ class _ChainPart:
         return True
 
 
-def about_equality_bf(model: ModelSpec, table: StratifiedTable, prior: PriorSpec,
-                      schedule: EpsilonSchedule, settings: RunSettings,
-                      seed: int) -> BFEstimate:
-    """Shrinking-tolerance Bayes factor for a model with about-equality
-    rows: one tuned importance sample per side (per stratum when the model
-    factorises), reweighted across the geometric epsilon levels; the
-    reported value is the exact sum of the stored stage logs.
+def bayes_factor(model: ModelSpec, table: StratifiedTable, prior: PriorSpec,
+                 settings: RunSettings, seed: int,
+                 schedule: EpsilonSchedule | None = None) -> BFEstimate:
+    """log Bayes factor of a constrained model against the encompassing
+    model: the ratio of its posterior to its prior constraint-satisfaction
+    proportion, the one route for every model.
 
-    A side whose level ESS decays under the floor is re-tuned at the
-    current tolerance and redrawn; if the floor still cannot be held the
-    chain stops early and flags truncation.
+    Each side is one _Part per _units unit (per stratum when the model
+    factorises), all built concurrently. A model with about-equality rows
+    walks the schedule's tolerance levels eps_1 * b^(n-1) (default
+    EpsilonSchedule()): every level reweights the same kept draws, and the
+    reported value is the exact sum of the stage logs. Before each level a
+    part with too few accepted draws or too little ESS is retuned at the
+    current tolerance and redrawn; once a level cannot be held the chain
+    stops early and flags truncation. An inequality-only model is the
+    chain's first level, at tolerance scale 1 and without a retune; its
+    schedule, if given, is not used.
+
+    Raises UnboundedEstimateError when a side accepts no draw at level 1.
     """
     cs = model.constraints
-    if cs.n_eq == 0:
-        raise EngineError(f"model {model.name!r} has no equality rows; use estimate_bf")
-    eps1 = np.full(cs.n_eq, schedule.epsilon_start)
-    model = ModelSpec(model.name, model.logit_types, cs.with_epsilon(eps1), model.notes)
+    retune = bool(cs.n_eq)
+    if retune:
+        schedule = schedule or EpsilonSchedule()
+        eps1 = np.full(cs.n_eq, schedule.epsilon_start)
+        model = ModelSpec(model.name, model.logit_types, cs.with_epsilon(eps1), model.notes)
+    else:
+        schedule, eps1 = EpsilonSchedule(max_stages=1), np.zeros(0)
     targets = {"prior": prior.concentration, "posterior": prior.posterior(table)}
     units = _units(ModelEval(model, table.dims, table.s), table)
     parts = _ordered_map(
         lambda make: make(),
-        [partial(_ChainPart, side, ev.model, targets[side][sl], t, settings, seed, path)
+        [partial(_Part, side, ev, targets[side][sl], t, settings, seed, path)
          for side in ("prior", "posterior") for ev, sl, t, path in units])
     sides = {side: [p for p in parts if p.side == side] for side in ("prior", "posterior")}
 
     def side_level(side, scale):
-        lns, esss = zip(*(p.level(scale) for p in sides[side]))
-        return float(sum(lns)), float(min(esss))
+        lns, esss, accs = zip(*(p.level(scale) for p in sides[side]))
+        return float(sum(lns)), float(min(esss)), min(accs)
 
     # retunes aim for healthy levels; a level stays usable down to a small
     # accepted-draw count because the stage factors difference the common
@@ -1050,13 +1045,12 @@ def about_equality_bf(model: ModelSpec, table: StratifiedTable, prior: PriorSpec
     prev = {}
     for level in range(1, schedule.max_stages + 1):
         scale = schedule.b ** (level - 1)
-        redrawn = any(_ordered_map(lambda p: p.ensure(scale), parts))
+        redrawn = retune and any(_ordered_map(lambda p: p.ensure(scale), parts))
         cur = {side: side_level(side, scale) for side in sides}
         if redrawn and level > 1:
             # same-sample differencing: refresh the previous level too
             prev = {s: side_level(s, schedule.b ** (level - 2)) for s in sides}
-        counts = {s: min(p.level_count(scale) for p in sides[s]) for s in sides}
-        bad = [s for s in cur if not np.isfinite(cur[s][0]) or counts[s] < count_floor]
+        bad = [s for s in cur if not np.isfinite(cur[s][0]) or cur[s][2] < count_floor]
         if bad:
             if level == 1:
                 side_bad = bad[0]
@@ -1089,6 +1083,8 @@ def about_equality_bf(model: ModelSpec, table: StratifiedTable, prior: PriorSpec
             break
         if level > 1 and abs(ln_stage / LN10) < schedule.stop_tol:
             break
+    warnings += [f"{p.side} side: tuner fell back to {p.diag['fallback']}"
+                 for p in parts if p.diag and p.diag["fallback"]]
 
     log10 = float(sum(stage_log10))
     final_scale = stage_info[-1]["epsilon_scale"] if stage_info else 1.0
@@ -1107,21 +1103,11 @@ def about_equality_bf(model: ModelSpec, table: StratifiedTable, prior: PriorSpec
     return BFEstimate(
         log10_bf=log10, ln_bf=log10 * LN10,
         replicates=[log10], mean=log10, sd=0.0,
-        route="about_equality",
+        route="/".join("+".join(sorted({p.route for p in sides[s]})) for s in sides),
         components=comp,
-        settings={"seed": int(seed), "schedule": asdict(schedule), **settings.to_dict()},
+        settings={"seed": int(seed), **({"schedule": asdict(schedule)} if retune else {}),
+                  **settings.to_dict()},
     )
-
-
-def bayes_factor(model: ModelSpec, table: StratifiedTable, prior: PriorSpec,
-                 settings: RunSettings, seed: int,
-                 schedule: EpsilonSchedule | None = None) -> BFEstimate:
-    """Dispatch on constraint content: the shrinking chain when equality
-    rows are present, the plain proportion ratio otherwise."""
-    if model.constraints.n_eq:
-        return about_equality_bf(model, table, prior, schedule or EpsilonSchedule(),
-                                 settings, seed)
-    return estimate_bf(model, table, prior, settings, seed)
 
 
 def replicate_bf(model: ModelSpec, table: StratifiedTable, prior: PriorSpec,
@@ -1129,19 +1115,19 @@ def replicate_bf(model: ModelSpec, table: StratifiedTable, prior: PriorSpec,
                  schedule: EpsilonSchedule | None = None) -> BFEstimate:
     """B independently seeded runs; the reported point estimate is the
     replicate mean of the log Bayes factors. The runs go concurrently (see
-    _ordered_map) and share one centring memo."""
+    _ordered_map) and share one centring memo. Each replicate's entry
+    keeps its estimate, route, seed, final tolerances, truncation flag,
+    level count and warnings."""
     if B < 1:
         raise EngineError("need B >= 1 replicates")
 
     def run(i):
         rep_seed = int(np.random.SeedSequence(int(seed), spawn_key=(3, i)).generate_state(1)[0])
         est = bayes_factor(model, table, prior, settings, rep_seed, schedule)
-        info = {"log10_bf": est.log10_bf, "route": est.route, "seed": rep_seed}
-        if est.route == "about_equality":
-            info["final_epsilon"] = est.components["final_epsilon"]
-            info["truncated"] = est.components["truncated"]
-            info["n_stages"] = len(est.components["stages"])
-        return info
+        comp = est.components
+        return {"log10_bf": est.log10_bf, "route": est.route, "seed": rep_seed,
+                "final_epsilon": comp["final_epsilon"], "truncated": comp["truncated"],
+                "n_stages": len(comp["stages"]), "warnings": comp["warnings"]}
 
     centres = _CENTRES.set(_CentreMemo())
     try:

@@ -207,3 +207,21 @@ def about_equality_2x2(counts, eps: float, kappa: float = 1.0, h: float = 0.01) 
     w = np.ones(2 * k + 1)
     w[1:-1:2], w[2:-1:2] = 4.0, 2.0
     return float(h / 3.0 * (w @ f))
+
+
+def tp2_2x2(counts, kappa: float = 1.0, h: float = 0.01) -> float:
+    """P(log odds ratio >= 0) under Dirichlet(kappa + counts) on a 2x2
+    table, cells in row-major order: the TP2 proportion.
+
+    With S = L1 + L4 and T = L2 + L3 as in about_equality_2x2, the density
+    of S - T is the direct numerical convolution of S's grid density with
+    T's mirrored one, and its mass on [0, inf) is taken by the trapezoid
+    rule on the same grid of step h.
+    """
+    a = kappa + np.asarray(counts, dtype=float)
+    dens = [_log_gamma_density(ai, h) for ai in a]
+    S = _sum_density(dens[0], dens[3], h)
+    kT, fT = _sum_density(dens[1], dens[2], h)
+    k, f = _sum_density(S, (-(kT + fT.size - 1), fT[::-1]), h)
+    m = k + np.arange(f.size)                    # S - T = m * h
+    return float(h * (f[m > 0].sum() + 0.5 * f[m == 0].sum()))

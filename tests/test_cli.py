@@ -10,6 +10,7 @@ MODELS = [
      "constraints": [{"kind": "stochastic_order", "direction": "ge"}]},
     {"schema_version": 1, "name": "saturated", "logits": "local", "constraints": []},
 ]
+TP2 = {"schema_version": 1, "name": "tp2", "logits": "local", "constraints": [{"kind": "tp2"}]}
 
 
 def write_manifest(tmp_path, **extra):
@@ -158,6 +159,17 @@ def test_bad_posterior_run_is_an_input_error(tmp_path, capsys, flags, needle):
     ({"tune_accept_min": -0.1}, "tune_accept_min must be a number in [0, 1], got -0.1"),
     ({"ess_floor": -1}, "ess_floor must be a number >= 0, got -1.0"),
     ({"max_retunes": -1}, "max_retunes must be a whole number >= 0, got -1"),
+    # a negative smoothing ran the centring fits to their cap, past a minute
+    ({"smoothing": -5}, "smoothing must be a finite number >= 0, got -5.0"),
+    ({"smoothing": float("nan")}, "smoothing must be a finite number >= 0, got nan"),
+    ({"prior_margin": float("nan")}, "prior_margin must be a finite number >= 0, got nan"),
+    ({"prior_margin": -1}, "prior_margin must be a finite number >= 0, got -1.0"),
+    # a NaN threshold sent every side down the importance route
+    ({"direct_threshold": float("nan")},
+     "direct_threshold must be a finite number >= 0, got nan"),
+    ({"direct_threshold": -0.5}, "direct_threshold must be a finite number >= 0, got -0.5"),
+    ({"direct_threshold": float("inf")},
+     "direct_threshold must be a finite number >= 0, got inf"),
 ])
 def test_bad_tuning_setting_is_an_input_error(tmp_path, capsys, extra, needle):
     rc, _, err = run(capsys, "bf", write_manifest(tmp_path, settings={
@@ -169,5 +181,34 @@ def test_bad_tuning_setting_is_an_input_error(tmp_path, capsys, extra, needle):
 def test_tuning_settings_at_their_bounds_run(tmp_path, capsys):
     rc, _, _ = run(capsys, "bf", write_manifest(tmp_path, settings={
         "n_draws": 4000, "pilot_n": 2000, "tune_accept_min": 0, "ess_floor": 0,
-        "max_retunes": 0, "margin_ladder": []}))
+        "max_retunes": 0, "margin_ladder": [], "smoothing": 0, "prior_margin": 0,
+        "direct_threshold": 0}))
     assert rc == 0
+
+
+@pytest.mark.parametrize("value", ["-5", "nan", "inf"])
+def test_bad_fit_smoothing_is_an_input_error(tmp_path, capsys, value):
+    # at -5 the fit ran 43 s to its iteration cap and exited 0
+    model = tmp_path / "tp2.json"
+    model.write_text(json.dumps(TP2))
+    rc = cli.main(["fit", "father_son", str(model), "--smoothing", value])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("input error") and "smoothing must be a finite number >= 0" in err
+
+
+def test_replicate_warnings_reach_the_report(tmp_path, capsys):
+    # father_son TP2 at 30k draws: the tuned importance weights leave an ESS
+    # of a few draws per side, which the JSON and the text report both name
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({
+        "dataset": "father_son", "models": [TP2], "replicates": 1, "seed": 1,
+        "settings": {"n_draws": 30_000, "pilot_n": 20_000}}))
+    rc = cli.main(["bf", str(manifest), "--format", "text", "--out", str(tmp_path)])
+    text = capsys.readouterr().out
+    assert rc == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    [rep] = report["results"][0]["estimate"]["components"]["replicates"]
+    assert "level 1: ESS under 50 on prior/posterior side" in rep["warnings"]
+    assert "warning: tp2 replicate 1: level 1: ESS under 50 on prior/posterior side" \
+        in text.splitlines()

@@ -13,12 +13,10 @@ from margbayes import (
     StratifiedTable,
     TuningError,
     UnboundedEstimateError,
-    about_equality_bf,
     bayes_factor,
     compare_models,
     compose,
     empty_constraints,
-    estimate_bf,
     estimate_proportion_direct,
     independence,
     jeffreys_label,
@@ -37,7 +35,7 @@ from margbayes import engine
 from margbayes.engine import _importance_stream, substream
 from margbayes.hypotheses import ConstraintSet, model_from_dict
 
-from oracles import about_equality_2x2, posterior_summary_reference
+from oracles import about_equality_2x2, posterior_summary_reference, tp2_2x2
 
 
 def table_2x2(counts=(40.0, 10.0, 12.0, 38.0)):
@@ -275,7 +273,7 @@ def test_tune_alpha_rejects_an_extension_that_never_grows(monkeypatch, factor):
 
 def test_bf_encompassing_vs_itself_is_zero():
     t = table_2x2()
-    est = estimate_bf(model_saturated(), t, PriorSpec.flat(4, 1, 1.0), SMALL, seed=12)
+    est = bayes_factor(model_saturated(), t, PriorSpec.flat(4, 1, 1.0), SMALL, seed=12)
     assert est.log10_bf == 0.0 and est.ln_bf == 0.0
 
 
@@ -283,45 +281,47 @@ def test_bf_positive_association_2x2():
     # posterior acceptance ~1 for strongly positive data, prior = 1/2:
     # ln BF should sit near ln(acc/0.5)
     t = table_2x2()
-    est = estimate_bf(model_pa(), t, PriorSpec.flat(4, 1, 1.0), SMALL, seed=13)
+    est = bayes_factor(model_pa(), t, PriorSpec.flat(4, 1, 1.0), SMALL, seed=13)
     assert 0.55 < est.ln_bf < 0.75
-
-
-def test_bf_rejects_equality_models():
-    t = table_2x2()
-    with pytest.raises(Exception, match="about"):
-        estimate_bf(model_indep(), t, PriorSpec.flat(4, 1, 1.0), SMALL, seed=14)
 
 
 def test_bf_determinism_byte_identical():
     t = table_2x2()
-    a = estimate_bf(model_pa(), t, PriorSpec.flat(4, 1, 1.0), SMALL, seed=15)
-    b = estimate_bf(model_pa(), t, PriorSpec.flat(4, 1, 1.0), SMALL, seed=15)
+    a = bayes_factor(model_pa(), t, PriorSpec.flat(4, 1, 1.0), SMALL, seed=15)
+    b = bayes_factor(model_pa(), t, PriorSpec.flat(4, 1, 1.0), SMALL, seed=15)
     assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
 
 
-def test_unbounded_estimate_error_names_side():
-    link = link_for((2, 2), "local")
+def test_unbounded_estimate_error_names_side(monkeypatch):
+    # eta = 0 written as U eta >= 0 and -U eta >= 0: a region without
+    # interior, which no draw can hit. It fails before any centring fit.
     strict = ConstraintSet(np.zeros((0, 3)),
                            np.vstack([np.eye(3), -np.eye(3)]), np.zeros(0), 3)
     model = ModelSpec("point", ("local", "local"), strict)
     t = table_2x2()
     settings = RunSettings(n_draws=4_000, pilot_n=2_000, chunk=2048,
                            alpha_grid=(1.0, 5.0), tune_extend_max_multiplier=20.0)
-    with pytest.raises((UnboundedEstimateError, TuningError)):
-        estimate_bf(model, t, PriorSpec.flat(4, 1, 1.0), settings, seed=16)
+    calls = record_fits(monkeypatch)
+    with pytest.raises((UnboundedEstimateError, TuningError), match="no interior"):
+        bayes_factor(model, t, PriorSpec.flat(4, 1, 1.0), settings, seed=16)
+    assert calls == []
+
+
+@pytest.mark.parametrize("side", ["prior", "posterior"])
+def test_interior_check_finds_the_slack_of_each_region(side):
+    # the slack of |eta_1| <= eps next to eta_2 >= margin is positive, and
+    # the point eta_1 = 0 written as two inequalities has none at any margin
+    tube = ConstraintSet(np.eye(3)[:1], np.eye(3)[1:2], np.array([0.1]), 3)
+    point = ConstraintSet(np.zeros((0, 3)), np.vstack([np.eye(3)[:1], -np.eye(3)[:1]]),
+                          np.zeros(0), 3)
+    for cs, want in ((tube, True), (point, False)):
+        model = ModelSpec("m", ("local", "local"), cs)
+        assert [engine._has_interior(side, model, m) for m in (0.0, 2.0)] == [want, want]
 
 
 # ---------------------------------------------------------------------------
 # about-equality chain
 # ---------------------------------------------------------------------------
-
-def test_about_equality_requires_equality_rows():
-    t = table_2x2()
-    with pytest.raises(Exception, match="no equality rows"):
-        about_equality_bf(model_pa(), t, PriorSpec.flat(4, 1, 1.0),
-                          EpsilonSchedule(), SMALL, seed=18)
-
 
 @pytest.mark.parametrize("kw", [{"epsilon_start": np.array([0.1, 0.2])},
                                 {"epsilon_start": np.array([0.1])},
@@ -340,8 +340,8 @@ def test_zero_chunk_is_rejected_not_looped_on():
 def test_about_equality_single_stage_is_fixed_epsilon():
     t = table_2x2((20.0, 18.0, 22.0, 21.0))
     sched = EpsilonSchedule(epsilon_start=0.2, b=0.5, stop_tol=0.0, max_stages=1)
-    est = about_equality_bf(model_indep(eps=0.2), t, PriorSpec.flat(4, 1, 1.0),
-                            sched, SMALL, seed=19)
+    est = bayes_factor(model_indep(eps=0.2), t, PriorSpec.flat(4, 1, 1.0), SMALL,
+                       seed=19, schedule=sched)
     assert len(est.components["stages"]) == 1
     assert est.components["final_epsilon"] == [pytest.approx(0.2)]
 
@@ -349,8 +349,8 @@ def test_about_equality_single_stage_is_fixed_epsilon():
 def test_about_equality_stage_sum_bookkeeping_exact():
     t = table_2x2((20.0, 18.0, 22.0, 21.0))
     sched = EpsilonSchedule(epsilon_start=0.2, b=0.5, stop_tol=0.02, max_stages=5)
-    est = about_equality_bf(model_indep(eps=0.2), t, PriorSpec.flat(4, 1, 1.0),
-                            sched, SMALL, seed=20)
+    est = bayes_factor(model_indep(eps=0.2), t, PriorSpec.flat(4, 1, 1.0), SMALL,
+                       seed=20, schedule=sched)
     assert est.log10_bf == sum(est.components["stage_log10s"])
     assert est.ln_bf == pytest.approx(est.log10_bf * np.log(10.0), rel=1e-12)
 
@@ -360,8 +360,8 @@ def test_about_equality_near_independent_data_mild_bf():
     # clearly positive (the model is supported)
     t = table_2x2((25.0, 25.0, 25.0, 25.0))
     sched = EpsilonSchedule(epsilon_start=0.2, b=0.5, stop_tol=0.05, max_stages=6)
-    est = about_equality_bf(model_indep(eps=0.2), t, PriorSpec.flat(4, 1, 1.0),
-                            sched, SMALL, seed=21)
+    est = bayes_factor(model_indep(eps=0.2), t, PriorSpec.flat(4, 1, 1.0), SMALL,
+                       seed=21, schedule=sched)
     assert est.ln_bf > 0.5
     assert not est.components["truncated"]
 
@@ -369,11 +369,10 @@ def test_about_equality_near_independent_data_mild_bf():
 def test_about_equality_determinism():
     t = table_2x2((20.0, 18.0, 22.0, 21.0))
     sched = EpsilonSchedule(epsilon_start=0.2, b=0.5, stop_tol=0.02, max_stages=4)
-    kw = dict(schedule=sched, settings=SMALL)
-    a = about_equality_bf(model_indep(eps=0.2), t, PriorSpec.flat(4, 1, 1.0),
-                          sched, SMALL, seed=22)
-    b = about_equality_bf(model_indep(eps=0.2), t, PriorSpec.flat(4, 1, 1.0),
-                          sched, SMALL, seed=22)
+    a = bayes_factor(model_indep(eps=0.2), t, PriorSpec.flat(4, 1, 1.0), SMALL,
+                     seed=22, schedule=sched)
+    b = bayes_factor(model_indep(eps=0.2), t, PriorSpec.flat(4, 1, 1.0), SMALL,
+                     seed=22, schedule=sched)
     assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
 
 
@@ -384,10 +383,41 @@ def test_about_equality_fixed_epsilon_matches_exact_2x2():
     exact = np.log10(about_equality_2x2(counts, eps, 1.0)
                      / about_equality_2x2((0, 0, 0, 0), eps, 1.0))
     sched = EpsilonSchedule(epsilon_start=eps, max_stages=1)
-    ests = [about_equality_bf(model_indep(eps=eps), table_2x2(counts), PriorSpec.flat(4, 1, 1.0),
-                              sched, SMALL, seed=seed).log10_bf for seed in range(1, 13)]
+    ests = [bayes_factor(model_indep(eps=eps), table_2x2(counts), PriorSpec.flat(4, 1, 1.0),
+                         SMALL, seed=seed, schedule=sched).log10_bf for seed in range(1, 13)]
     se = np.std(ests, ddof=1) / np.sqrt(len(ests))
     assert abs(np.mean(ests) - exact) < 4 * se
+
+
+def test_tp2_importance_route_matches_exact_2x2():
+    # log10 P_post(log OR >= 0) - log10(1/2) under a flat prior, exactly
+    # 0.30099; a threshold above 1 sends both sides down the importance
+    # route, and the seed mean must lie within 4 SE of the exact value
+    counts = (30.0, 10.0, 12.0, 25.0)
+    exact = np.log10(tp2_2x2(counts) / tp2_2x2((0, 0, 0, 0)))
+    settings = RunSettings(n_draws=40_000, pilot_n=8_000, chunk=8192, direct_threshold=1.1)
+    ests = [bayes_factor(model_pa(), table_2x2(counts), PriorSpec.flat(4, 1, 1.0), settings,
+                         seed=seed) for seed in range(1, 9)]
+    assert {e.route for e in ests} == {"importance/importance"}
+    values = [e.log10_bf for e in ests]
+    se = np.std(values, ddof=1) / np.sqrt(len(values))
+    assert abs(np.mean(values) - exact) < 4 * se
+
+
+def test_tp2_2x4_prior_proportion_is_one_over_4_factorial():
+    # under a flat prior the row log-ratios of a 2x4 table are i.i.d., so
+    # local TP2 (all three local log odds ratios >= 0) has prior proportion
+    # exactly 1/4!; below the default direct_threshold, the pilot sends the
+    # prior side down the importance route without any override
+    table = StratifiedTable(("all",), (ContingencyTable((2, 4), np.array(
+        [30.0, 20.0, 10.0, 5.0, 5.0, 10.0, 20.0, 30.0])),))
+    settings = RunSettings(n_draws=20_000, pilot_n=20_000, chunk=8192)
+    ests = [bayes_factor(model_pa((2, 4)), table, PriorSpec.flat(8, 1, 1.0), settings,
+                         seed=seed) for seed in range(1, 9)]
+    assert all(e.route.startswith("importance/") for e in ests)
+    prior_ln = [e.components["stages"][0]["prior_ln"] for e in ests]
+    se = np.std(prior_ln, ddof=1) / np.sqrt(len(prior_ln))
+    assert abs(np.mean(prior_ln) - np.log(1 / 24)) < 4 * se
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +446,12 @@ def test_replicate_dispatches_equality_models():
     sched = EpsilonSchedule(epsilon_start=0.2, b=0.5, stop_tol=0.05, max_stages=3)
     est = replicate_bf(model_indep(eps=0.2), t, PriorSpec.flat(4, 1, 1.0),
                        SMALL, B=2, seed=26, schedule=sched)
-    assert est.route == "about_equality"
+    # the pilots send both sides to direct sampling; the chain walks its levels
+    assert est.route == "direct/direct"
     assert len(est.replicates) == 2
+    for rep in est.components["replicates"]:
+        assert rep["n_stages"] > 1 and not rep["truncated"]
+        assert rep["final_epsilon"] == [pytest.approx(0.2 * 0.5 ** (rep["n_stages"] - 1))]
 
 
 def test_more_draws_do_not_increase_sd():
@@ -570,9 +604,9 @@ def test_ladder_skips_a_repeated_margin_and_keeps_rung_seeds(monkeypatch):
 
 def test_compare_models_antisymmetric_and_zero():
     t = table_2x2()
-    a = estimate_bf(model_pa(), t, PriorSpec.flat(4, 1, 1.0), SMALL, seed=27)
+    a = bayes_factor(model_pa(), t, PriorSpec.flat(4, 1, 1.0), SMALL, seed=27)
     assert compare_models(a, a) == 0.0
-    b = estimate_bf(model_saturated(), t, PriorSpec.flat(4, 1, 1.0), SMALL, seed=28)
+    b = bayes_factor(model_saturated(), t, PriorSpec.flat(4, 1, 1.0), SMALL, seed=28)
     assert compare_models(a, b) == -compare_models(b, a)
 
 

@@ -26,7 +26,7 @@ from margbayes import (
     RunSettings,
     StratifiedTable,
     TuningError,
-    about_equality_bf,
+    bayes_factor,
     link_for,
     load_fixture,
     make_density,
@@ -241,11 +241,14 @@ def test_chain_parts_stop_once_one_fails(monkeypatch):
     model = ModelSpec("no_interior", ("local", "local"), cs)
     settings = RunSettings(n_draws=4_000, pilot_n=2_000, chunk=2048, alpha_grid=(1.0, 5.0),
                            tune_extend_max_multiplier=20.0)
+    # the interior check would fail both parts before any fit; passed here,
+    # the posterior part's slow fits start and must be stopped
+    monkeypatch.setattr(engine, "_has_interior", lambda *a: True)
     start = time.monotonic()
     with pytest.raises(TuningError):
-        on_threads(monkeypatch, 2, lambda: about_equality_bf(
-            model, table_2x2(), PriorSpec.flat(4, 1, 1.0),
-            EpsilonSchedule(epsilon_start=0.1, b=0.5, max_stages=2), settings, seed=16))
+        on_threads(monkeypatch, 2, lambda: bayes_factor(
+            model, table_2x2(), PriorSpec.flat(4, 1, 1.0), settings, seed=16,
+            schedule=EpsilonSchedule(epsilon_start=0.1, b=0.5, max_stages=2)))
     assert time.monotonic() - start < 30
 
 
@@ -345,7 +348,7 @@ def test_replicate_bf_chain_route_same_at_any_thread_count(monkeypatch):
             model, table, PriorSpec.flat(table.r, table.s, 1.0), settings,
             B=1, seed=14, schedule=sched))
         outs.append(as_json(est.to_dict()))
-    assert est.route == "about_equality"
+    assert est.route == "importance/importance"
     assert outs[1] == outs[0] and outs[2] == outs[0]
 
 
