@@ -63,7 +63,6 @@ from .engine import (
     BFEstimate,
     EngineError,
     EpsilonSchedule,
-    ImportanceDensity,
     ModelEval,
     PriorSpec,
     ProportionEstimate,

@@ -9,8 +9,21 @@ chain, and an inequality-only model is that chain's first level.
 
 All weight arithmetic is in log space; draws are generated per stratum
 from log-gamma variates (small shapes boosted) so tiny cell probabilities
-never underflow into NaNs. Streams are derived from a master seed via
-SeedSequence spawn keys, so every estimate is reproducible bit for bit.
+never underflow into NaNs.
+
+Every random stream is substream(seed, *path), a SeedSequence spawn key
+under the master seed, so every estimate is reproducible bit for bit and
+no two uses share a stream. A part of bayes_factor draws from paths of
+side, purpose, unit path (the stratum (b,) of a split model, else ()),
+then the purpose's own indices:
+    (side, "pilot", *unit)                        the routing pilot
+    (side, "main", *unit)                         a direct sample
+    (side, "main", *unit, draw_key)               a tuned sample
+    (side, "tune", *unit, draw_key, rung, probe)  a tuning probe
+where draw_key counts the part's redraws and rung indexes the margin
+ladder. sample_prior and posterior_draws_under_model draw from
+("prior",), and replicate i of replicate_bf runs at a seed generated
+from the spawn key ("replicate", i).
 
 Every sampling loop takes its draws from _chunks, the one chunked draw
 loop. A model that factorises over strata is estimated per stratum, as
@@ -105,38 +118,15 @@ class PriorSpec:
 
 
 @dataclass
-class ImportanceDensity:
-    """Dirichlet proposal D(alpha * pi_hat) per stratum.
-
-    `multiplier` scales each stratum's target concentration; `alpha` is the
-    realised per-stratum total concentration actually used.
-    """
-
-    params: np.ndarray           # (s, r)
-    alpha: np.ndarray            # (s,) realised concentrations
-    multiplier: float
-    center: np.ndarray           # (s, r)
-    center_kind: str             # "prior_center" | "constrained_mle" | "custom"
-
-    def __post_init__(self):
-        if np.any(self.params <= 0):
-            raise EngineError("importance density parameters must be strictly positive")
-
-
-@dataclass
 class ProportionEstimate:
+    """A constraint-satisfaction proportion over n draws. Its standard
+    error is value * sqrt(1/ess - 1/n): the binomial one for a direct
+    estimate, whose ESS is its accepted count."""
+
     value: float
-    n_draws: int
+    log_value: float             # natural log, survives underflow
     ess: float
-    se: float
-    route: str                   # "direct" | "importance"
-    log_value: float = -np.inf   # natural log, survives underflow
-    rel_se: float = np.inf
-    accepted: int = 0
-    multiplier: float | None = None
-    alpha: list | None = None
-    max_abs_log_weight: float = 0.0
-    warnings: list = field(default_factory=list)
+    accepted: int
 
 
 @dataclass
@@ -158,8 +148,11 @@ class EpsilonSchedule:
             raise EngineError(f"shrink factor b must be in (0,1), got {self.b}")
         if np.ndim(self.epsilon_start):
             raise EngineError("epsilon_start must be a single number")
-        if self.epsilon_start <= 0:
-            raise EngineError("epsilon_start must be positive")
+        if not (np.isfinite(self.epsilon_start) and self.epsilon_start > 0):
+            raise EngineError(f"epsilon_start must be finite and positive, "
+                              f"got {self.epsilon_start!r}")
+        if not (np.isfinite(self.stop_tol) and self.stop_tol >= 0):
+            raise EngineError(f"stop_tol must be finite and >= 0, got {self.stop_tol!r}")
         if self.max_stages < 1:
             raise EngineError("need at least one stage")
 
@@ -369,7 +362,7 @@ def sample_prior(prior: PriorSpec, n: int, seed: int) -> np.ndarray:
     """(n, s, r) i.i.d. draws from the per-stratum encompassing prior."""
     if n < 1:
         raise EngineError("need n >= 1 draws")
-    return _dirichlet_chunk(substream(seed, 0), prior.concentration, n)
+    return _dirichlet_chunk(substream(seed, "prior"), prior.concentration, n)
 
 
 def sample_posterior(prior: PriorSpec, table: StratifiedTable, n: int, seed: int) -> np.ndarray:
@@ -498,13 +491,18 @@ class ModelEval:
 def _direct_result(acc: int, n: int) -> ProportionEstimate:
     """The direct estimate from acc accepted draws out of n."""
     p = acc / n
-    se = float(np.sqrt(p * (1 - p) / n))
-    return ProportionEstimate(
-        value=p, n_draws=n, ess=float(acc), se=se, route="direct",
-        log_value=float(np.log(p)) if p > 0 else -np.inf,
-        rel_se=float(se / p) if p > 0 else np.inf, accepted=acc,
-        warnings=[] if acc else ["rare event: no draws satisfied the constraints"],
-    )
+    return ProportionEstimate(value=p, log_value=float(np.log(p)) if p > 0 else -np.inf,
+                              ess=float(acc), accepted=acc)
+
+
+def _log_mean_and_ess(logw: np.ndarray, n: int):
+    """(ln of the mean weight over n draws, ESS) from the log-weights of
+    the accepted ones; (-inf, 0) when none was accepted."""
+    if not logw.size:
+        return -np.inf, 0.0
+    l1 = logsumexp(logw)
+    l2 = logsumexp(2.0 * logw)
+    return float(l1 - np.log(n)), float(np.exp(2.0 * l1 - l2))
 
 
 def estimate_proportion_direct(draws: np.ndarray, ev: ModelEval) -> ProportionEstimate:
@@ -522,76 +520,56 @@ def _direct_stream(ev: ModelEval, alpha: np.ndarray, n: int, rng, chunk: int) ->
     return _direct_result(acc, n)
 
 
-def _importance_stream(ev: ModelEval, target_alpha: np.ndarray, g: ImportanceDensity,
+def _importance_stream(ev: ModelEval, target_alpha: np.ndarray, params: np.ndarray,
                        n: int, rng, chunk: int) -> ProportionEstimate:
-    """mean of delta * p/g over n draws from g, all in log space."""
-    weight = _log_weight(target_alpha, g.params)
-    ls1, ls2 = [], []
-    acc = 0
-    max_lw = -np.inf
-    for _, P in _chunks(rng, g.params, n, chunk):
-        d = ev.delta(P)
-        if np.any(d):
-            logw = weight(P[d])
-            ls1.append(logsumexp(logw))
-            ls2.append(logsumexp(2.0 * logw))
-            acc += int(d.sum())
-            max_lw = max(max_lw, float(np.max(np.abs(logw))))
+    """mean of delta * p/g over n draws from the Dirichlet g with
+    concentrations params, all in log space."""
+    weight = _log_weight(target_alpha, params)
+    logws = []
+    for _, P in _chunks(rng, params, n, chunk):
+        logws.append(weight(P[ev.delta(P)]))
         del P                   # not held while the next chunk is drawn
-    if acc == 0:
-        return ProportionEstimate(
-            value=0.0, n_draws=n, ess=0.0, se=0.0, route="importance",
-            log_value=-np.inf, rel_se=np.inf, accepted=0,
-            multiplier=g.multiplier, alpha=[float(a) for a in g.alpha],
-            warnings=["rare event: no draws satisfied the constraints under g"],
-        )
-    l1 = logsumexp(np.array(ls1))
-    l2 = logsumexp(np.array(ls2))
-    log_value = l1 - np.log(n)
-    ess = float(np.exp(2.0 * l1 - l2))
-    rel_var = max(0.0, np.exp(l2 - 2.0 * l1 + np.log(n)) - 1.0) / n
-    rel_se = float(np.sqrt(rel_var))
-    value = float(np.exp(log_value))
-    return ProportionEstimate(
-        value=value, n_draws=n, ess=ess, se=value * rel_se, route="importance",
-        log_value=float(log_value), rel_se=rel_se, accepted=acc,
-        multiplier=g.multiplier, alpha=[float(a) for a in g.alpha],
-        max_abs_log_weight=max_lw,
-    )
+    logw = np.concatenate(logws)
+    log_value, ess = _log_mean_and_ess(logw, n)
+    return ProportionEstimate(value=float(np.exp(log_value)), log_value=log_value, ess=ess,
+                              accepted=logw.size)
 
 
 # ---------------------------------------------------------------------------
 # Importance density tuning
 # ---------------------------------------------------------------------------
 
-def make_density(center: np.ndarray, target_alpha: np.ndarray, multiplier: float,
-                 center_kind: str = "custom") -> ImportanceDensity:
+def make_density(center: np.ndarray, target_alpha: np.ndarray,
+                 multiplier: float) -> np.ndarray:
+    """(s, r) concentrations of the Dirichlet proposal centred at center:
+    each stratum's target concentration, scaled by multiplier."""
     conc = target_alpha.sum(axis=1)              # per-stratum target concentration
     params = multiplier * conc[:, None] * center
-    return ImportanceDensity(params=params, alpha=multiplier * conc,
-                             multiplier=float(multiplier), center=center,
-                             center_kind=center_kind)
+    if np.any(params <= 0):
+        raise EngineError("importance density parameters must be strictly positive")
+    return params
 
 
 def tune_alpha(ev: ModelEval, target_alpha: np.ndarray, center: np.ndarray,
-               settings: RunSettings, seed: int, center_kind: str = "custom",
-               grid=None):
+               settings: RunSettings, seed: int, path=("tune",), grid=None):
     """Pick the concentration multiplier with the best pilot ESS subject to
     an acceptance floor; extend the grid geometrically above its top when
     nothing on it reaches the floor.
 
-    Returns (ImportanceDensity, diagnostics). Raises TuningError when no
-    concentration, extended included, yields a single accepted draw, and
-    EngineError before any probe when tune_extend_factor is not above 1.
+    Returns (proposal concentrations, diagnostics); diagnostics["chosen"]
+    is the multiplier picked. Raises TuningError when no concentration,
+    extended included, yields a single accepted draw, and EngineError
+    before any probe when tune_extend_factor is not above 1.
 
     The grid probes are one of the engine's fan-out points (see
     _ordered_map): they run on whatever is left of the process-wide thread
     budget, which inside concurrent replicates, strata or chain parts is
-    often nothing, and then they run on the calling thread. Each draws
-    from its own stream substream(seed, "tune", idx). The probes
-    share `ev`, `target_alpha` and `center`, and only read them.
-    Results are recorded in grid order, so the density and
-    diagnostics are the same whatever the thread count. The geometric
+    often nothing, and then they run on the calling thread. Probe idx,
+    counted in grid order and then along the extension, draws from its own
+    stream substream(seed, *path, idx). The probes share `ev`,
+    `target_alpha` and `center`, and only read them. Results are recorded
+    in grid order, so the density and diagnostics are the same whatever
+    the thread count. The geometric
     extension runs one probe at a time, since each step depends on the one
     before.
     """
@@ -606,9 +584,8 @@ def tune_alpha(ev: ModelEval, target_alpha: np.ndarray, center: np.ndarray,
     probe_n = max(4000, settings.pilot_n // 4)
 
     def draw(idx, mult):
-        g = make_density(center, target_alpha, mult, center_kind)
-        return _importance_stream(ev, target_alpha, g, probe_n,
-                                  substream(seed, "tune", idx), settings.chunk)
+        return _importance_stream(ev, target_alpha, make_density(center, target_alpha, mult),
+                                  probe_n, substream(seed, *path, idx), settings.chunk)
 
     def record(mult, est):
         results.append({"multiplier": float(mult),
@@ -640,9 +617,9 @@ def tune_alpha(ev: ModelEval, target_alpha: np.ndarray, center: np.ndarray,
         # fall back to the best raw acceptance if anything accepted at all
         best = max(results, key=lambda r: (r["acceptance"], r["ess"]))
         if best["acceptance"] > 0:
-            g = make_density(center, target_alpha, best["multiplier"], center_kind)
-            return g, {"grid": results, "chosen": best["multiplier"],
-                       "fallback": "max-acceptance", "ess": best["ess"]}
+            return make_density(center, target_alpha, best["multiplier"]), {
+                "grid": results, "chosen": best["multiplier"],
+                "fallback": "max-acceptance", "ess": best["ess"]}
         raise TuningError(
             "no pilot draw satisfied the constraints at any tuned concentration; "
             "increase pilot_n or improve the centring point"
@@ -656,9 +633,8 @@ def tune_alpha(ev: ModelEval, target_alpha: np.ndarray, center: np.ndarray,
         # take the smallest concentration within a factor 3 of the best
         near_best = [q for q in qualifying if q[0] >= ess_best / 3.0]
         ess_pick, mult_best, _ = min(near_best, key=lambda q: q[1])
-    g = make_density(center, target_alpha, mult_best, center_kind)
-    return g, {"grid": results, "chosen": float(mult_best), "fallback": None,
-               "ess": float(ess_pick)}
+    return make_density(center, target_alpha, mult_best), {
+        "grid": results, "chosen": float(mult_best), "fallback": None, "ess": float(ess_pick)}
 
 
 # ---------------------------------------------------------------------------
@@ -755,13 +731,11 @@ def _centre(side: str, model: ModelSpec, table: StratifiedTable,
             res = fitmod.prior_center(fit_model, table.dims, table.s,
                                       fitmod.FitOptions(smoothing=settings.smoothing),
                                       interior_margin=margin)
-            kind = "prior_center"
         else:
             opts = fitmod.FitOptions(smoothing=settings.smoothing, interior_margin=margin)
             res = fitmod.constrained_mle(table, fit_model, opts)
-            kind = "constrained_mle"
         res.pi_hat.flags.writeable = False      # may be handed out again from the memo
-        return res.pi_hat, kind
+        return res.pi_hat
 
     memo = _CENTRES.get()
     if memo is None:
@@ -822,7 +796,7 @@ def _has_interior(side: str, model: ModelSpec, margin: float) -> bool:
 
 
 def _tuned_density(side: str, ev: ModelEval, target_alpha, model, table,
-                   settings: RunSettings, seed: int, grid=None):
+                   settings: RunSettings, seed: int, path: tuple, grid=None):
     """Centre + tune, walking the interior-margin ladder until the pilot
     ESS looks healthy (or nothing works at any margin). The ladder is the
     side's default margin (prior_margin for the prior, 0 for the
@@ -832,9 +806,10 @@ def _tuned_density(side: str, ev: ModelEval, target_alpha, model, table,
     that of an earlier rung, or any rung after the first when the model
     has no inequality rows (the margin then never reaches the fit), is
     skipped, and so is a rung whose problem has no interior
-    (_has_interior), without a fit. Rung j tunes with seed + j whether or
-    not rungs before it were skipped. Raises TuningError when no rung has
-    an interior."""
+    (_has_interior), without a fit. Rung j's probes draw from stream paths
+    (*path, j, probe), whether or not rungs before it were skipped.
+    Returns (proposal concentrations, diagnostics); raises TuningError when
+    no rung has an interior."""
     default = settings.prior_margin if side == "prior" else 0.0
     walked = set()
     last_err = None
@@ -849,27 +824,20 @@ def _tuned_density(side: str, ev: ModelEval, target_alpha, model, table,
                 f"the {side}-side constraint region has no interior at margin {margin:g}")
             continue
         try:
-            center, kind = _centre(side, model, table, settings, margin)
-            g, diag = tune_alpha(ev, target_alpha, center, settings,
-                                 seed + j, center_kind=kind, grid=grid)
+            center = _centre(side, model, table, settings, margin)
+            params, diag = tune_alpha(ev, target_alpha, center, settings, seed,
+                                      path=(*path, j), grid=grid)
             diag["margin"] = margin
         except (TuningError, fitmod.FitError) as err:
             last_err = err
             continue
         if best is None or diag.get("ess", 0.0) > best[1].get("ess", 0.0):
-            best = (g, diag)
+            best = (params, diag)
         if diag.get("ess", 0.0) >= 2.0 * settings.ess_floor:
-            return g, diag
+            return params, diag
     if best is not None:
         return best
     raise last_err
-
-
-def _tune_seed(seed: int, side: str, path: tuple, draw_key: int = 0) -> int:
-    """Seed of the tuning for one side, unit (path) and chain redraw; the
-    low bit keeps the two sides' tuning streams apart."""
-    return ((int(seed) << 1) + _SIDES[side] + 131 * (path[0] + 1 if path else 0)
-            + 977 * draw_key)
 
 
 def _units(ev: ModelEval, table: StratifiedTable) -> list:
@@ -910,7 +878,7 @@ class _Part:
         self.seed = seed
         self.path = path
         self.draw_key = 0
-        self.g = self.diag = None
+        self.diag = None                    # the last tuning's diagnostics
         if ev.cs.is_empty():                # no constraint: every draw is accepted
             self.kept, self.stat, self.logw = settings.n_draws, None, None
             return
@@ -940,12 +908,12 @@ class _Part:
                                 cs.with_epsilon(cs.epsilon * scale), now.notes)
                 ev_now = ModelEval(now, self.table.dims, self.table.s)
             grid = None
-            if self.g is not None:
-                grid = [self.g.multiplier * f for f in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)]
-            self.g, self.diag = _tuned_density(
+            if self.diag is not None:
+                grid = [self.diag["chosen"] * f for f in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)]
+            alpha, self.diag = _tuned_density(
                 self.side, ev_now, self.target_alpha, now, self.table, self.settings,
-                _tune_seed(self.seed, self.side, self.path, self.draw_key), grid=grid)
-            alpha, weight = self.g.params, _log_weight(self.target_alpha, self.g.params)
+                self.seed, (self.side, "tune", *self.path, self.draw_key), grid=grid)
+            weight = _log_weight(self.target_alpha, alpha)
             rng = substream(self.seed, self.side, "main", *self.path, self.draw_key)
         tube = self.ev.cs.n_eq > 0
         stats, logws, self.kept = [], [], 0
@@ -969,14 +937,9 @@ class _Part:
         n = self.settings.n_draws
         d = slice(None) if self.stat is None else self.stat <= scale
         acc = self.kept if self.stat is None else int(d.sum())
-        if not acc:
-            return -np.inf, 0.0, 0
         if self.logw is None:
-            return float(np.log(acc / n)), float(acc), acc
-        lw = self.logw[d]
-        l1 = logsumexp(lw)
-        l2 = logsumexp(2.0 * lw)
-        return float(l1 - np.log(n)), float(np.exp(2.0 * l1 - l2)), acc
+            return _direct_result(acc, n).log_value, float(acc), acc
+        return (*_log_mean_and_ess(self.logw[d], n), acc)
 
     def ensure(self, scale):
         """Retune and redraw at the current tolerance when the level has
@@ -1122,7 +1085,8 @@ def replicate_bf(model: ModelSpec, table: StratifiedTable, prior: PriorSpec,
         raise EngineError("need B >= 1 replicates")
 
     def run(i):
-        rep_seed = int(np.random.SeedSequence(int(seed), spawn_key=(3, i)).generate_state(1)[0])
+        rep_seed = int(np.random.SeedSequence(
+            int(seed), spawn_key=(_PURPOSE["replicate"], i)).generate_state(1)[0])
         est = bayes_factor(model, table, prior, settings, rep_seed, schedule)
         comp = est.components
         return {"log10_bf": est.log10_bf, "route": est.route, "seed": rep_seed,
@@ -1219,7 +1183,7 @@ def posterior_draws_under_model(model: ModelSpec, table: StratifiedTable,
     alpha = prior.posterior(table)
     P = np.empty((min(n, keep_cap), table.s, table.r))
     acc = kept = 0
-    for _, D in _chunks(substream(seed, 0), alpha, n, chunk):
+    for _, D in _chunks(substream(seed, "prior"), alpha, n, chunk):
         if not ev.cs.is_empty():
             D = D[ev.delta(D)]
         acc += D.shape[0]

@@ -9,6 +9,7 @@ registry maps model-spec JSON entries onto builders.
 """
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,8 +49,8 @@ class ConstraintSet:
             )
         if eps.shape[0] != E.shape[0]:
             raise ConstraintError(f"{E.shape[0]} equality rows but {eps.shape[0]} tolerances")
-        if E.shape[0] > 0 and np.any(eps <= 0):
-            raise ConstraintError("about-equality tolerances must be strictly positive")
+        if E.shape[0] > 0 and not np.all(np.isfinite(eps) & (eps > 0)):
+            raise ConstraintError("about-equality tolerances must be finite and strictly positive")
         object.__setattr__(self, "E", E)
         object.__setattr__(self, "U", U)
         object.__setattr__(self, "epsilon", eps)
@@ -419,7 +420,12 @@ def build_constraint(kind: str, link: LinkMatrices, s: int, **params) -> Constra
     want = _REQUIRED_LOGITS.get(kind)
     if want and any(lt != want for lt in link.logit_types):
         raise ConstraintError(f"{kind} requires {want} logits, link has {link.logit_types}")
-    return _REGISTRY[kind](link, s, **params)
+    builder = _REGISTRY[kind]
+    try:
+        inspect.signature(builder).bind(link, s, **params)
+    except TypeError as err:             # a missing or unknown parameter, named in err
+        raise ConstraintError(f"constraint {kind!r}: {err}") from None
+    return builder(link, s, **params)
 
 
 def model_from_dict(obj: dict, dims, s: int) -> ModelSpec:

@@ -6,6 +6,8 @@ interactions) without touching the package's matrix machinery.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -135,7 +137,7 @@ def posterior_summary_reference(model, table, prior, n, seed, chunk=32768,
 
     ev = ModelEval(model, table.dims, table.s)
     kept, acc = [], 0
-    for _, P in _chunks(substream(seed, 0), prior.posterior(table), n, chunk):
+    for _, P in _chunks(substream(seed, "prior"), prior.posterior(table), n, chunk):
         d = ev.delta(P) if not ev.cs.is_empty() else np.ones(P.shape[0], dtype=bool)
         acc += int(d.sum())
         kept.append(P[d])
@@ -225,3 +227,19 @@ def tp2_2x2(counts, kappa: float = 1.0, h: float = 0.01) -> float:
     k, f = _sum_density(S, (-(kT + fT.size - 1), fT[::-1]), h)
     m = k + np.arange(f.size)                    # S - T = m * h
     return float(h * (f[m > 0].sum() + 0.5 * f[m == 0].sum()))
+
+
+def tp2_equal_columns(K: int) -> float:
+    """P(local TP2) on a 2 x K table whose columns all hold the same counts
+    (n1 in row 1, n2 in row 2), under Dirichlet(kappa + counts) for any
+    kappa > 0: exactly 1/K!.
+
+    The cells are normalised independent gammas G_ij ~ Gamma(kappa + n_ij),
+    so the local log odds ratios are D_j - D_{j+1} with
+    D_j = log G_1j - log G_2j, and TP2 is D_1 >= D_2 >= ... >= D_K. With
+    equal counts in every column the D_j are i.i.d. and continuous, so
+    each of the K! orderings has the same probability. This holds at zero
+    counts (the prior) and at any equal counts (the posterior) alike, so
+    the exact TP2 Bayes factor of such a table is 1 (log10 BF 0) at every K.
+    """
+    return 1.0 / math.factorial(K)

@@ -81,6 +81,19 @@ def test_unknown_reference_is_an_input_error(tmp_path, capsys):
     ({"settings": {"n_draws": [4000]}}, "'n_draws'"),
     ({"settings": {"no_such_setting": 1}}, "'no_such_setting'"),
     ({"settings": [4000]}, "settings must be an object"),
+    ({"epsilon_schedule": {"epsilon_start": float("inf")}}, "epsilon_start must be finite"),
+    ({"epsilon_schedule": {"epsilon_start": float("nan")}}, "epsilon_start must be finite"),
+    ({"epsilon_schedule": {"stop_tol": -0.1}}, "stop_tol must be finite and >= 0"),
+    ({"epsilon_schedule": {"stop_tol": float("inf")}}, "stop_tol must be finite and >= 0"),
+    ({"epsilon_schedule": {"stop_tol": float("nan")}}, "stop_tol must be finite and >= 0"),
+    ({"models": [dict(TP2, constraints=[{"kind": "logit_trend"}])]},
+     "constraint 'logit_trend': missing a required argument: 'direction'"),
+    ({"models": [dict(TP2, constraints=[{"kind": "independence", "foo": 1}])]},
+     "constraint 'independence': got an unexpected keyword argument 'foo'"),
+    ({"models": [dict(TP2, constraints=[{"kind": "independence", "epsilon": float("nan")}])]},
+     "tolerances must be finite and strictly positive"),
+    ({"models": [dict(TP2, constraints=[{"kind": "independence", "epsilon": float("inf")}])]},
+     "tolerances must be finite and strictly positive"),
 ])
 def test_bad_manifest_is_an_input_error(tmp_path, capsys, extra, needle):
     rc, _, err = run(capsys, "bf", write_manifest(tmp_path, **extra))
@@ -139,6 +152,17 @@ def test_bad_posterior_run_is_an_input_error(tmp_path, capsys, flags, needle):
     rc, _, err = run(capsys, "posterior", "father_son", str(model), *flags)
     assert rc == 1
     assert err.startswith("input error") and needle in err
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+def test_non_finite_model_tolerance_is_an_input_error(tmp_path, capsys, eps):
+    # posterior reads the model's own tolerance, which bf would override
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(dict(MODELS[1], constraints=[
+        {"kind": "independence", "epsilon": eps}])))
+    rc, _, err = run(capsys, "posterior", "father_son", str(model), "--draws", "100")
+    assert rc == 1
+    assert err.startswith("input error") and "finite and strictly positive" in err
 
 
 @pytest.mark.parametrize("extra,needle", [

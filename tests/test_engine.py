@@ -35,7 +35,8 @@ from margbayes import engine
 from margbayes.engine import _importance_stream, substream
 from margbayes.hypotheses import ConstraintSet, model_from_dict
 
-from oracles import about_equality_2x2, posterior_summary_reference, tp2_2x2
+from oracles import (about_equality_2x2, posterior_summary_reference, tp2_2x2,
+                     tp2_equal_columns)
 
 
 def table_2x2(counts=(40.0, 10.0, 12.0, 38.0)):
@@ -52,6 +53,11 @@ def model_indep(dims=(2, 2), kind="local", s=1, eps=0.1):
     link = link_for(dims, kind)
     return ModelSpec("independence", tuple([kind] * len(dims)),
                      independence(link, s=s, epsilon=eps))
+
+
+def se(est, n):
+    """Standard error of a proportion estimate over n draws, from its ESS."""
+    return est.value * np.sqrt(1.0 / est.ess - 1.0 / n)
 
 
 def model_saturated(dims=(2, 2), s=1):
@@ -135,7 +141,7 @@ def test_direct_encompassing_is_one():
     ev = ModelEval(model_saturated(), (2, 2), 1)
     draws = sample_prior(PriorSpec.flat(4, 1, 1.0), 2_000, seed=2)
     est = estimate_proportion_direct(draws, ev)
-    assert est.value == 1.0 and est.route == "direct"
+    assert est.value == 1.0 and est.ess == est.accepted == 2_000
 
 
 def test_direct_2x2_positive_association_is_half():
@@ -144,11 +150,12 @@ def test_direct_2x2_positive_association_is_half():
     n = 100_000
     draws = sample_prior(PriorSpec.flat(4, 1, 1.0), n, seed=23)
     est = estimate_proportion_direct(draws, ev)
-    assert abs(est.value - 0.5) < 3 * est.se
+    assert abs(est.value - 0.5) < 3 * se(est, n)
+    assert se(est, n) == pytest.approx(np.sqrt(est.value * (1 - est.value) / n), rel=1e-12)
     assert est.ess == est.accepted <= n
 
 
-def test_direct_zero_acceptance_warns():
+def test_direct_zero_acceptance_is_zero():
     # force an impossible-ish region: lambda >= 0 and -lambda >= 1e-12 jointly
     link = link_for((2, 2), "local")
     U = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
@@ -158,8 +165,8 @@ def test_direct_zero_acceptance_warns():
     ev = ModelEval(ModelSpec("impossible", ("local", "local"), cs), (2, 2), 1)
     draws = sample_prior(PriorSpec.flat(4, 1, 1.0), 5_000, seed=31)
     est = estimate_proportion_direct(draws, ev)
-    assert est.value == 0.0 and est.ess == 0.0
-    assert any("rare event" in w for w in est.warnings)
+    assert est.value == 0.0 and est.ess == 0.0 and est.accepted == 0
+    assert est.log_value == -np.inf
 
 
 # ---------------------------------------------------------------------------
@@ -170,13 +177,18 @@ def test_importance_with_g_equal_target_matches_direct():
     ev = ModelEval(model_pa(), (2, 2), 1)
     prior = PriorSpec.flat(4, 1, 1.0)
     g = make_density(np.full((1, 4), 0.25), prior.concentration, 1.0)
-    assert np.allclose(g.params, prior.concentration)
+    assert np.allclose(g, prior.concentration)
     est = _importance_stream(ev, prior.concentration, g, 60_000,
                              substream(77, "prior", "main"), 16384)
     # weights are identically 1, so value is the plain acceptance fraction
-    assert est.max_abs_log_weight < 1e-9
-    assert abs(est.value - 0.5) < 3.5 * est.se
+    assert est.value == pytest.approx(est.accepted / 60_000, rel=1e-9)
+    assert abs(est.value - 0.5) < 3.5 * se(est, 60_000)
     assert est.ess == pytest.approx(est.accepted)
+
+
+def test_make_density_rejects_a_zero_concentration():
+    with pytest.raises(engine.EngineError, match="strictly positive"):
+        make_density(np.array([[0.5, 0.5, 0.0, 0.0]]), np.ones((1, 4)), 1.0)
 
 
 def test_importance_agrees_with_direct_2x2():
@@ -188,7 +200,7 @@ def test_importance_agrees_with_direct_2x2():
     imp = _importance_stream(ev, prior.concentration, g, 150_000,
                              substream(5, "prior", "main"), 32768)
     diff = abs(imp.value - direct.value)
-    assert diff < 3.0 * np.sqrt(imp.se ** 2 + direct.se ** 2)
+    assert diff < 3.0 * np.sqrt(se(imp, 150_000) ** 2 + se(direct, 150_000) ** 2)
 
 
 def test_importance_nesting_monotone_on_same_draws():
@@ -220,9 +232,11 @@ def test_tune_alpha_unconstrained_maximises_ess():
     ev = ModelEval(model_saturated(), (2, 2), 1)
     prior = PriorSpec.flat(4, 1, 1.0)
     settings = RunSettings(pilot_n=4_000, chunk=4096, alpha_grid=(0.5, 1.0, 2.0))
-    g, diag = tune_alpha(ev, prior.concentration, np.full((1, 4), 0.25), settings, seed=8)
+    center = np.full((1, 4), 0.25)
+    params, diag = tune_alpha(ev, prior.concentration, center, settings, seed=8)
     # with delta == 1 everywhere the best ESS is at g == target
-    assert g.multiplier == 1.0
+    assert diag["chosen"] == 1.0
+    assert np.array_equal(params, make_density(center, prior.concentration, 1.0))
     assert diag["fallback"] is None
 
 
@@ -231,9 +245,10 @@ def test_tune_alpha_extends_grid_for_tight_tubes():
     ev = ModelEval(model_indep(eps=0.01), (2, 2), 1)
     prior = PriorSpec.flat(4, 1, 1.0)
     settings = RunSettings(pilot_n=4_000, chunk=4096, alpha_grid=(0.5, 1.0))
-    g, diag = tune_alpha(ev, prior.concentration, np.full((1, 4), 0.25), settings, seed=9)
-    assert g.multiplier > 1.0
-    assert diag["chosen"] == g.multiplier
+    center = np.full((1, 4), 0.25)
+    params, diag = tune_alpha(ev, prior.concentration, center, settings, seed=9)
+    assert diag["chosen"] > 1.0
+    assert np.array_equal(params, make_density(center, prior.concentration, diag["chosen"]))
 
 
 def test_tune_alpha_error_when_nothing_accepts():
@@ -325,7 +340,10 @@ def test_interior_check_finds_the_slack_of_each_region(side):
 
 @pytest.mark.parametrize("kw", [{"epsilon_start": np.array([0.1, 0.2])},
                                 {"epsilon_start": np.array([0.1])},
-                                {"epsilon_start": 0.0}, {"b": 1.0}, {"max_stages": 0}])
+                                {"epsilon_start": 0.0}, {"b": 1.0}, {"max_stages": 0},
+                                {"epsilon_start": np.inf}, {"epsilon_start": np.nan},
+                                {"stop_tol": -0.01}, {"stop_tol": np.inf},
+                                {"stop_tol": np.nan}])
 def test_epsilon_schedule_rejects_bad_values(kw):
     with pytest.raises(engine.EngineError):
         EpsilonSchedule(**kw)
@@ -418,6 +436,23 @@ def test_tp2_2x4_prior_proportion_is_one_over_4_factorial():
     prior_ln = [e.components["stages"][0]["prior_ln"] for e in ests]
     se = np.std(prior_ln, ddof=1) / np.sqrt(len(prior_ln))
     assert abs(np.mean(prior_ln) - np.log(1 / 24)) < 4 * se
+
+
+def test_tp2_equal_columns_bayes_factor_is_one():
+    # with the same counts in every column the exact Bayes factor of local
+    # TP2 on 2xK is 1 (see oracles.tp2_equal_columns); at K = 4 both sides
+    # take the importance route, and the seed mean of log10 BF must lie
+    # within 4 SE of 0
+    K = 4
+    exact = np.log10(tp2_equal_columns(K) / tp2_equal_columns(K))     # posterior / prior
+    table = StratifiedTable(("all",), (ContingencyTable((2, K), np.array(
+        [5.0] * K + [3.0] * K)),))
+    settings = RunSettings(n_draws=20_000, pilot_n=5_000, chunk=8192)
+    ests = [bayes_factor(model_pa((2, K)), table, PriorSpec.flat(2 * K, 1, 1.0), settings,
+                         seed=seed) for seed in range(1, 9)]
+    assert {e.route for e in ests} == {"importance/importance"}
+    values = [e.log10_bf for e in ests]
+    assert abs(np.mean(values) - exact) <= 4 * np.std(values, ddof=1) / np.sqrt(len(values))
 
 
 # ---------------------------------------------------------------------------
@@ -557,29 +592,32 @@ def test_centring_fits_keep_distinct_margins_for_inequalities(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def record_tunes(monkeypatch):
-    """The seed of each tune_alpha call the engine makes."""
-    seeds = []
+    """(seed, probe stream path) of each tune_alpha call the engine makes."""
+    calls = []
     orig = engine.tune_alpha
 
-    def tune_alpha(ev, target_alpha, center, settings, seed, **kw):
-        seeds.append(seed)
-        return orig(ev, target_alpha, center, settings, seed, **kw)
+    def tune_alpha(ev, target_alpha, center, settings, seed, path=("tune",), grid=None):
+        calls.append((seed, path))
+        return orig(ev, target_alpha, center, settings, seed, path=path, grid=grid)
 
     monkeypatch.setattr(engine, "tune_alpha", tune_alpha)
-    return seeds
+    return calls
 
 
 def ladder_walk(monkeypatch, model, table, side, seed=100):
-    """(fit margin, tuning seed offset) of each rung one _tuned_density call
-    runs, with an ESS target no pilot reaches so that no rung ends the walk."""
+    """(fit margin, rung index) of each rung one _tuned_density call runs,
+    with an ESS target no pilot reaches so that no rung ends the walk.
+    Every rung tunes at the part's seed, on the part's path plus its index."""
     settings = RunSettings(pilot_n=4_000, chunk=4096, ess_floor=1e9, alpha_grid=(5.0, 50.0))
     prior = PriorSpec.flat(table.r, table.s, 1.0)
     target = prior.concentration if side == "prior" else prior.posterior(table)
-    fits, seeds = record_fits(monkeypatch), record_tunes(monkeypatch)
+    fits, tunes = record_fits(monkeypatch), record_tunes(monkeypatch)
+    path = (side, "tune", 0)
     engine._tuned_density(side, ModelEval(model, table.dims, table.s), target, model,
-                          table, settings, seed)
-    assert len(fits) == len(seeds)
-    return [(c[-1], s - seed) for c, s in zip(fits, seeds)]
+                          table, settings, seed, path)
+    assert len(fits) == len(tunes)
+    assert all(s == seed and p[:-1] == path for s, p in tunes)
+    return [(c[-1], p[-1]) for c, (_, p) in zip(fits, tunes)]
 
 
 @pytest.mark.parametrize("side,margin", [("prior", 1.0), ("posterior", 0.0)])
@@ -593,13 +631,51 @@ def test_ladder_tunes_an_equality_model_once(monkeypatch, side, margin):
 def test_ladder_skips_a_repeated_margin_and_keeps_rung_seeds(monkeypatch):
     t = StratifiedTable(("all",), (ContingencyTable((3, 3), np.array(
         [20.0, 9.0, 4.0, 8.0, 15.0, 9.0, 3.0, 10.0, 22.0])),))
-    # the first rung is prior_margin = 1.0 on the prior side, so rung 1.0 repeats it
+    # the first rung is prior_margin = 1.0 on the prior side, so rung 1.0
+    # repeats it; the skipped rung's index 2 names no stream
     assert ladder_walk(monkeypatch, model_pa((3, 3)), t, "prior") == \
         [(1.0, 0), (0.25, 1), (2.0, 3)]
     monkeypatch.undo()
     # the first rung is 0.0 on the posterior side: every rung is a new problem
     assert ladder_walk(monkeypatch, model_pa((3, 3)), t, "posterior") == \
         [(0.0, 0), (0.25, 1), (1.0, 2), (2.0, 3)]
+
+
+def test_every_stream_is_drawn_once(monkeypatch):
+    # every pilot, sample and tuning probe of a replicate_bf call draws from
+    # its own (seed, spawn key). Both sides are tuned, and no pilot ESS is
+    # enough, so every rung of both sides' margin ladders runs: once on one
+    # unit over three rungs, and once per stratum on a chain whose parts are
+    # redrawn at every level
+    uses = []
+    orig = engine.substream
+
+    def substream(seed, *path):
+        rng = orig(seed, *path)
+        uses.append((int(seed), tuple(rng.bit_generator.seed_seq.spawn_key)))
+        return rng
+
+    monkeypatch.setattr(engine, "substream", substream)
+    t = StratifiedTable(("all",), (ContingencyTable((3, 3), np.array(
+        [20.0, 9.0, 4.0, 8.0, 15.0, 9.0, 3.0, 10.0, 22.0])),))
+    settings = RunSettings(n_draws=4_000, pilot_n=4_000, chunk=4096, direct_threshold=1.1,
+                           ess_floor=1e9, alpha_grid=(5.0, 50.0), max_retunes=2)
+    replicate_bf(model_pa((3, 3)), t, PriorSpec.flat(9, 1, 1.0), settings, B=2, seed=8)
+    # per replicate and side: pilot, sample, two probes on each rung
+    assert len(uses) == 2 * (2 + 2 + 2 * 3 + 2 * 4)
+    assert len(set(uses)) == len(uses)
+
+    del uses[:]
+    strata = StratifiedTable(("a", "b"), (ContingencyTable((2, 2), np.array([20.0, 18, 22, 21])),
+                                          ContingencyTable((2, 2), np.array([30.0, 10, 12, 25]))))
+    sched = EpsilonSchedule(epsilon_start=0.2, b=0.5, stop_tol=0.0, max_stages=2)
+    est = replicate_bf(model_indep(s=2, eps=0.2), strata, PriorSpec.flat(4, 2, 1.0), settings,
+                       B=2, seed=9, schedule=sched)
+    assert all(rep["n_stages"] == 2 for rep in est.components["replicates"])
+    # per replicate, side and stratum: pilot, three samples, and the probes
+    # of three tunings, the two redraws' on a six-point grid about the last pick
+    assert len(uses) == 2 * 2 * 2 * (1 + 3 + 2 + 6 + 6)
+    assert len(set(uses)) == len(uses)
 
 
 def test_compare_models_antisymmetric_and_zero():
@@ -638,8 +714,8 @@ def test_posterior_summary_acceptance_matches_direct():
     s = posterior_draws_under_model(model_pa(), t, prior, n=50_000, seed=32)
     ev = ModelEval(model_pa(), (2, 2), 1)
     direct = estimate_proportion_direct(sample_posterior(prior, t, 50_000, seed=900), ev)
-    se = np.sqrt(direct.se ** 2 + s.acceptance * (1 - s.acceptance) / s.n_drawn)
-    assert abs(s.acceptance - direct.value) < 3 * se + 1e-12
+    both = np.sqrt(se(direct, 50_000) ** 2 + s.acceptance * (1 - s.acceptance) / s.n_drawn)
+    assert abs(s.acceptance - direct.value) < 3 * both + 1e-12
     assert s.mean_satisfies
 
 
@@ -686,8 +762,8 @@ def test_posterior_summary_keeps_first_keep_cap_accepted_draws(model, chunk):
     assert s.n_accepted > 50
     assert json.dumps(s.to_dict()) == json.dumps(posterior_summary_reference(
         model, t, prior, n=100, seed=43, chunk=chunk, keep_cap=50))
-    draws = np.concatenate([D for _, D in engine._chunks(substream(43, 0), prior.posterior(t),
-                                                          100, chunk)])
+    draws = np.concatenate([D for _, D in engine._chunks(
+        substream(43, "prior"), prior.posterior(t), 100, chunk)])
     ev = ModelEval(model, (2, 2), 1)
     accepted = draws if ev.cs.is_empty() else draws[ev.delta(draws)]
     assert np.array_equal(s.pi_mean, accepted[:50].mean(axis=0))

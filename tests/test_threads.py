@@ -287,9 +287,9 @@ def test_tune_alpha_same_at_any_thread_count(monkeypatch):
     settings = RunSettings(pilot_n=8_000, chunk=4096)
     outs = []
     for n in THREAD_COUNTS:
-        g, diag = on_threads(monkeypatch, n, lambda: tune_alpha(
+        params, diag = on_threads(monkeypatch, n, lambda: tune_alpha(
             ev, prior.concentration, center, settings, seed=11))
-        outs.append((g.params.tobytes(), as_json(diag)))
+        outs.append((params.tobytes(), as_json(diag)))
     assert outs[1] == outs[0] and outs[2] == outs[0]
 
     # the grid entries are the probes a plain loop makes, in grid order
@@ -305,18 +305,18 @@ def test_tune_alpha_same_at_any_thread_count(monkeypatch):
 def test_tune_alpha_probe_error_reaches_caller(monkeypatch):
     ev = ModelEval(model_tp2_3x3(), (3, 3), 1)
     prior = PriorSpec.flat(9, 1, 1.0)
+    center = np.full((1, 9), 1.0 / 9.0)
     orig = engine._importance_stream
 
-    def failing(ev_, target, g, *args):
-        if g.multiplier == 5.0:
+    def failing(ev_, target, params, *args):
+        if np.array_equal(params, make_density(center, target, 5.0)):
             raise FloatingPointError("probe failed")
-        return orig(ev_, target, g, *args)
+        return orig(ev_, target, params, *args)
 
     monkeypatch.setattr(engine, "_importance_stream", failing)
     with pytest.raises(FloatingPointError, match="probe failed"):
         on_threads(monkeypatch, 2, lambda: tune_alpha(
-            ev, prior.concentration, np.full((1, 9), 1.0 / 9.0),
-            RunSettings(pilot_n=8_000, chunk=4096), seed=12))
+            ev, prior.concentration, center, RunSettings(pilot_n=8_000, chunk=4096), seed=12))
 
 
 def test_replicate_bf_importance_route_same_at_any_thread_count(monkeypatch):
