@@ -58,7 +58,7 @@ from .hypotheses import (
     uniform_association,
     zero_higher_interactions,
 )
-from .fit import FitError, FitOptions, FitResult, constrained_mle, prior_center
+from .fit import FitError, FitResult, constrained_mle, prior_center
 from .engine import (
     BFEstimate,
     EngineError,

@@ -4,6 +4,11 @@ Subcommands: datasets (bundled fixtures), bf (Bayes factors from a run
 manifest), sensitivity (the same over a prior-concentration sweep), fit
 (constrained MLE), posterior (accepted-draw summaries). Exit codes: 0
 success, 1 input error, 2 estimation failure.
+
+A manifest's "settings" object takes the fields of engine.RunSettings,
+whose docstring gives each one's meaning and range, and its
+"epsilon_schedule" those of engine.EpsilonSchedule; any other key in
+either is an input error.
 """
 from __future__ import annotations
 
@@ -12,12 +17,13 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__
 from .engine import (
     LN10,
+    LOG_BASES,
     EngineError,
     EpsilonSchedule,
     PriorSpec,
@@ -26,17 +32,15 @@ from .engine import (
     jeffreys_label,
     posterior_draws_under_model,
     replicate_bf,
+    _is_number,
 )
-from .fit import FitError, FitOptions, constrained_mle
+from .fit import FitError, constrained_mle
 from .hypotheses import ConstraintError, model_from_dict
 from .link import LinkError
 from .tables import TableError, list_fixtures, load_fixture, load_table, validate
 
 INPUT_ERRORS = (TableError, ConstraintError, LinkError, FitError, FileNotFoundError,
                 json.JSONDecodeError, KeyError, ValueError)
-
-# bases a log Bayes factor may be printed in
-LOG_BASES = ("10", "e")
 
 
 def _load_dataset(ref: str, base: Path):
@@ -49,6 +53,8 @@ def _load_dataset(ref: str, base: Path):
 def _load_manifest(path: str) -> dict:
     p = Path(path)
     manifest = json.loads(p.read_text())
+    if not isinstance(manifest, dict):
+        raise ValueError(f"a manifest must be an object, got {manifest!r}")
     manifest["_base"] = p.parent
     return manifest
 
@@ -56,7 +62,10 @@ def _load_manifest(path: str) -> dict:
 def _models_from_manifest(manifest: dict, table):
     base = manifest["_base"]
     models = []
-    for entry in manifest.get("models", []):
+    entries = manifest.get("models", [])
+    if not isinstance(entries, list):
+        raise ValueError(f"models must be a list, got {entries!r}")
+    for entry in entries:
         obj = json.loads((base / entry).read_text()) if isinstance(entry, str) else entry
         models.append(model_from_dict(obj, table.dims, table.s))
     if not models:
@@ -64,17 +73,13 @@ def _models_from_manifest(manifest: dict, table):
     return models
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _setting(k: str, default, v):
-    """Manifest value v as the type of the setting's default; a ValueError
-    naming the setting when it cannot be one."""
+def _setting(label: str, k: str, default, v):
+    """Manifest value v as the type of its default; a ValueError naming
+    the key when it cannot be one."""
     if isinstance(default, tuple):
         if isinstance(v, list) and all(_is_number(x) for x in v):
             return tuple(v)
-        raise ValueError(f"setting {k!r} must be a list of numbers, got {v!r}")
+        raise ValueError(f"{label} {k!r} must be a list of numbers, got {v!r}")
     if isinstance(default, int):
         if isinstance(v, int) and not isinstance(v, bool):
             return v
@@ -83,89 +88,39 @@ def _setting(k: str, default, v):
             return float(v)
     elif isinstance(v, str):
         return v
-    raise ValueError(f"setting {k!r} must be a single {type(default).__name__}, got {v!r}")
+    raise ValueError(f"{label} {k!r} must be a single {type(default).__name__}, got {v!r}")
 
 
-# Range of each tuning setting: name -> (test of one value or list entry,
-# what the test asks). A tune_extend_factor <= 1 would never end the
-# tuner's grid extension, and a negative smoothing sends the centring fit
-# to its iteration cap. A direct_threshold above 1 is kept: it sends every
-# side down the importance route.
-_TUNING_RANGES = {
-    "tune_extend_factor": (lambda v: 1 < v < math.inf, "a finite number > 1"),
-    "tune_extend_max_multiplier": (lambda v: 0 < v < math.inf, "a finite number > 0"),
-    "alpha_grid": (lambda v: 0 < v < math.inf, "a non-empty list of finite numbers > 0"),
-    "margin_ladder": (lambda v: 0 <= v < math.inf, "a list of finite numbers >= 0"),
-    "tune_accept_min": (lambda v: 0 <= v <= 1, "a number in [0, 1]"),
-    "ess_floor": (lambda v: v >= 0, "a number >= 0"),
-    "max_retunes": (lambda v: v >= 0, "a whole number >= 0"),
-    "smoothing": (lambda v: 0 <= v < math.inf, "a finite number >= 0"),
-    "prior_margin": (lambda v: 0 <= v < math.inf, "a finite number >= 0"),
-    "direct_threshold": (lambda v: 0 <= v < math.inf, "a finite number >= 0"),
-}
+def _from_manifest(manifest: dict, key: str, cls, label: str, **overrides):
+    """cls built from the manifest's object under key, each value typed as
+    the field's default (_setting), then the overrides that are not None.
+    An unknown key, and a value cls rejects, are ValueErrors."""
+    given = manifest.get(key, {})
+    if not isinstance(given, dict):
+        raise ValueError(f"{key} must be an object, got {given!r}")
+    defaults = {f.name: f.default for f in fields(cls)}
+    values = {}
+    for k, v in given.items():
+        if k not in defaults:
+            raise ValueError(f"unknown {label} {k!r}")
+        values[k] = _setting(label, k, defaults[k], v)
+    values.update((k, v) for k, v in overrides.items() if v is not None)
+    try:
+        return cls(**values)
+    except EngineError as err:           # a value out of range is an input error too
+        raise ValueError(f"{key}: {err}") from None
 
 
-def _check_tuning(name: str, v) -> None:
-    """A ValueError naming the tuning setting when v is out of its range."""
-    ok, want = _TUNING_RANGES[name]
-    values = v if isinstance(v, tuple) else (v,)
-    if (name == "alpha_grid" and not values) or not all(ok(x) for x in values):
-        raise ValueError(f"{name} must be {want}, got {v!r}")
-
-
-def _check_run(sizes: dict, concentrations, settings: RunSettings | None = None) -> None:
-    """The one range check of a run's sizes, prior and tuning settings: a
-    ValueError naming the first size that is not a whole number >= 1, the
-    first prior concentration that is not a positive finite number, or the
-    first tuning setting out of its range (_TUNING_RANGES)."""
+def _check_run(sizes: dict, concentrations) -> None:
+    """The range check of what a run takes besides its RunSettings: a
+    ValueError naming the first size that is not a whole number >= 1 or
+    the first prior concentration that is not a positive finite number."""
     for name, v in sizes.items():
         if not isinstance(v, int) or isinstance(v, bool) or v < 1:
             raise ValueError(f"{name} must be a whole number >= 1, got {v!r}")
     for k in concentrations:
         if not _is_number(k) or not 0 < k < math.inf:
             raise ValueError(f"prior concentration must be a positive number, got {k!r}")
-    for name in _TUNING_RANGES if settings is not None else ():
-        _check_tuning(name, getattr(settings, name))
-
-
-def _settings_from(manifest: dict, args) -> RunSettings:
-    s = RunSettings()
-    given = manifest.get("settings", {})
-    if not isinstance(given, dict):
-        raise ValueError(f"settings must be an object, got {given!r}")
-    for k, v in given.items():
-        if not hasattr(s, k):
-            raise ValueError(f"unknown setting {k!r}")
-        setattr(s, k, _setting(k, getattr(s, k), v))
-    if args.draws is not None:
-        s.n_draws = args.draws
-    if args.pilot is not None:
-        s.pilot_n = args.pilot
-    if args.log_base:
-        s.log_base = args.log_base
-    if s.log_base not in LOG_BASES:
-        raise ValueError(f"log_base must be one of {', '.join(LOG_BASES)}, got {s.log_base!r}")
-    return s
-
-
-def _schedule_from(manifest: dict) -> EpsilonSchedule | None:
-    sched = manifest.get("epsilon_schedule")
-    if not sched:
-        return None
-    if not isinstance(sched, dict):
-        raise ValueError(f"epsilon_schedule must be an object, got {sched!r}")
-    defaults = asdict(EpsilonSchedule())
-    for k, v in sched.items():
-        if k not in defaults:
-            raise ValueError(f"unknown epsilon_schedule key {k!r}")
-        want_int = isinstance(defaults[k], int)
-        if not _is_number(v) or (want_int and not isinstance(v, int)):
-            raise ValueError(f"epsilon_schedule key {k!r} must be "
-                             f"{'an integer' if want_int else 'a number'}, got {v!r}")
-    try:
-        return EpsilonSchedule(**sched)
-    except EngineError as err:           # a value out of range is an input error too
-        raise ValueError(f"epsilon_schedule: {err}") from None
 
 
 def _display_log(est_log10: float, base: str) -> float:
@@ -250,8 +205,12 @@ def cmd_sensitivity(args) -> int:
     manifest = _load_manifest(args.manifest)
     table = _load_dataset(manifest["dataset"], manifest["_base"])
     models = _models_from_manifest(manifest, table)
-    settings = _settings_from(manifest, args)
-    schedule = _schedule_from(manifest)
+    settings = _from_manifest(manifest, "settings", RunSettings, "setting", n_draws=args.draws,
+                              pilot_n=args.pilot, log_base=args.log_base)
+    schedule = None
+    if manifest.get("epsilon_schedule"):
+        schedule = _from_manifest(manifest, "epsilon_schedule", EpsilonSchedule,
+                                  "epsilon_schedule key")
     seed = args.seed if args.seed is not None else int(manifest.get("seed", 20240901))
     B = args.replicates if args.replicates is not None else manifest.get("replicates", 1)
     reference = args.reference or manifest.get("reference")
@@ -264,8 +223,7 @@ def cmd_sensitivity(args) -> int:
         kappas = args.concentrations or manifest.get("concentrations", [1.0])
         if not isinstance(kappas, list):
             raise ValueError(f"concentrations must be a list, got {kappas!r}")
-    _check_run({"n_draws": settings.n_draws, "pilot_n": settings.pilot_n,
-                "chunk": settings.chunk, "replicates": B}, kappas, settings)
+    _check_run({"replicates": B}, kappas)
     kappas = [float(k) for k in kappas]
     t0 = time.time()
     sweeps = [{"concentration": kappa,
@@ -294,12 +252,10 @@ def cmd_sensitivity(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    _check_tuning("smoothing", args.smoothing)
     table = _load_dataset(args.dataset, Path.cwd())
     obj = json.loads(Path(args.model).read_text())
     model = model_from_dict(obj, table.dims, table.s)
-    options = FitOptions(smoothing=args.smoothing)
-    res = constrained_mle(table, model, options)
+    res = constrained_mle(table, model, smoothing=args.smoothing)
     report = {
         "command": "fit",
         "dataset": args.dataset,

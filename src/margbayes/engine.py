@@ -40,6 +40,7 @@ the units after it stop at their next cancel.check().
 """
 from __future__ import annotations
 
+import math
 import os
 import threading
 from concurrent.futures import Future
@@ -69,6 +70,19 @@ _THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
 _BLOCK = 4096
 
 DEFAULT_ALPHA_GRID = (0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 30.0, 50.0)
+
+# The tuner's policy, fixed: the paper fixes the estimator, not how its
+# importance density is tuned. A probe qualifies when it accepts at least
+# _TUNE_ACCEPT_MIN of its draws; when no grid probe does, the multiplier
+# grows from the grid's top by _TUNE_EXTEND_FACTOR, up to the cap.
+_TUNE_ACCEPT_MIN = 0.01
+_TUNE_EXTEND_FACTOR = 4.0
+_TUNE_EXTEND_MAX_MULTIPLIER = 1e7
+_MAX_RETUNES = 8                 # redraws a chain part may make
+# Interior margins of each side's centring fits, rung by rung. Rung j tunes
+# on stream index j: the prior's second 1.0 repeats its first rung and is
+# skipped, but keeps its index, so rung 2.0 draws from index 3 on both sides.
+_MARGIN_LADDERS = {"prior": (1.0, 0.25, 1.0, 2.0), "posterior": (0.0, 0.25, 1.0, 2.0)}
 
 
 class EngineError(RuntimeError):
@@ -157,28 +171,62 @@ class EpsilonSchedule:
             raise EngineError("need at least one stage")
 
 
-@dataclass
+# bases a log Bayes factor may be printed in
+LOG_BASES = ("10", "e")
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+@dataclass(frozen=True)
 class RunSettings:
+    """Run sizes and thresholds of a Bayes factor, each checked against its
+    range here: the fields of a run manifest's "settings" object.
+
+    n_draws           whole number >= 1: draws per side and unit, and per redraw
+    pilot_n           whole number >= 1: routing pilot draws per side and unit;
+                      a tuning probe takes max(4000, pilot_n // 4)
+    direct_threshold  finite number >= 0: a side whose pilot accepts at least
+                      this share samples its target directly, else a tuned
+                      density (above 1, every side is tuned)
+    alpha_grid        non-empty list of finite numbers > 0: the concentration
+                      multipliers the tuner probes
+    chunk             whole number >= 1: draws each sampling loop holds at once
+    ess_floor         number >= 0: a level with less ESS is warned about, and
+                      a chain part under it is retuned
+    log_base          "10" or "e": base of the printed log Bayes factors
+    """
+
     n_draws: int = 1_000_000
     pilot_n: int = 100_000
     direct_threshold: float = 0.05
     alpha_grid: tuple = DEFAULT_ALPHA_GRID
-    tune_accept_min: float = 0.01
-    tune_extend_factor: float = 4.0
-    tune_extend_max_multiplier: float = 1e7
     chunk: int = 32768
     ess_floor: float = 50.0
-    max_retunes: int = 8
-    prior_margin: float = 1.0
-    margin_ladder: tuple = (0.25, 1.0, 2.0)
-    smoothing: float = 0.5
     log_base: str = "10"
 
+    def __post_init__(self):
+        object.__setattr__(self, "alpha_grid", tuple(self.alpha_grid))
+        for name in ("n_draws", "pilot_n", "chunk"):
+            v = getattr(self, name)
+            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+                raise ValueError(f"{name} must be a whole number >= 1, got {v!r}")
+        if not (_is_number(self.direct_threshold) and 0 <= self.direct_threshold < math.inf):
+            raise ValueError(f"direct_threshold must be a finite number >= 0, "
+                             f"got {self.direct_threshold!r}")
+        if not self.alpha_grid or not all(_is_number(a) and 0 < a < math.inf
+                                          for a in self.alpha_grid):
+            raise ValueError(f"alpha_grid must be a non-empty list of finite numbers > 0, "
+                             f"got {self.alpha_grid!r}")
+        if not (_is_number(self.ess_floor) and self.ess_floor >= 0):
+            raise ValueError(f"ess_floor must be a number >= 0, got {self.ess_floor!r}")
+        if self.log_base not in LOG_BASES:
+            raise ValueError(f"log_base must be one of {', '.join(LOG_BASES)}, "
+                             f"got {self.log_base!r}")
+
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["alpha_grid"] = list(self.alpha_grid)
-        d["margin_ladder"] = list(self.margin_ladder)
-        return d
+        return dict(asdict(self), alpha_grid=list(self.alpha_grid))
 
 
 @dataclass
@@ -558,8 +606,7 @@ def tune_alpha(ev: ModelEval, target_alpha: np.ndarray, center: np.ndarray,
 
     Returns (proposal concentrations, diagnostics); diagnostics["chosen"]
     is the multiplier picked. Raises TuningError when no concentration,
-    extended included, yields a single accepted draw, and EngineError
-    before any probe when tune_extend_factor is not above 1.
+    extended included, yields a single accepted draw.
 
     The grid probes are one of the engine's fan-out points (see
     _ordered_map): they run on whatever is left of the process-wide thread
@@ -574,11 +621,6 @@ def tune_alpha(ev: ModelEval, target_alpha: np.ndarray, center: np.ndarray,
     before.
     """
     grid = list(grid if grid is not None else settings.alpha_grid)
-    if not grid or any(a <= 0 for a in grid):
-        raise EngineError("alpha grid must be non-empty and positive")
-    if not settings.tune_extend_factor > 1:      # the extension would never grow
-        raise EngineError(
-            f"tune_extend_factor must be > 1, got {settings.tune_extend_factor!r}")
     results = []
 
     probe_n = max(4000, settings.pilot_n // 4)
@@ -597,16 +639,16 @@ def tune_alpha(ev: ModelEval, target_alpha: np.ndarray, center: np.ndarray,
     for m, e in zip(grid, ests):
         record(m, e)
     qualifying = [(e.ess, m, e) for m, e in zip(grid, ests)
-                  if e.accepted / probe_n >= settings.tune_accept_min]
+                  if e.accepted / probe_n >= _TUNE_ACCEPT_MIN]
     idx = len(grid)
     if not qualifying:
         mult = max(grid)
         extra_hits = 0
-        while mult < settings.tune_extend_max_multiplier:
-            mult *= settings.tune_extend_factor
+        while mult < _TUNE_EXTEND_MAX_MULTIPLIER:
+            mult *= _TUNE_EXTEND_FACTOR
             e = record(mult, draw(idx, mult))
             idx += 1
-            if e.accepted / probe_n >= settings.tune_accept_min:
+            if e.accepted / probe_n >= _TUNE_ACCEPT_MIN:
                 qualifying.append((e.ess, mult, e))
                 extra_hits += 1
                 if extra_hits >= 3:
@@ -703,12 +745,11 @@ _CENTRES: ContextVar[_CentreMemo | None] = ContextVar("margbayes_centres", defau
 
 
 def _centre_key(side: str, fit_model: ModelSpec, table: StratifiedTable,
-                settings: RunSettings, margin: float) -> tuple:
+                margin: float) -> tuple:
     """Everything the centring fit reads. The interior margin enters the
     fit only through the inequality rows."""
     cs = fit_model.constraints
-    key = [side, tuple(fit_model.logit_types), tuple(table.dims), table.s,
-           settings.smoothing]
+    key = [side, tuple(fit_model.logit_types), tuple(table.dims), table.s]
     arrays = [cs.E, cs.U, cs.epsilon]
     if side == "posterior":
         arrays.append(table.counts_matrix())
@@ -719,8 +760,7 @@ def _centre_key(side: str, fit_model: ModelSpec, table: StratifiedTable,
     return tuple(key)
 
 
-def _centre(side: str, model: ModelSpec, table: StratifiedTable,
-            settings: RunSettings, margin: float):
+def _centre(side: str, model: ModelSpec, table: StratifiedTable, margin: float):
     """Importance-density centre per the side: the flat-likelihood interior
     point for the prior, the constrained MLE for the posterior. Inside a
     replicate_bf call a problem already solved there is not fitted again."""
@@ -728,19 +768,16 @@ def _centre(side: str, model: ModelSpec, table: StratifiedTable,
 
     def fit():
         if side == "prior":
-            res = fitmod.prior_center(fit_model, table.dims, table.s,
-                                      fitmod.FitOptions(smoothing=settings.smoothing),
-                                      interior_margin=margin)
+            res = fitmod.prior_center(fit_model, table.dims, table.s, interior_margin=margin)
         else:
-            opts = fitmod.FitOptions(smoothing=settings.smoothing, interior_margin=margin)
-            res = fitmod.constrained_mle(table, fit_model, opts)
+            res = fitmod.constrained_mle(table, fit_model, interior_margin=margin)
         res.pi_hat.flags.writeable = False      # may be handed out again from the memo
         return res.pi_hat
 
     memo = _CENTRES.get()
     if memo is None:
         return fit()
-    return memo.get(_centre_key(side, fit_model, table, settings, margin), fit)
+    return memo.get(_centre_key(side, fit_model, table, margin), fit)
 
 
 def _max_slack(G: np.ndarray, h: np.ndarray, tol: float = 1e-12) -> float:
@@ -797,10 +834,9 @@ def _has_interior(side: str, model: ModelSpec, margin: float) -> bool:
 
 def _tuned_density(side: str, ev: ModelEval, target_alpha, model, table,
                    settings: RunSettings, seed: int, path: tuple, grid=None):
-    """Centre + tune, walking the interior-margin ladder until the pilot
-    ESS looks healthy (or nothing works at any margin). The ladder is the
-    side's default margin (prior_margin for the prior, 0 for the
-    posterior), then margin_ladder.
+    """Centre + tune, walking the side's interior-margin ladder
+    (_MARGIN_LADDERS) until the pilot ESS looks healthy (or nothing works
+    at any margin).
 
     The ladder walks distinct centring problems: a rung whose margin is
     that of an earlier rung, or any rung after the first when the model
@@ -810,11 +846,10 @@ def _tuned_density(side: str, ev: ModelEval, target_alpha, model, table,
     (*path, j, probe), whether or not rungs before it were skipped.
     Returns (proposal concentrations, diagnostics); raises TuningError when
     no rung has an interior."""
-    default = settings.prior_margin if side == "prior" else 0.0
     walked = set()
     last_err = None
     best = None
-    for j, margin in enumerate([default, *settings.margin_ladder]):
+    for j, margin in enumerate(_MARGIN_LADDERS[side]):
         problem = margin if model.constraints.n_ineq else None
         if problem in walked:
             continue
@@ -824,7 +859,7 @@ def _tuned_density(side: str, ev: ModelEval, target_alpha, model, table,
                 f"the {side}-side constraint region has no interior at margin {margin:g}")
             continue
         try:
-            center = _centre(side, model, table, settings, margin)
+            center = _centre(side, model, table, margin)
             params, diag = tune_alpha(ev, target_alpha, center, settings, seed,
                                       path=(*path, j), grid=grid)
             diag["margin"] = margin
@@ -950,7 +985,7 @@ class _Part:
         _, ess, acc = self.level(scale)
         healthy = (acc >= max(200, int(0.02 * self.settings.n_draws))
                    and ess >= self.settings.ess_floor)
-        if healthy or self.draw_key >= self.settings.max_retunes:
+        if healthy or self.draw_key >= _MAX_RETUNES:
             return False
         self.draw_key += 1
         self._draw(scale)
@@ -1014,14 +1049,13 @@ def bayes_factor(model: ModelSpec, table: StratifiedTable, prior: PriorSpec,
             # same-sample differencing: refresh the previous level too
             prev = {s: side_level(s, schedule.b ** (level - 2)) for s in sides}
         bad = [s for s in cur if not np.isfinite(cur[s][0]) or cur[s][2] < count_floor]
-        if bad:
-            if level == 1:
-                side_bad = bad[0]
-                if not np.isfinite(cur[side_bad][0]):
-                    raise UnboundedEstimateError(side_bad)
-            else:
-                truncated = True
-                break
+        if level == 1:
+            for side in bad:
+                if not np.isfinite(cur[side][0]):
+                    raise UnboundedEstimateError(side)
+        elif bad:
+            truncated = True
+            break
         weak = [s for s in cur if cur[s][1] < settings.ess_floor]
         if weak:
             warnings.append(
@@ -1161,8 +1195,7 @@ class PosteriorSummary:
 
 def posterior_draws_under_model(model: ModelSpec, table: StratifiedTable,
                                 prior: PriorSpec, n: int, seed: int,
-                                chunk: int = 32768, keep_cap: int = 200_000,
-                                level: float = 0.95) -> PosteriorSummary:
+                                chunk: int = 32768, keep_cap: int = 200_000) -> PosteriorSummary:
     """Accepted encompassing-posterior draws and their summaries.
 
     Of the n draws, the first min(accepted, keep_cap) accepted ones, in
@@ -1202,7 +1235,7 @@ def posterior_draws_under_model(model: ModelSpec, table: StratifiedTable,
             f"acceptance {frac:.2e} is tiny; summaries rest on few draws and an "
             "about-equality route is likely more appropriate")
     P = P[:kept]
-    q = [(1 - level) / 2, 1 - (1 - level) / 2]
+    q = [(1 - 0.95) / 2, 1 - (1 - 0.95) / 2]     # the central 95% interval
 
     def quantiles(X):
         # (2, columns) of X (draws, columns), _SUMMARY_COLS columns at a time,

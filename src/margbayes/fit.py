@@ -9,7 +9,7 @@ a Rockafellar multiplier scheme with squared-hinge penalties.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from . import cancel
 from .hypotheses import ModelSpec
 from .link import (LOG_FLOOR, LinkMatrices, eta_from_logpi, eta_jacobian_from_logpi,
                    logsumexp)
-from .tables import ContingencyTable, StratifiedTable
+from .tables import StratifiedTable
 
 
 class FitError(RuntimeError):
@@ -48,16 +48,15 @@ class FitResult:
         }
 
 
-@dataclass
-class FitOptions:
-    smoothing: float = 0.5
-    viol_tol: float = 1e-8
-    stat_tol: float = 1e-7        # on the gradient inf-norm, per unit count
-    max_outer: int = 500
-    max_inner: int = 100
-    rho0: float = 10.0
-    rho_max: float = 1e10
-    interior_margin: float = 0.0   # tighten U eta >= margin (prior centring)
+# The solver's tolerances and limits. A fit only centres a density or
+# answers `margbayes fit`, where a usable centre matters more than the last
+# digit, so they are fixed rather than settable.
+_VIOL_TOL = 1e-8             # worst constraint violation at convergence
+_STAT_TOL = 1e-7             # on the gradient inf-norm, per unit count
+_MAX_OUTER = 500             # multiplier updates
+_MAX_INNER = 100             # Newton steps per multiplier update
+_RHO0 = 10.0                 # the penalty weight starts here, and grows
+_RHO_MAX = 1e10              # tenfold while the violation falls too slowly
 
 
 def _theta_to_logpi(theta_b):
@@ -68,19 +67,18 @@ def _theta_to_logpi(theta_b):
 class _Problem:
     """Stacked-strata objective, eta map and constraint linearisation."""
 
-    def __init__(self, counts, link: LinkMatrices, constraints, options: FitOptions):
+    def __init__(self, counts, link: LinkMatrices, constraints, smoothing: float, margin: float):
         self.link = link
         self.s, self.r = counts.shape
         self.k = self.r - 1
-        self.y = counts + options.smoothing
+        self.y = counts + smoothing
         self.N = self.y.sum(axis=1)
         self.cs = constraints
-        m = options.interior_margin
         # rows: [U eta - margin; eps - E eta; E eta + eps] >= 0
         mats, offs = [], []
         if constraints.n_ineq:
             mats.append(constraints.U)
-            offs.append(np.full(constraints.n_ineq, -m))
+            offs.append(np.full(constraints.n_ineq, -margin))
         if constraints.n_eq:
             mats.append(-constraints.E)
             offs.append(constraints.epsilon.copy())
@@ -135,7 +133,7 @@ class _Problem:
         return float(max(0.0, -np.min(self.g_of(eta))))
 
 
-def _minimize_al(prob: _Problem, mu, rho, theta, options: FitOptions):
+def _minimize_al(prob: _Problem, mu, rho, theta):
     """Inner damped-Newton minimisation of the augmented Lagrangian."""
     logpi, pi, eta = prob.state(theta)
 
@@ -147,7 +145,7 @@ def _minimize_al(prob: _Problem, mu, rho, theta, options: FitOptions):
         return val
 
     phi = phi_of(eta, logpi)
-    for _ in range(options.max_inner):
+    for _ in range(_MAX_INNER):
         f, grads, hesss = prob.f_grad_hess(logpi, pi)
         J = prob.eta_jac(logpi) if prob.m_con else None
         grad = np.concatenate(grads)
@@ -163,7 +161,7 @@ def _minimize_al(prob: _Problem, mu, rho, theta, options: FitOptions):
             if np.any(act):
                 H += rho * Jg[act].T @ Jg[act]
         gnorm = np.max(np.abs(grad))
-        if gnorm <= 0.1 * options.stat_tol * max(1.0, prob.N.sum()):
+        if gnorm <= 0.1 * _STAT_TOL * max(1.0, prob.N.sum()):
             break
         H[np.diag_indices_from(H)] += 1e-9 * max(1.0, np.trace(H) / theta.size)
         try:
@@ -185,20 +183,25 @@ def _minimize_al(prob: _Problem, mu, rho, theta, options: FitOptions):
     return theta, logpi, pi, eta
 
 
-def _fit(counts, link, constraints, options: FitOptions, notes="") -> FitResult:
-    prob = _Problem(counts, link, constraints, options)
+def _fit(counts, link, constraints, smoothing: float, interior_margin: float,
+         notes="") -> FitResult:
+    """The fit of counts + smoothing, with U eta >= interior_margin."""
+    # a negative smoothing would run the fit to its iteration cap
+    if not (isinstance(smoothing, (int, float)) and 0 <= smoothing < np.inf):
+        raise FitError(f"smoothing must be a finite number >= 0, got {smoothing!r}")
+    prob = _Problem(counts, link, constraints, smoothing, interior_margin)
     ntot = max(1.0, float(prob.N.sum()))
     theta = np.zeros(prob.s * prob.k)
     mu = np.zeros(prob.m_con)
-    rho = options.rho0
+    rho = _RHO0
     logpi, pi, eta = prob.state(theta)
     viol = prob.violation(eta)
     stat = np.inf
     converged = False
     outer = 0
-    for outer in range(1, options.max_outer + 1):
+    for outer in range(1, _MAX_OUTER + 1):
         cancel.check()
-        theta, logpi, pi, eta = _minimize_al(prob, mu, rho, theta, options)
+        theta, logpi, pi, eta = _minimize_al(prob, mu, rho, theta)
         g = prob.g_of(eta) if prob.m_con else np.zeros(0)
         new_viol = prob.violation(eta)
         # first-order multiplier estimate, then true-Lagrangian stationarity
@@ -208,12 +211,12 @@ def _fit(counts, link, constraints, options: FitOptions, notes="") -> FitResult:
         if prob.m_con:
             grad -= (prob.S @ prob.eta_jac(logpi)).T @ mu
         stat = float(np.max(np.abs(grad))) / ntot
-        if new_viol <= options.viol_tol and stat <= options.stat_tol:
+        if new_viol <= _VIOL_TOL and stat <= _STAT_TOL:
             converged = True
             viol = new_viol
             break
-        if new_viol > 0.25 * viol and new_viol > options.viol_tol:
-            rho = min(rho * 10.0, options.rho_max)
+        if new_viol > 0.25 * viol and new_viol > _VIOL_TOL:
+            rho = min(rho * 10.0, _RHO_MAX)
         viol = new_viol
     loglik = float((counts * logpi).sum())
     # strictly positive pi_hat even when the optimum hugs the boundary
@@ -231,11 +234,12 @@ def _fit(counts, link, constraints, options: FitOptions, notes="") -> FitResult:
     )
 
 
-def constrained_mle(table: StratifiedTable, model: ModelSpec,
-                    options: FitOptions | None = None) -> FitResult:
-    """Maximise the product-multinomial likelihood subject to the model's
-    constraints. Returns a usable centre even when converged is False."""
-    options = options or FitOptions()
+def constrained_mle(table: StratifiedTable, model: ModelSpec, smoothing: float = 0.5,
+                    interior_margin: float = 0.0) -> FitResult:
+    """Maximise the product-multinomial likelihood of the counts plus
+    `smoothing` in every cell, subject to the model's constraints with
+    inequalities tightened to U eta >= interior_margin. Returns a usable
+    centre even when converged is False."""
     counts = table.counts_matrix()
     if np.any(counts.sum(axis=1) < 1):
         raise FitError("every stratum needs a positive total count")
@@ -245,32 +249,21 @@ def constrained_mle(table: StratifiedTable, model: ModelSpec,
             f"model constraints cover {model.constraints.ncols} eta coordinates, "
             f"table needs {table.s * link.t}"
         )
-    return _fit(counts, link, model.constraints, options, notes=f"mle:{model.name}")
+    return _fit(counts, link, model.constraints, smoothing, interior_margin,
+                notes=f"mle:{model.name}")
 
 
-def prior_center(model: ModelSpec, dims, s: int,
-                 options: FitOptions | None = None,
-                 interior_margin: float = 1.0) -> FitResult:
+def prior_center(model: ModelSpec, dims, s: int, interior_margin: float = 1.0) -> FitResult:
     """Centring point for prior-proportion estimation: the constrained fit
     of an all-ones table (a flat-likelihood surrogate), with inequalities
     tightened by `interior_margin` so the centre is strictly inside the
     cone rather than on its boundary."""
-    options = options or FitOptions()
-    opts = FitOptions(
-        smoothing=0.0,
-        viol_tol=options.viol_tol,
-        stat_tol=options.stat_tol,
-        max_outer=options.max_outer,
-        max_inner=options.max_inner,
-        rho0=options.rho0,
-        rho_max=options.rho_max,
-        interior_margin=interior_margin,
-    )
     r = int(np.prod(dims))
     counts = np.ones((s, r))
     link = model.link(dims)
     if model.constraints.ncols != s * link.t:
         raise FitError("model constraints inconsistent with dims/strata")
-    result = _fit(counts, link, model.constraints, opts, notes=f"prior_center:{model.name}")
+    result = _fit(counts, link, model.constraints, 0.0, interior_margin,
+                  notes=f"prior_center:{model.name}")
     result.loglik = 0.0
     return result

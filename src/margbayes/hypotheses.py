@@ -431,21 +431,34 @@ def build_constraint(kind: str, link: LinkMatrices, s: int, **params) -> Constra
 def model_from_dict(obj: dict, dims, s: int) -> ModelSpec:
     """Build a ModelSpec from its JSON form against a dataset's shape.
 
-    Schema: {"schema_version": 1, "name": str, "logits": [type, ...],
+    Schema: {"schema_version": 1, "name": str, "logits": type or [type, ...],
              "constraints": [{"kind": str, ...params}, ...], "notes": str}
+    A spec that does not follow it raises ConstraintError naming the part.
     """
+    if not isinstance(obj, dict):
+        raise ConstraintError(f"a model spec must be an object, got {obj!r}")
     version = obj.get("schema_version", MODEL_SPEC_SCHEMA_VERSION)
     if version != MODEL_SPEC_SCHEMA_VERSION:
         raise ConstraintError(f"unsupported model-spec schema version {version}")
     name = obj.get("name", "model")
+    if not isinstance(name, str):
+        raise ConstraintError(f"a model spec's name must be a string, got {name!r}")
     logits = obj.get("logits", "local")
     if isinstance(logits, str):
         logits = [logits] * len(dims)
+    if not isinstance(logits, (list, tuple)) or not all(isinstance(lt, str) for lt in logits):
+        raise ConstraintError(f"model {name!r}: logits must be a string or a list of strings, "
+                              f"got {logits!r}")
     if len(logits) != len(dims):
         raise ConstraintError(f"model {name!r}: {len(logits)} logit types for {len(dims)} variables")
+    entries = obj.get("constraints", [])
+    if not (isinstance(entries, list)
+            and all(isinstance(e, dict) and isinstance(e.get("kind"), str) for e in entries)):
+        raise ConstraintError(f"model {name!r}: constraints must be a list of objects, each "
+                              f"with a string 'kind', got {entries!r}")
     link = link_for(dims, logits)
     parts = []
-    for entry in obj.get("constraints", []):
+    for entry in entries:
         params = {k: v for k, v in entry.items() if k != "kind"}
         parts.append(build_constraint(entry["kind"], link, s, **params))
     cs = compose(*parts) if parts else empty_constraints(s * link.t)

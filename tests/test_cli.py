@@ -94,9 +94,26 @@ def test_unknown_reference_is_an_input_error(tmp_path, capsys):
      "tolerances must be finite and strictly positive"),
     ({"models": [dict(TP2, constraints=[{"kind": "independence", "epsilon": float("inf")}])]},
      "tolerances must be finite and strictly positive"),
+    # a malformed model spec or manifest ended in a traceback
+    ({"models": [dict(TP2, constraints=["tp2"])]}, "constraints must be a list of objects"),
+    ({"models": [dict(TP2, constraints="tp2")]}, "constraints must be a list of objects"),
+    ({"models": [dict(TP2, constraints=[{"kind": ["tp2"]}])]},
+     "each with a string 'kind', got [{'kind': ['tp2']}]"),
+    ({"models": [dict(TP2, constraints=[{"direction": "ge"}])]},
+     "each with a string 'kind', got [{'direction': 'ge'}]"),
+    ({"models": [5]}, "a model spec must be an object, got 5"),
+    ({"models": [dict(TP2, logits=5)]}, "logits must be a string or a list of strings, got 5"),
+    ({"models": "tp2.json"}, "models must be a list, got 'tp2.json'"),
+    ({"models": [dict(TP2, name=["tp2"])]}, "name must be a string, got ['tp2']"),
+    (["father_son"], "a manifest must be an object, got ['father_son']"),
 ])
 def test_bad_manifest_is_an_input_error(tmp_path, capsys, extra, needle):
-    rc, _, err = run(capsys, "bf", write_manifest(tmp_path, **extra))
+    if isinstance(extra, dict):
+        path = write_manifest(tmp_path, **extra)
+    else:                                # the whole manifest
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(extra))
+    rc, _, err = run(capsys, "bf", str(path))
     assert rc == 1
     assert err.startswith("input error") and needle in err
 
@@ -166,28 +183,29 @@ def test_non_finite_model_tolerance_is_an_input_error(tmp_path, capsys, eps):
 
 
 @pytest.mark.parametrize("extra,needle", [
-    # a factor <= 1 never grows the tuner's grid extension, which then
-    # never ends once no grid probe qualifies
-    ({"tune_extend_factor": 1}, "tune_extend_factor must be a finite number > 1, got 1.0"),
-    ({"tune_extend_factor": 0.5}, "tune_extend_factor must be a finite number > 1, got 0.5"),
-    ({"tune_extend_factor": "2"}, "setting 'tune_extend_factor' must be a single float, got '2'"),
-    ({"tune_extend_factor": float("nan")}, "tune_extend_factor must be a finite number > 1"),
-    ({"tune_extend_max_multiplier": 0}, "tune_extend_max_multiplier must be a finite number > 0"),
+    # the tuner's extension, the margin ladder, the retune cap and the
+    # centring fits' smoothing are fixed in the engine: a manifest that
+    # sets one, to any value, is refused. The values are those each key
+    # once refused as out of its range.
+    ({"tune_extend_factor": 1}, "unknown setting 'tune_extend_factor'"),
+    ({"tune_extend_factor": 0.5}, "unknown setting 'tune_extend_factor'"),
+    ({"tune_extend_factor": "2"}, "unknown setting 'tune_extend_factor'"),
+    ({"tune_extend_factor": float("nan")}, "unknown setting 'tune_extend_factor'"),
+    ({"tune_extend_max_multiplier": 0}, "unknown setting 'tune_extend_max_multiplier'"),
     ({"tune_extend_max_multiplier": float("inf")},
-     "tune_extend_max_multiplier must be a finite number > 0, got inf"),
+     "unknown setting 'tune_extend_max_multiplier'"),
     ({"alpha_grid": []}, "alpha_grid must be a non-empty list of finite numbers > 0, got ()"),
     ({"alpha_grid": [1, 0]}, "alpha_grid must be a non-empty list of finite numbers > 0"),
-    ({"margin_ladder": [0.5, -1]}, "margin_ladder must be a list of finite numbers >= 0"),
-    ({"margin_ladder": [float("inf")]}, "margin_ladder must be a list of finite numbers >= 0"),
-    ({"tune_accept_min": 1.5}, "tune_accept_min must be a number in [0, 1], got 1.5"),
-    ({"tune_accept_min": -0.1}, "tune_accept_min must be a number in [0, 1], got -0.1"),
+    ({"margin_ladder": [0.5, -1]}, "unknown setting 'margin_ladder'"),
+    ({"margin_ladder": [float("inf")]}, "unknown setting 'margin_ladder'"),
+    ({"tune_accept_min": 1.5}, "unknown setting 'tune_accept_min'"),
+    ({"tune_accept_min": -0.1}, "unknown setting 'tune_accept_min'"),
     ({"ess_floor": -1}, "ess_floor must be a number >= 0, got -1.0"),
-    ({"max_retunes": -1}, "max_retunes must be a whole number >= 0, got -1"),
-    # a negative smoothing ran the centring fits to their cap, past a minute
-    ({"smoothing": -5}, "smoothing must be a finite number >= 0, got -5.0"),
-    ({"smoothing": float("nan")}, "smoothing must be a finite number >= 0, got nan"),
-    ({"prior_margin": float("nan")}, "prior_margin must be a finite number >= 0, got nan"),
-    ({"prior_margin": -1}, "prior_margin must be a finite number >= 0, got -1.0"),
+    ({"max_retunes": -1}, "unknown setting 'max_retunes'"),
+    ({"smoothing": -5}, "unknown setting 'smoothing'"),
+    ({"smoothing": float("nan")}, "unknown setting 'smoothing'"),
+    ({"prior_margin": float("nan")}, "unknown setting 'prior_margin'"),
+    ({"prior_margin": -1}, "unknown setting 'prior_margin'"),
     # a NaN threshold sent every side down the importance route
     ({"direct_threshold": float("nan")},
      "direct_threshold must be a finite number >= 0, got nan"),
@@ -204,9 +222,7 @@ def test_bad_tuning_setting_is_an_input_error(tmp_path, capsys, extra, needle):
 
 def test_tuning_settings_at_their_bounds_run(tmp_path, capsys):
     rc, _, _ = run(capsys, "bf", write_manifest(tmp_path, settings={
-        "n_draws": 4000, "pilot_n": 2000, "tune_accept_min": 0, "ess_floor": 0,
-        "max_retunes": 0, "margin_ladder": [], "smoothing": 0, "prior_margin": 0,
-        "direct_threshold": 0}))
+        "n_draws": 4000, "pilot_n": 2000, "ess_floor": 0, "direct_threshold": 0}))
     assert rc == 0
 
 

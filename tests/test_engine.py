@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -251,7 +252,7 @@ def test_tune_alpha_extends_grid_for_tight_tubes():
     assert np.array_equal(params, make_density(center, prior.concentration, diag["chosen"]))
 
 
-def test_tune_alpha_error_when_nothing_accepts():
+def test_tune_alpha_error_when_nothing_accepts(monkeypatch):
     link = link_for((2, 2), "local")
     U = np.vstack([np.eye(3)[2], -np.eye(3)[2]])
     cs = ConstraintSet(np.zeros((0, 3)), U, np.zeros(0), 3)
@@ -262,24 +263,10 @@ def test_tune_alpha_error_when_nothing_accepts():
                            np.zeros(0), 3)
     ev = ModelEval(ModelSpec("point", ("local", "local"), strict), (2, 2), 1)
     prior = PriorSpec.flat(4, 1, 1.0)
-    settings = RunSettings(pilot_n=2_000, chunk=2048, alpha_grid=(1.0,),
-                           tune_extend_max_multiplier=4.0)
+    settings = RunSettings(pilot_n=2_000, chunk=2048, alpha_grid=(1.0,))
+    monkeypatch.setattr(engine, "_TUNE_EXTEND_MAX_MULTIPLIER", 4.0)
     with pytest.raises(TuningError):
         tune_alpha(ev, prior.concentration, np.full((1, 4), 0.25), settings, seed=10)
-
-
-@pytest.mark.parametrize("factor", [1.0, 0.5])
-def test_tune_alpha_rejects_an_extension_that_never_grows(monkeypatch, factor):
-    # a tight tube where nothing on the grid qualifies, so the extension
-    # would run, and with a factor <= 1 never end
-    probes = []
-    monkeypatch.setattr(engine, "_importance_stream", lambda *a: probes.append(a))
-    ev = ModelEval(model_indep(eps=0.01), (2, 2), 1)
-    settings = RunSettings(pilot_n=4_000, chunk=4096, alpha_grid=(0.5, 1.0),
-                           tune_extend_factor=factor)
-    with pytest.raises(engine.EngineError, match="tune_extend_factor must be > 1"):
-        tune_alpha(ev, np.ones((1, 4)), np.full((1, 4), 0.25), settings, seed=9)
-    assert probes == []
 
 
 # ---------------------------------------------------------------------------
@@ -314,12 +301,49 @@ def test_unbounded_estimate_error_names_side(monkeypatch):
                            np.vstack([np.eye(3), -np.eye(3)]), np.zeros(0), 3)
     model = ModelSpec("point", ("local", "local"), strict)
     t = table_2x2()
-    settings = RunSettings(n_draws=4_000, pilot_n=2_000, chunk=2048,
-                           alpha_grid=(1.0, 5.0), tune_extend_max_multiplier=20.0)
+    settings = RunSettings(n_draws=4_000, pilot_n=2_000, chunk=2048, alpha_grid=(1.0, 5.0))
     calls = record_fits(monkeypatch)
     with pytest.raises((UnboundedEstimateError, TuningError), match="no interior"):
         bayes_factor(model, t, PriorSpec.flat(4, 1, 1.0), settings, seed=16)
     assert calls == []
+
+
+@pytest.mark.parametrize("prior_accepted", [30, 60])
+def test_a_side_with_no_accepted_draw_raises(monkeypatch, prior_accepted):
+    # an empty posterior side at level 1 is unbounded even when the prior
+    # side has too few accepted draws to count (under 50): the call
+    # returned log10 BF -inf, marked truncated
+    n = 4_000
+
+    def level(self, scale):
+        if self.side == "prior":
+            return float(np.log(prior_accepted / n)), float(prior_accepted), prior_accepted
+        return -np.inf, 0.0, 0
+
+    monkeypatch.setattr(engine._Part, "level", level)
+    with pytest.raises(UnboundedEstimateError) as err:
+        bayes_factor(model_pa(), table_2x2(), PriorSpec.flat(4, 1, 1.0),
+                     RunSettings(n_draws=n, pilot_n=2_000, chunk=4096), seed=16)
+    assert err.value.side == "posterior"
+
+
+@pytest.mark.parametrize("bad", [
+    {"n_draws": 0}, {"pilot_n": 0}, {"chunk": 0},
+    {"direct_threshold": float("nan")}, {"direct_threshold": -0.5},
+    {"direct_threshold": float("inf")}, {"alpha_grid": ()}, {"alpha_grid": (1, 0)},
+    {"ess_floor": -1}, {"log_base": "2"},
+], ids=lambda bad: "{}={!r}".format(*next(iter(bad.items()))))
+def test_run_settings_check_their_range(bad):
+    # a NaN direct_threshold sent 2x2 TP2 down the importance route, and
+    # n_draws 0 ended in a ZeroDivisionError
+    [name] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be .*, got {re.escape(repr(bad[name]))}$"):
+        RunSettings(**bad)
+
+
+def test_run_settings_are_frozen():
+    with pytest.raises(AttributeError):
+        SMALL.n_draws = 1
 
 
 @pytest.mark.parametrize("side", ["prior", "posterior"])
@@ -521,13 +545,13 @@ def record_fits(monkeypatch):
 
     orig_mle, orig_pc = fitmod.constrained_mle, fitmod.prior_center
 
-    def constrained_mle(table, model, options=None):
-        calls.append(problem("mle", model, table.counts_matrix(), options.interior_margin))
-        return orig_mle(table, model, options)
+    def constrained_mle(table, model, smoothing=0.5, interior_margin=0.0):
+        calls.append(problem("mle", model, table.counts_matrix(), interior_margin))
+        return orig_mle(table, model, smoothing, interior_margin)
 
-    def prior_center(model, dims, s, options=None, interior_margin=1.0):
+    def prior_center(model, dims, s, interior_margin=1.0):
         calls.append(problem("prior_center", model, None, interior_margin))
-        return orig_pc(model, dims, s, options, interior_margin)
+        return orig_pc(model, dims, s, interior_margin)
 
     monkeypatch.setattr(fitmod, "constrained_mle", constrained_mle)
     monkeypatch.setattr(fitmod, "prior_center", prior_center)
@@ -541,8 +565,8 @@ def test_centring_fits_made_once_per_problem_equality_model(monkeypatch):
                              "constraints": [{"kind": "independence", "epsilon": 0.1}]},
                             table.dims, table.s)
     prior = PriorSpec.flat(table.r, table.s, 1.0)
-    settings = RunSettings(n_draws=2_000, pilot_n=1_000, chunk=4096,
-                           alpha_grid=(20.0,), max_retunes=0)
+    settings = RunSettings(n_draws=2_000, pilot_n=1_000, chunk=4096, alpha_grid=(20.0,))
+    monkeypatch.setattr(engine, "_MAX_RETUNES", 0)
     sched = EpsilonSchedule(epsilon_start=0.1, b=0.25, max_stages=2)
     calls = record_fits(monkeypatch)
 
@@ -631,8 +655,8 @@ def test_ladder_tunes_an_equality_model_once(monkeypatch, side, margin):
 def test_ladder_skips_a_repeated_margin_and_keeps_rung_seeds(monkeypatch):
     t = StratifiedTable(("all",), (ContingencyTable((3, 3), np.array(
         [20.0, 9.0, 4.0, 8.0, 15.0, 9.0, 3.0, 10.0, 22.0])),))
-    # the first rung is prior_margin = 1.0 on the prior side, so rung 1.0
-    # repeats it; the skipped rung's index 2 names no stream
+    # the prior side's first rung is 1.0, so its rung 2, 1.0 again, repeats
+    # it; the skipped rung's index 2 names no stream
     assert ladder_walk(monkeypatch, model_pa((3, 3)), t, "prior") == \
         [(1.0, 0), (0.25, 1), (2.0, 3)]
     monkeypatch.undo()
@@ -659,7 +683,8 @@ def test_every_stream_is_drawn_once(monkeypatch):
     t = StratifiedTable(("all",), (ContingencyTable((3, 3), np.array(
         [20.0, 9.0, 4.0, 8.0, 15.0, 9.0, 3.0, 10.0, 22.0])),))
     settings = RunSettings(n_draws=4_000, pilot_n=4_000, chunk=4096, direct_threshold=1.1,
-                           ess_floor=1e9, alpha_grid=(5.0, 50.0), max_retunes=2)
+                           ess_floor=1e9, alpha_grid=(5.0, 50.0))
+    monkeypatch.setattr(engine, "_MAX_RETUNES", 2)
     replicate_bf(model_pa((3, 3)), t, PriorSpec.flat(9, 1, 1.0), settings, B=2, seed=8)
     # per replicate and side: pilot, sample, two probes on each rung
     assert len(uses) == 2 * (2 + 2 + 2 * 3 + 2 * 4)

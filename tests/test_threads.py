@@ -239,8 +239,8 @@ def test_chain_parts_stop_once_one_fails(monkeypatch):
     cs = ConstraintSet(np.array([[0.0, 0.0, 1.0]]),
                        np.vstack([np.eye(3)[:2], -np.eye(3)[:2]]), np.array([0.1]), 3)
     model = ModelSpec("no_interior", ("local", "local"), cs)
-    settings = RunSettings(n_draws=4_000, pilot_n=2_000, chunk=2048, alpha_grid=(1.0, 5.0),
-                           tune_extend_max_multiplier=20.0)
+    settings = RunSettings(n_draws=4_000, pilot_n=2_000, chunk=2048, alpha_grid=(1.0, 5.0))
+    monkeypatch.setattr(engine, "_TUNE_EXTEND_MAX_MULTIPLIER", 20.0)
     # the interior check would fail both parts before any fit; passed here,
     # the posterior part's slow fits start and must be stopped
     monkeypatch.setattr(engine, "_has_interior", lambda *a: True)
@@ -339,8 +339,9 @@ def test_replicate_bf_chain_route_same_at_any_thread_count(monkeypatch):
                             table.dims, table.s)
     # the short grid still reaches the geometric extension, and the retune
     # tunes again on a grid around the first multiplier
-    settings = RunSettings(n_draws=2_000, pilot_n=1_000, chunk=4096, max_retunes=1,
+    settings = RunSettings(n_draws=2_000, pilot_n=1_000, chunk=4096,
                            alpha_grid=(0.5, 2.0, 5.0, 20.0, 50.0))
+    monkeypatch.setattr(engine, "_MAX_RETUNES", 1)
     sched = EpsilonSchedule(epsilon_start=0.1, b=0.25, max_stages=2)
     outs = []
     for n in THREAD_COUNTS:
