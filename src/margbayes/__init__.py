@@ -6,6 +6,9 @@ estimated as posterior-over-prior constraint-satisfaction proportions
 under an encompassing Dirichlet prior, with tuned importance sampling for
 rare constraints and a geometric epsilon-shrinking chain for
 about-equality models.
+
+numpy is the only runtime dependency; the one special function the
+importance weights need, the Dirichlet log normaliser, uses math.lgamma.
 """
 
 from .tables import (

@@ -5,10 +5,24 @@ manifest), sensitivity (the same over a prior-concentration sweep), fit
 (constrained MLE), posterior (accepted-draw summaries). Exit codes: 0
 success, 1 input error, 2 estimation failure.
 
-A manifest's "settings" object takes the fields of engine.RunSettings,
-whose docstring gives each one's meaning and range, and its
-"epsilon_schedule" those of engine.EpsilonSchedule; any other key in
-either is an input error.
+A run manifest is a JSON object with these top-level keys:
+    dataset           string, required: a bundled fixture's name, or the
+                      path of a table file (a relative one is read from
+                      the manifest's folder)
+    models            list, required, non-empty: model-spec objects, or
+                      paths of model-spec JSON files relative to the manifest
+    settings          object: fields of engine.RunSettings, whose docstring
+                      gives each one's meaning and range
+    epsilon_schedule  object: fields of engine.EpsilonSchedule
+    seed              whole number >= 0 (default 20240901; --seed overrides)
+    replicates        whole number >= 1 (default 1; --replicates overrides)
+    reference         string: the name of one of the models (--reference
+                      overrides)
+    prior             object {"concentration": number > 0, finite}
+                      (default 1; bf only)
+    concentrations    list of numbers > 0, finite (default [1];
+                      sensitivity only; --concentrations overrides)
+Any other key in "settings" or "epsilon_schedule" is an input error.
 """
 from __future__ import annotations
 
@@ -111,13 +125,26 @@ def _from_manifest(manifest: dict, key: str, cls, label: str, **overrides):
         raise ValueError(f"{key}: {err}") from None
 
 
+def _whole(name: str, v, least: int = 1) -> int:
+    """v, when it is a whole number >= least; else a ValueError naming it."""
+    if not isinstance(v, int) or isinstance(v, bool) or v < least:
+        raise ValueError(f"{name} must be a whole number >= {least}, got {v!r}")
+    return v
+
+
+def _text(name: str, v) -> str:
+    """v, when it is a string; else a ValueError naming it."""
+    if not isinstance(v, str):
+        raise ValueError(f"{name} must be a string, got {v!r}")
+    return v
+
+
 def _check_run(sizes: dict, concentrations) -> None:
     """The range check of what a run takes besides its RunSettings: a
     ValueError naming the first size that is not a whole number >= 1 or
     the first prior concentration that is not a positive finite number."""
     for name, v in sizes.items():
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise ValueError(f"{name} must be a whole number >= 1, got {v!r}")
+        _whole(name, v)
     for k in concentrations:
         if not _is_number(k) or not 0 < k < math.inf:
             raise ValueError(f"prior concentration must be a positive number, got {k!r}")
@@ -172,7 +199,7 @@ def _bf_table(table, models, prior, settings, schedule, seed, B, reference):
             "ln_bf": est.ln_bf,
             "sd": est.sd if settings.log_base == "10" else est.sd * LN10,
             "log_bf": _display_log(est.log10_bf, settings.log_base),
-            "label": jeffreys_label(_display_log(est.log10_bf, settings.log_base)),
+            "label": jeffreys_label(est.log10_bf),
             "route": est.route,
             "replicates": est.replicates,
             "estimate": est.to_dict(),
@@ -203,7 +230,8 @@ def cmd_sensitivity(args) -> int:
     flat prior, for each prior concentration of the sweep. bf is the sweep
     over the manifest's one concentration."""
     manifest = _load_manifest(args.manifest)
-    table = _load_dataset(manifest["dataset"], manifest["_base"])
+    dataset = _text("dataset", manifest["dataset"])
+    table = _load_dataset(dataset, manifest["_base"])
     models = _models_from_manifest(manifest, table)
     settings = _from_manifest(manifest, "settings", RunSettings, "setting", n_draws=args.draws,
                               pilot_n=args.pilot, log_base=args.log_base)
@@ -211,9 +239,12 @@ def cmd_sensitivity(args) -> int:
     if manifest.get("epsilon_schedule"):
         schedule = _from_manifest(manifest, "epsilon_schedule", EpsilonSchedule,
                                   "epsilon_schedule key")
-    seed = args.seed if args.seed is not None else int(manifest.get("seed", 20240901))
+    seed = _whole("seed", args.seed if args.seed is not None else manifest.get("seed", 20240901),
+                  least=0)
     B = args.replicates if args.replicates is not None else manifest.get("replicates", 1)
     reference = args.reference or manifest.get("reference")
+    if reference is not None:
+        _text("reference", reference)
     prior = manifest.get("prior", {})
     if not isinstance(prior, dict):
         raise ValueError(f"prior must be an object, got {prior!r}")
@@ -232,7 +263,7 @@ def cmd_sensitivity(args) -> int:
               for kappa in kappas]
     report = {
         "command": args.command,
-        "dataset": manifest["dataset"],
+        "dataset": dataset,
         "n": table.n,
         "seed": seed,
         "replicates": B,
@@ -280,8 +311,8 @@ def cmd_posterior(args) -> int:
     draws = args.draws if args.draws is not None else 100_000
     _check_run({"draws": draws}, [args.concentration])
     prior = PriorSpec.flat(table.r, table.s, args.concentration)
-    summary = posterior_draws_under_model(model, table, prior, draws,
-                                          args.seed if args.seed is not None else 20240901)
+    seed = _whole("seed", args.seed if args.seed is not None else 20240901, least=0)
+    summary = posterior_draws_under_model(model, table, prior, draws, seed)
     report = {
         "command": "posterior",
         "dataset": args.dataset,

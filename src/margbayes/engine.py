@@ -49,7 +49,6 @@ from dataclasses import dataclass, field, asdict
 from functools import partial
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import cancel
 from . import fit as fitmod
@@ -418,19 +417,15 @@ def sample_posterior(prior: PriorSpec, table: StratifiedTable, n: int, seed: int
     return sample_prior(PriorSpec(prior.posterior(table)), n, seed)
 
 
-def _logpdf_terms(alpha: np.ndarray):
-    """Per-stratum (coef, const) with logpdf(P) = sum_b coef_b . log P_b + const_b."""
-    coefs = alpha - 1.0
-    consts = np.array([gammaln(a.sum()) - gammaln(a).sum() for a in alpha])
-    return coefs, float(consts.sum())
-
-
 def _log_weight(target_alpha: np.ndarray, params: np.ndarray):
     """log p/g as a function of draws (n, s, r), for the Dirichlet target p
-    and proposal g with concentrations target_alpha and params."""
-    coef_t, const_t = _logpdf_terms(target_alpha)
-    coef_g, const_g = _logpdf_terms(params)
-    dcoef, dconst = coef_t - coef_g, const_t - const_g
+    and proposal g with concentrations target_alpha and params. Per stratum
+    b, logpdf(P) = (a_b - 1) . log P_b + lgamma(sum a_b) - sum_i lgamma(a_bi)."""
+    def log_norm(alpha):
+        return float(np.array([math.lgamma(a.sum()) - np.array([math.lgamma(x) for x in a]).sum()
+                               for a in alpha]).sum())
+    dcoef = (target_alpha - 1.0) - (params - 1.0)
+    dconst = log_norm(target_alpha) - log_norm(params)
     return lambda P: np.einsum("nsr,sr->n", np.log(P), dcoef) + dconst
 
 
@@ -1151,8 +1146,9 @@ def compare_models(bf_k: BFEstimate, bf_l: BFEstimate) -> float:
 
 
 def jeffreys_label(log_bf: float) -> str:
-    """Evidence label at thresholds 0.5 / 1 / 2 on |log BF|; the direction
-    (for or against) is reported separately by callers."""
+    """Evidence label at Jeffreys' thresholds 0.5 / 1 / 2 on |log10 BF|,
+    whatever base the BF is printed in; the direction (for or against) is
+    reported separately by callers."""
     a = abs(log_bf)
     if a < 0.5:
         return "poor"

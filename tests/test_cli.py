@@ -106,6 +106,14 @@ def test_unknown_reference_is_an_input_error(tmp_path, capsys):
     ({"models": "tp2.json"}, "models must be a list, got 'tp2.json'"),
     ({"models": [dict(TP2, name=["tp2"])]}, "name must be a string, got ['tp2']"),
     (["father_son"], "a manifest must be an object, got ['father_son']"),
+    # a seed, dataset or reference of the wrong type ended in a traceback,
+    # or was truncated to a whole number
+    ({"seed": [1]}, "seed must be a whole number >= 0, got [1]"),
+    ({"seed": 1.5}, "seed must be a whole number >= 0, got 1.5"),
+    ({"seed": True}, "seed must be a whole number >= 0, got True"),
+    ({"seed": -3}, "seed must be a whole number >= 0, got -3"),
+    ({"dataset": 5}, "dataset must be a string, got 5"),
+    ({"reference": ["x"]}, "reference must be a string, got ['x']"),
 ])
 def test_bad_manifest_is_an_input_error(tmp_path, capsys, extra, needle):
     if isinstance(extra, dict):
@@ -145,11 +153,32 @@ def test_bad_run_size_or_prior_in_manifest_is_an_input_error(tmp_path, capsys, e
     (("--draws", "-5"), "n_draws must be a whole number >= 1, got -5"),
     (("--pilot", "0"), "pilot_n must be a whole number >= 1, got 0"),
     (("--replicates", "0"), "replicates must be a whole number >= 1, got 0"),
+    (("--seed", "-1"), "seed must be a whole number >= 0, got -1"),
 ])
 def test_bad_run_size_flag_is_an_input_error(tmp_path, capsys, flags, needle):
     rc, _, err = run(capsys, "bf", write_manifest(tmp_path), *flags)
     assert rc == 1
     assert err.startswith("input error") and needle in err
+
+
+def test_label_does_not_depend_on_the_log_base(tmp_path, capsys):
+    # father_son stochastic order at seed 3: log10 BF 0.64 ("substantial")
+    # is ln BF 1.48, which was labelled "strong" when printed in base e
+    path = write_manifest(tmp_path, models=MODELS[:1],
+                          settings={"n_draws": 20_000, "pilot_n": 2000})
+    labels = {}
+    for base in ("10", "e"):
+        rc, report, _ = run(capsys, "bf", path, "--log-base", base)
+        assert rc == 0
+        [row] = report["results"]
+        assert cli.main(["bf", path, "--log-base", base, "--format", "csv"]) == 0
+        header, line = capsys.readouterr().out.splitlines()
+        csv_label = dict(zip(header.split(","), line.split(",")))["label"]
+        assert cli.main(["bf", path, "--log-base", base, "--format", "text"]) == 0
+        text = capsys.readouterr().out
+        labels[base] = (row["label"], csv_label, f"[{row['label']}]" in text)
+    assert 0.5 <= row["log10_bf"] < 1.0
+    assert labels["10"] == labels["e"] == ("substantial", "substantial", True)
 
 
 def test_bad_sweep_concentration_is_an_input_error(tmp_path, capsys):
@@ -162,6 +191,7 @@ def test_bad_sweep_concentration_is_an_input_error(tmp_path, capsys):
     (("--draws", "0"), "draws must be a whole number >= 1, got 0"),
     (("--draws", "-5"), "draws must be a whole number >= 1, got -5"),
     (("--concentration", "0"), "prior concentration must be a positive number, got 0.0"),
+    (("--seed", "-1"), "seed must be a whole number >= 0, got -1"),
 ])
 def test_bad_posterior_run_is_an_input_error(tmp_path, capsys, flags, needle):
     model = tmp_path / "model.json"

@@ -7,16 +7,18 @@ and the row-blocked eta and constraint checks must match one evaluation
 over all rows and each draw evaluated alone. Equal bytes, not a
 tolerance: every estimate is reproducible per seed, and these kernels sit
 under all of them. Only against the dense C log(M pi) product, whose sums
-run in another order, is a tolerance (1e-12) allowed.
+run in another order, is a tolerance (1e-12) allowed, and against
+scipy.special.gammaln, a different lgamma than the engine's math.lgamma,
+a few ulp of the summed magnitudes of the log-gamma terms.
 """
 import itertools
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp as scipy_logsumexp
+from scipy.special import gammaln, logsumexp as scipy_logsumexp
 
 from margbayes import ModelEval, engine, link, load_fixture
-from margbayes.engine import _dirichlet_chunk, substream
+from margbayes.engine import _dirichlet_chunk, _log_weight, substream
 from margbayes.hypotheses import model_from_dict
 from margbayes.link import eta_batch, eta_from_logpi, link_for, logsumexp
 
@@ -138,6 +140,42 @@ def test_dirichlet_chunk_matches_reference(alpha):
         ref = dirichlet_chunk_reference(substream(seed, 0), alpha, n)
         assert ours.shape == (n,) + alpha.shape
         assert ours.tobytes() == ref.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Importance weight log p/g
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("kappa", [1e-3, 1e-1, 1.0, 1e2, 1e4, 1e6, 1e8])
+def test_log_weight_constant_matches_gammaln(kappa, s):
+    # the tuner's proposals reach 1e7 times the target's concentration, so
+    # the constant cancels two large log-gamma sums; each lgamma is within
+    # a few ulp of the exact value, and so is the difference of the sums
+    rng = np.random.default_rng(int(np.log10(kappa)) + 10 * s)
+
+    def terms(alpha):
+        return [gammaln(a.sum()) - gammaln(a).sum() for a in alpha]
+
+    for multiplier in (1.0, 10.0, 1e3, 1e7):
+        target = kappa * rng.uniform(0.2, 5.0, size=(s, 36)) + rng.integers(0, 40, size=(s, 36))
+        proposal = multiplier * target * rng.uniform(0.5, 2.0, size=(s, 36))
+        # a draw of ones has log P = 0, so its weight is the constant alone
+        ours = _log_weight(target, proposal)(np.ones((1, s, 36)))[0]
+        ref = float(np.sum(terms(target))) - float(np.sum(terms(proposal)))
+        magnitude = sum(abs(gammaln(a.sum())) + np.abs(gammaln(a)).sum()
+                        for a in (*target, *proposal))
+        assert abs(ours - ref) <= 4 * np.spacing(magnitude), (multiplier, ours, ref)
+
+
+@pytest.mark.parametrize("alpha", [
+    np.array([[0.02, 0.5, 0.9, 0.3, 0.1, 0.05]]),
+    np.array([[0.2, 3.0, 1.0], [45.0, 0.7, 12.0]]),
+    np.full((2, 36), 1e7),
+])
+def test_proposal_equal_to_target_weighs_zero(alpha):
+    P = _dirichlet_chunk(substream(1, 0), alpha, 1000)
+    assert np.all(_log_weight(alpha, alpha.copy())(P) == 0.0)
 
 
 # ---------------------------------------------------------------------------
