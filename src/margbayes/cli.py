@@ -19,9 +19,11 @@ A run manifest is a JSON object with these top-level keys:
     reference         string: the name of one of the models (--reference
                       overrides)
     prior             object {"concentration": number > 0, finite}
-                      (default 1; bf only)
-    concentrations    list of numbers > 0, finite (default [1];
-                      sensitivity only; --concentrations overrides)
+                      (default 1): the concentration of bf, and of
+                      sensitivity when no concentrations are given
+    concentrations    list of numbers > 0, finite (default [the prior's
+                      concentration]; sensitivity only; --concentrations
+                      overrides)
 Any other key in "settings" or "epsilon_schedule" is an input error.
 """
 from __future__ import annotations
@@ -61,7 +63,12 @@ def _load_dataset(ref: str, base: Path):
     try:
         return load_fixture(ref)
     except TableError:
-        return load_table(base / ref if not Path(ref).is_absolute() else ref)
+        path = base / ref if not Path(ref).is_absolute() else ref
+    try:
+        return load_table(path)
+    except IsADirectoryError:
+        raise ValueError(f"dataset {ref!r} names a folder, not a fixture or a table file") \
+            from None
 
 
 def _load_manifest(path: str) -> dict:
@@ -248,10 +255,9 @@ def cmd_sensitivity(args) -> int:
     prior = manifest.get("prior", {})
     if not isinstance(prior, dict):
         raise ValueError(f"prior must be an object, got {prior!r}")
-    if args.command == "bf":
-        kappas = [prior.get("concentration", 1.0)]
-    else:
-        kappas = args.concentrations or manifest.get("concentrations", [1.0])
+    kappas = [prior.get("concentration", 1.0)]
+    if args.command == "sensitivity":
+        kappas = args.concentrations or manifest.get("concentrations", kappas)
         if not isinstance(kappas, list):
             raise ValueError(f"concentrations must be a list, got {kappas!r}")
     _check_run({"replicates": B}, kappas)

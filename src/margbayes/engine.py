@@ -25,6 +25,15 @@ ladder. sample_prior and posterior_draws_under_model draw from
 ("prior",), and replicate i of replicate_bf runs at a seed generated
 from the spawn key ("replicate", i).
 
+The pilot draws _BLOCK rows a step (fewer if chunk is smaller) and stops
+once its route is fixed, so its stream is read only as far as needed.
+On a one-stratum unit whose shapes are all >= 1 a step holds the rows
+that a chunk of the whole pilot held. On other units (several strata,
+or a shape below 1) which variates make up a row depends on the step
+size, so the rows differ from those of chunked draws; a route can then
+differ from a whole-chunk pilot's only where the pilot's acceptance
+sits at direct_threshold.
+
 Every sampling loop takes its draws from _chunks, the one chunked draw
 loop. A model that factorises over strata is estimated per stratum, as
 _units splits it.
@@ -184,8 +193,10 @@ class RunSettings:
     range here: the fields of a run manifest's "settings" object.
 
     n_draws           whole number >= 1: draws per side and unit, and per redraw
-    pilot_n           whole number >= 1: routing pilot draws per side and unit;
-                      a tuning probe takes max(4000, pilot_n // 4)
+    pilot_n           whole number >= 1: routing pilot size per side and unit;
+                      the pilot stops drawing once the route is fixed, so it
+                      draws at most this many; a tuning probe takes
+                      max(4000, pilot_n // 4)
     direct_threshold  finite number >= 0: a side whose pilot accepts at least
                       this share samples its target directly, else a tuned
                       density (above 1, every side is tuned)
@@ -356,7 +367,8 @@ def _ordered_map(fn, items) -> list:
     return out
 
 
-def _dirichlet_chunk(rng: np.random.Generator, alpha: np.ndarray, n: int) -> np.ndarray:
+def _dirichlet_chunk(rng: np.random.Generator, alpha: np.ndarray, n: int,
+                     normalise: bool = True) -> np.ndarray:
     """(n, s, r) Dirichlet draws, sampled via log-gammas.
 
     Shapes below 1 use the boost G_a = G_{a+1} U^{1/a} evaluated in log
@@ -367,19 +379,33 @@ def _dirichlet_chunk(rng: np.random.Generator, alpha: np.ndarray, n: int) -> np.
     any uniform, as one (n, r) draw would take them from the stream; their
     logs go straight into `out`, where the boost and the normalisation then
     work _BLOCK rows at a time.
+
+    With normalise=False and every shape >= 1, the draws are the gammas
+    themselves, floored at 1e-300 and not normalised: each row is its
+    normalised draw times a positive factor per stratum, for callers that
+    read only which draws a constraint check accepts. The stream is
+    consumed as in the normalised call. Where any shape is below 1 (the
+    boost needs log space) or a stratum's shapes sum past 1e300 (a row sum
+    could overflow), the draws come normalised whatever the flag.
     """
     s, r = alpha.shape
     out = np.empty((n, s, r))
+    raw = not normalise and alpha.min() >= 1.0 and alpha.sum(axis=1).max() < 1e300
     for b in range(s):
         a = alpha[b]
         small = a < 1.0
         shape = np.where(small, a + 1.0, a)
-        logg = out[:, b, :]
+        dst = out[:, b, :]
         for i in range(0, n, _BLOCK):
             g = rng.standard_gamma(shape, size=(min(_BLOCK, n - i), r))
-            np.log(np.maximum(g, 1e-300, out=g), out=logg[i:i + _BLOCK])
+            if raw:
+                np.maximum(g, 1e-300, out=dst[i:i + _BLOCK])
+            else:
+                np.log(np.maximum(g, 1e-300, out=g), out=dst[i:i + _BLOCK])
+        if raw:
+            continue
         for i in range(0, n, _BLOCK):
-            blk = logg[i:i + _BLOCK]
+            blk = dst[i:i + _BLOCK]
             if np.any(small):
                 u = rng.random((blk.shape[0], r))
                 blk[:, small] += np.log(u[:, small]) / a[small]
@@ -388,8 +414,10 @@ def _dirichlet_chunk(rng: np.random.Generator, alpha: np.ndarray, n: int) -> np.
     return out
 
 
-def _chunks(rng: np.random.Generator, alpha: np.ndarray, n: int, chunk: int):
-    """Yield (offset, draws) over n Dirichlet draws, at most `chunk` at a time.
+def _chunks(rng: np.random.Generator, alpha: np.ndarray, n: int, chunk: int,
+            normalise: bool = True):
+    """Yield (offset, draws) over n Dirichlet draws, at most `chunk` at a
+    time, normalised or not as _dirichlet_chunk takes the flag.
 
     The one place that counts draws and checks for cancellation. The
     generator does not keep a chunk it has yielded, so a consumer that
@@ -401,7 +429,7 @@ def _chunks(rng: np.random.Generator, alpha: np.ndarray, n: int, chunk: int):
     while done < n:
         cancel.check()
         b = min(chunk, n - done)
-        yield done, _dirichlet_chunk(rng, alpha, b)
+        yield done, _dirichlet_chunk(rng, alpha, b, normalise)
         done += b
 
 
@@ -500,6 +528,14 @@ class ModelEval:
         return np.concatenate(parts, axis=1)
 
     def delta(self, P: np.ndarray) -> np.ndarray:
+        """Per draw (n, s, r), whether it satisfies every constraint.
+
+        Every eta row is a log ratio of sums of one stratum's cells, so a
+        draw may come scaled by any positive factor per stratum (the
+        unnormalised draws of _dirichlet_chunk) and is accepted alike, up
+        to rounding in the last bits of eta. The same holds for
+        eq_stat_and_ineq.
+        """
         eta = self.eta_reduced(P)
         ok = np.ones(P.shape[0], dtype=bool)
         if self.E.shape[0]:
@@ -555,12 +591,26 @@ def estimate_proportion_direct(draws: np.ndarray, ev: ModelEval) -> ProportionEs
     return _direct_result(int(ev.delta(draws).sum()), draws.shape[0])
 
 
-def _direct_stream(ev: ModelEval, alpha: np.ndarray, n: int, rng, chunk: int) -> ProportionEstimate:
-    acc = 0
-    for _, P in _chunks(rng, alpha, n, chunk):
+def _pilot_routes_direct(ev: ModelEval, alpha: np.ndarray, n: int, threshold: float,
+                         rng, chunk: int) -> bool:
+    """Whether at least `threshold` of n draws from the Dirichlet with
+    concentrations alpha satisfy ev: the routing pilot of a _Part.
+
+    The draws come min(chunk, _BLOCK) at a time, unnormalised where every
+    shape is >= 1 (only acceptance is read), and the pilot stops as soon as
+    the answer is fixed: once acc / n >= threshold, or once
+    (acc + draws left) / n < threshold. The answer is the one all n draws
+    would give. When it is fixed before any draw (threshold 0, or above
+    1), nothing is drawn.
+    """
+    acc, left = 0, n
+    draws = _chunks(rng, alpha, n, min(chunk, _BLOCK), normalise=False)
+    while acc / n < threshold <= (acc + left) / n:
+        _, P = next(draws)
         acc += int(ev.delta(P).sum())
-        del P                   # not held while the next chunk is drawn
-    return _direct_result(acc, n)
+        left -= P.shape[0]
+        del P                   # not held while the next block is drawn
+    return acc / n >= threshold
 
 
 def _importance_stream(ev: ModelEval, target_alpha: np.ndarray, params: np.ndarray,
@@ -891,12 +941,16 @@ class _Part:
 
     The pilot routes it: when the pilot accepts at least direct_threshold
     of its draws, the sample comes from the side's target, else from a
-    density tuned on the region. Only the draws that the level-1 model
-    accepts are kept, each with its equality statistic relative to the
-    level-1 tolerances and, if tuned, its log-weight. A level at tolerance
-    scale c <= 1 accepts the kept draws with statistic <= c. A model
-    without equality rows has no statistic (stat is None): it has one
-    level, which accepts every kept draw.
+    density tuned on the region (_pilot_routes_direct). The pilot and a
+    direct sample read only which draws the constraint checks accept, so
+    they ask _dirichlet_chunk for unnormalised draws, scaled per stratum;
+    a tuned sample reads log pi for its weights and draws normalised.
+    Only the draws that the level-1 model accepts are kept, each with its
+    equality statistic relative to the level-1 tolerances and, if tuned,
+    its log-weight. A level at tolerance scale c <= 1 accepts the kept
+    draws with statistic <= c. A model without equality rows has no
+    statistic (stat is None): it has one level, which accepts every kept
+    draw.
     """
 
     def __init__(self, side, ev, target_alpha, table, settings, seed, path):
@@ -912,9 +966,9 @@ class _Part:
         if ev.cs.is_empty():                # no constraint: every draw is accepted
             self.kept, self.stat, self.logw = settings.n_draws, None, None
             return
-        pilot = _direct_stream(ev, target_alpha, settings.pilot_n,
-                               substream(seed, side, "pilot", *path), settings.chunk)
-        self._draw(1.0, direct=pilot.value >= settings.direct_threshold)
+        self._draw(1.0, direct=_pilot_routes_direct(
+            ev, target_alpha, settings.pilot_n, settings.direct_threshold,
+            substream(seed, side, "pilot", *path), settings.chunk))
 
     @property
     def route(self) -> str:
@@ -947,7 +1001,8 @@ class _Part:
             rng = substream(self.seed, self.side, "main", *self.path, self.draw_key)
         tube = self.ev.cs.n_eq > 0
         stats, logws, self.kept = [], [], 0
-        for _, P in _chunks(rng, alpha, self.settings.n_draws, self.settings.chunk):
+        for _, P in _chunks(rng, alpha, self.settings.n_draws, self.settings.chunk,
+                            normalise=not direct):
             if tube:
                 stat, ok = self.ev.eq_stat_and_ineq(P)
                 keep = ok & (stat <= 1.0)

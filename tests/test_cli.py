@@ -41,6 +41,17 @@ def test_bf_is_sensitivity_over_one_concentration(tmp_path, capsys):
     assert [r["model"] for r in bf["results"]] == ["stochastic_order", "saturated"]
 
 
+def test_sensitivity_defaults_to_the_prior_concentration(tmp_path, capsys):
+    # without concentrations, sensitivity sweeps the manifest's prior
+    # concentration, as bf runs at it; it used to sweep [1.0]
+    path = write_manifest(tmp_path, prior={"concentration": 2})
+    rc, bf, _ = run(capsys, "bf", path)
+    assert rc == 0 and bf["prior_concentration"] == 2.0
+    rc, sens, _ = run(capsys, "sensitivity", path)
+    assert rc == 0 and sens["concentrations"] == [2.0]
+    assert sens["sweeps"] == [{"concentration": 2.0, "results": bf["results"]}]
+
+
 def test_sensitivity_sweeps_each_concentration(tmp_path, capsys):
     rc, sens, _ = run(capsys, "sensitivity", write_manifest(tmp_path),
                       "--concentrations", "1", "2")
@@ -114,6 +125,9 @@ def test_unknown_reference_is_an_input_error(tmp_path, capsys):
     ({"seed": -3}, "seed must be a whole number >= 0, got -3"),
     ({"dataset": 5}, "dataset must be a string, got 5"),
     ({"reference": ["x"]}, "reference must be a string, got ['x']"),
+    # a dataset naming the manifest's folder ended in IsADirectoryError
+    ({"dataset": ""}, "dataset '' names a folder, not a fixture or a table file"),
+    ({"dataset": "."}, "dataset '.' names a folder, not a fixture or a table file"),
 ])
 def test_bad_manifest_is_an_input_error(tmp_path, capsys, extra, needle):
     if isinstance(extra, dict):

@@ -170,6 +170,67 @@ def test_direct_zero_acceptance_is_zero():
     assert est.log_value == -np.inf
 
 
+# father_son stochastic order on global logits: one unit, every shape >= 1
+SO = {"name": "so", "logits": "global",
+      "constraints": [{"kind": "stochastic_order", "direction": "ge"}]}
+
+
+def pilot_case(posterior):
+    t = load_fixture("father_son")
+    alpha = PriorSpec.flat(t.r, t.s, 1.0)
+    alpha = alpha.posterior(t) if posterior else alpha.concentration
+    return ModelEval(model_from_dict(SO, t.dims, t.s), t.dims, t.s), alpha
+
+
+@pytest.mark.parametrize("posterior", [False, True])
+def test_early_pilot_routes_as_the_full_pilot(posterior):
+    # the full pilot read the acceptance of all n normalised draws; on a
+    # one-stratum unit with every shape >= 1 the early pilot's blocks hold
+    # the same rows, so it routes alike at every threshold
+    ev, alpha = pilot_case(posterior)
+    n = 3 * engine._BLOCK + 100
+    acc = sum(int(ev.delta(P).sum()) for _, P in engine._chunks(substream(5, 0), alpha, n, 32768))
+    assert 0 < acc < n
+    p = acc / n
+    for threshold in (0.0, np.nextafter(p, 0.0), p, np.nextafter(p, 1.0), (acc - 1) / n,
+                      (acc + 1) / n, 1.0, 2.0):
+        assert engine._pilot_routes_direct(ev, alpha, n, threshold, substream(5, 0), 32768) \
+            == (acc / n >= threshold), threshold
+
+
+@pytest.mark.parametrize("chunk", [32768, 1000])
+def test_pilot_stops_once_its_route_is_fixed(monkeypatch, chunk):
+    # the pilot draws min(chunk, _BLOCK) rows a step, unnormalised, and
+    # stops after the first step that fixes the route; a route fixed before
+    # any draw (threshold 0, or above 1) draws nothing
+    ev, alpha = pilot_case(False)
+    n = 10 * engine._BLOCK + 5
+    step = min(chunk, engine._BLOCK)
+    blocks = [(P.shape[0], int(ev.delta(P).sum()))
+              for _, P in engine._chunks(substream(6, 0), alpha, n, step)]
+    acc = sum(a for _, a in blocks)
+    calls = []
+    orig = engine._dirichlet_chunk
+
+    def counted(rng, a, k, normalise=True):
+        calls.append((k, normalise))
+        return orig(rng, a, k, normalise)
+
+    monkeypatch.setattr(engine, "_dirichlet_chunk", counted)
+    seen = set()
+    for threshold in (0.0, 0.01, 0.1, acc / n, np.nextafter(acc / n, 1.0), 0.5, 0.9, 1.0, 2.0):
+        k, got, left = 0, 0, n             # blocks a plain loop needs to fix the route
+        while got / n < threshold <= (got + left) / n:
+            got, left, k = got + blocks[k][1], left - blocks[k][0], k + 1
+        del calls[:]
+        assert engine._pilot_routes_direct(ev, alpha, n, threshold, substream(6, 0), chunk) \
+            == (acc / n >= threshold)
+        assert calls == [(size, False) for size, _ in blocks[:k]], threshold
+        seen.add(k)
+    # routes fixed before any draw, after the first step, midway and at the end
+    assert {0, 1, len(blocks)} <= seen and any(1 < k < len(blocks) for k in seen)
+
+
 # ---------------------------------------------------------------------------
 # importance estimator
 # ---------------------------------------------------------------------------
@@ -376,7 +437,7 @@ def test_epsilon_schedule_rejects_bad_values(kw):
 def test_zero_chunk_is_rejected_not_looped_on():
     ev = ModelEval(model_pa(), (2, 2), 1)
     with pytest.raises(engine.EngineError, match="chunk"):
-        engine._direct_stream(ev, np.ones((1, 4)), 100, substream(1, 0), 0)
+        engine._pilot_routes_direct(ev, np.ones((1, 4)), 100, 0.05, substream(1, 0), 0)
 
 
 def test_about_equality_single_stage_is_fixed_epsilon():

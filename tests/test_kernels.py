@@ -7,9 +7,11 @@ and the row-blocked eta and constraint checks must match one evaluation
 over all rows and each draw evaluated alone. Equal bytes, not a
 tolerance: every estimate is reproducible per seed, and these kernels sit
 under all of them. Only against the dense C log(M pi) product, whose sums
-run in another order, is a tolerance (1e-12) allowed, and against
-scipy.special.gammaln, a different lgamma than the engine's math.lgamma,
-a few ulp of the summed magnitudes of the log-gamma terms.
+run in another order, is a tolerance (1e-12) allowed, likewise between the
+eta of a draw and of the same draw scaled per stratum (unnormalised), whose
+logs round differently, and against scipy.special.gammaln, a different
+lgamma than the engine's math.lgamma, a few ulp of the summed magnitudes
+of the log-gamma terms.
 """
 import itertools
 
@@ -142,6 +144,44 @@ def test_dirichlet_chunk_matches_reference(alpha):
         assert ours.tobytes() == ref.tobytes()
 
 
+SIZES = ((1, 1), (2, 257), (3, engine._BLOCK), (4, engine._BLOCK + 1),
+         (5, 3 * engine._BLOCK + 7))
+
+
+@pytest.mark.parametrize("alpha", [
+    np.array([[1.0, 2.5, 7.0, 1.0]]),                                 # shapes >= 1
+    np.array([[1.5, 3.0, 1.0], [45.0, 2.0, 12.0]]),                  # shapes >= 1, s = 2
+    np.full((2, 81), 1.0),                                           # skin_trial's shape
+])
+def test_unnormalised_draws_are_the_normalised_ones_scaled(alpha):
+    # with every shape >= 1 the unnormalised call returns the floored
+    # gammas, takes the same variates from the stream, and the kernel's
+    # normalisation of its rows gives the normalised call's bits
+    for seed, n in SIZES:
+        rng_raw, rng = substream(seed, 0), substream(seed, 0)
+        raw = _dirichlet_chunk(rng_raw, alpha, n, normalise=False)
+        P = _dirichlet_chunk(rng, alpha, n)
+        assert rng_raw.bit_generator.state == rng.bit_generator.state
+        assert raw.shape == P.shape and np.all(raw >= 1e-300)
+        L = np.log(raw)
+        for b in range(alpha.shape[0]):
+            L[:, b, :] -= logsumexp(L[:, b, :], axis=1, keepdims=True)
+        assert_same(np.exp(np.maximum(L, link.LOG_FLOOR)), P)
+
+
+@pytest.mark.parametrize("alpha", [
+    np.array([[0.02, 0.5, 0.9, 0.3, 0.1, 0.05]]),                    # boost path
+    np.array([[1.5, 3.0, 1.0], [45.0, 0.7, 12.0]]),                  # one shape < 1
+    np.array([[1.5, 3.0, 1.0], [1e307, 2.0, 1e307]]),                # a row sum overflows
+])
+def test_unnormalised_draws_fall_back_to_normalised(alpha):
+    for seed, n in SIZES:
+        rng_raw, rng = substream(seed, 0), substream(seed, 0)
+        assert_same(_dirichlet_chunk(rng_raw, alpha, n, normalise=False),
+                    _dirichlet_chunk(rng, alpha, n))
+        assert rng_raw.bit_generator.state == rng.bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # Importance weight log p/g
 # ---------------------------------------------------------------------------
@@ -230,3 +270,37 @@ def test_blocked_constraint_checks_match_one_product(monkeypatch, dataset, spec)
             near |= np.any(np.abs(red @ ev.U.T) <= 1e-12, axis=1)
         for ours, ref in ((blocked[0], dense[0]), (blocked[2], dense[2])):
             assert not np.any((ours != ref) & ~near)
+
+
+# each fixture's inequality and about-equality constraint; alzheimer's
+# association trend couples its two strata
+SCALE_FREE = {
+    "father_son": ({"kind": "stochastic_order", "direction": "ge"},
+                   {"kind": "marginal_homogeneity", "epsilon": 0.3}),
+    "alzheimer": ({"kind": "association_trend", "direction": "increasing"},
+                  {"kind": "independence", "epsilon": 0.5}),
+    "skin_trial": ({"kind": "marginal_trend", "direction": "increasing"},
+                   {"kind": "uniform_association", "epsilon": 1.0}),
+}
+
+
+@pytest.mark.parametrize("logits", ["local", "global", "continuation", "reverse_continuation"])
+@pytest.mark.parametrize("dataset", sorted(SCALE_FREE))
+def test_constraint_checks_read_unnormalised_draws(dataset, logits):
+    # every eta row is a log ratio of sums of one stratum's cells, so a
+    # draw scaled per stratum has the same eta up to rounding, and the
+    # constraint checks accept the same draws
+    table = load_fixture(dataset)
+    ineq, eq = SCALE_FREE[dataset]
+    for constraints in ([ineq], [eq], [ineq, eq]):
+        spec = {"name": "m", "logits": logits, "constraints": constraints}
+        ev = ModelEval(model_from_dict(spec, table.dims, table.s), table.dims, table.s)
+        for alpha in (np.ones((table.s, table.r)), 1.0 + table.counts_matrix()):
+            raw = _dirichlet_chunk(substream(2, 0), alpha, 2000, normalise=False)
+            P = _dirichlet_chunk(substream(2, 0), alpha, 2000)
+            np.testing.assert_allclose(ev.eta_reduced(raw), ev.eta_reduced(P),
+                                       rtol=1e-12, atol=1e-12)
+            assert_same(ev.delta(raw), ev.delta(P))
+            (stat_raw, ok_raw), (stat, ok) = ev.eq_stat_and_ineq(raw), ev.eq_stat_and_ineq(P)
+            np.testing.assert_allclose(stat_raw, stat, rtol=1e-12, atol=1e-12)
+            assert_same(ok_raw, ok)

@@ -262,7 +262,8 @@ def test_long_loops_stop_once_given_up(loop):
     alpha = np.ones((1, 9))
     run = {
         "fit": lambda: fitmod.constrained_mle(table_3x3(), model_tp2_3x3()),
-        "direct": lambda: engine._direct_stream(ev, alpha, 1000, substream(1, 0), 100),
+        "direct": lambda: engine._pilot_routes_direct(ev, alpha, 1000, 0.05, substream(1, 0),
+                                                      100),
         "importance": lambda: engine._importance_stream(
             ev, alpha, make_density(np.full((1, 9), 1 / 9), alpha, 5.0), 1000,
             substream(1, 0), 100),
