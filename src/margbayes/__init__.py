@@ -3,8 +3,10 @@
 Constrained models are linear equality/inequality systems on generalised
 logits and log-odds ratios; Bayes factors against the saturated model are
 estimated as posterior-over-prior constraint-satisfaction proportions
-under an encompassing Dirichlet prior, with tuned importance sampling for
-rare constraints and a geometric epsilon-shrinking chain for
+under an encompassing Dirichlet prior: directly where the region is
+common, by splitting in log-gamma coordinates where it is rare and its
+rows are linear in the log-gammas, by tuned importance sampling for other
+rare constraints, and by a geometric epsilon-shrinking chain for
 about-equality models.
 
 numpy is the only runtime dependency; the one special function the

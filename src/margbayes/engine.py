@@ -1,11 +1,20 @@
 """Encompassing-prior Monte Carlo engine.
 
 Estimates constraint-satisfaction proportions under the encompassing
-Dirichlet prior and posterior (directly, or by importance sampling with a
-tuned Dirichlet centred at a constrained fit) and assembles Bayes factors
-as posterior-over-prior proportion ratios. bayes_factor is the one route:
+Dirichlet prior and posterior and assembles Bayes factors as
+posterior-over-prior proportion ratios. bayes_factor is the one route:
 a model with about-equality rows runs the geometric epsilon-shrinking
 chain, and an inequality-only model is that chain's first level.
+
+Each side of each unit takes one of three routes, picked by its pilot:
+    direct      the pilot accepts at least direct_threshold: count the
+                accepted draws of the side's own Dirichlet
+    split       otherwise, when the model has no equality rows and every
+                inequality row is linear in the log-gammas y = log G of
+                the Dirichlet (_linear_rows): subset simulation on y,
+                with exact colored coordinate moves (_split_run)
+    importance  otherwise: a Dirichlet tuned on the region, centred at a
+                constrained fit, with importance weights
 
 All weight arithmetic is in log space; draws are generated per stratum
 from log-gamma variates (small shapes boosted) so tiny cell probabilities
@@ -20,6 +29,9 @@ then the purpose's own indices:
     (side, "main", *unit)                         a direct sample
     (side, "main", *unit, draw_key)               a tuned sample
     (side, "tune", *unit, draw_key, rung, probe)  a tuning probe
+    (side, "split", *unit)                        a split run: its first
+                                                  draws, then each level's
+                                                  resampling and moves
 where draw_key counts the part's redraws and rung indexes the margin
 ladder. sample_prior and posterior_draws_under_model draw from
 ("prior",), and replicate i of replicate_bf runs at a seed generated
@@ -192,19 +204,23 @@ class RunSettings:
     """Run sizes and thresholds of a Bayes factor, each checked against its
     range here: the fields of a run manifest's "settings" object.
 
-    n_draws           whole number >= 1: draws per side and unit, and per redraw
+    n_draws           whole number >= 1: draws per side and unit of a direct
+                      or tuned sample, and per redraw; a split side runs
+                      _SPLIT_PARTICLES particles whatever it is
     pilot_n           whole number >= 1: routing pilot size per side and unit;
                       the pilot stops drawing once the route is fixed, so it
                       draws at most this many; a tuning probe takes
                       max(4000, pilot_n // 4)
     direct_threshold  finite number >= 0: a side whose pilot accepts at least
-                      this share samples its target directly, else a tuned
-                      density (above 1, every side is tuned)
+                      this share samples its target directly, else it splits
+                      (rows linear in log G, no equality rows) or samples a
+                      tuned density (above 1, no side is direct)
     alpha_grid        non-empty list of finite numbers > 0: the concentration
-                      multipliers the tuner probes
+                      multipliers the tuner probes; split sides do not tune
     chunk             whole number >= 1: draws each sampling loop holds at once
     ess_floor         number >= 0: a level with less ESS is warned about, and
-                      a chain part under it is retuned
+                      a chain part under it is retuned; a split side's ESS
+                      is its count of final survivors
     log_base          "10" or "e": base of the printed log Bayes factors
     """
 
@@ -246,7 +262,7 @@ class BFEstimate:
     replicates: list                 # per-replicate log10 values
     mean: float                      # mean of replicates (log10)
     sd: float
-    route: str                       # "<prior route>/<posterior route>", e.g. "direct/importance"
+    route: str                       # "<prior route>/<posterior route>", e.g. "split/direct"
     components: dict
     settings: dict
 
@@ -259,7 +275,7 @@ class BFEstimate:
 # ---------------------------------------------------------------------------
 
 _SIDES = {"prior": 0, "posterior": 1}
-_PURPOSE = {"pilot": 0, "main": 1, "tune": 2, "replicate": 3}
+_PURPOSE = {"pilot": 0, "main": 1, "tune": 2, "replicate": 3, "split": 4}
 
 
 def substream(seed: int, *path) -> np.random.Generator:
@@ -932,19 +948,186 @@ def _units(ev: ModelEval, table: StratifiedTable) -> list:
 
 
 # ---------------------------------------------------------------------------
+# Splitting: rare regions with rows linear in log-gamma coordinates
+# ---------------------------------------------------------------------------
+
+# Particles per split run and colored sweeps per level; each level keeps
+# the half of the particles (rho = 1/2) with the lowest level variable.
+_SPLIT_PARTICLES = 1000
+_SPLIT_SWEEPS = 2
+
+
+def _linear_rows(ev: ModelEval):
+    """(rows, s*r) matrix A with U eta = A y for y = log G, the log-gammas
+    of the unit's cells (stratum by stratum, as target_alpha.ravel() lays
+    them out), or None when the model has equality rows or a row is not
+    linear in y.
+
+    Per stratum b, the rows are W = U_b C[local_rows] applied to log(M pi).
+    When every M row that W uses has exactly one nonzero, each of those
+    logs is one cell's log pi, and A_b = W M. The contrast rows of C sum
+    to zero, so each row of A sums to zero within each stratum: the
+    normaliser of pi cancels, and unnormalised log-gammas give the same
+    row values.
+    """
+    if ev.E.shape[0] or not ev.U.shape[0]:
+        return None
+    link, k = ev.link, ev.local_rows.size
+    C = link.C[ev.local_rows]
+    single = np.count_nonzero(link.M, axis=1) == 1
+    blocks = []
+    for b in range(ev.s):
+        W = ev.U[:, b * k:(b + 1) * k] @ C
+        if not single[np.any(W != 0, axis=0)].all():
+            return None
+        blocks.append(W @ link.M)
+    return np.hstack(blocks)
+
+
+def _log_gammas(rng: np.random.Generator, a: np.ndarray, n: int) -> np.ndarray:
+    """(len(a), n) draws of log G, G ~ Gamma(a_i) in row i, floored at
+    LOG_FLOOR; shapes below 1 use the boost G_a = G_{a+1} U^{1/a} in log
+    space, as _dirichlet_chunk does."""
+    small = a < 1.0
+    g = rng.standard_gamma(np.where(small, a + 1.0, a)[:, None], size=(a.size, n))
+    y = np.log(np.maximum(g, 1e-300, out=g), out=g)
+    if small.any():
+        y[small] += np.log(rng.random((int(small.sum()), n))) / a[small, None]
+    return np.maximum(y, LOG_FLOOR, out=y)
+
+
+def _split_classes(A: np.ndarray) -> list:
+    """The move plan of A's cells: a greedy coloring of the cells that
+    some row uses, in which no two cells of a class share a row, so a
+    class's cells are independent given the rest and move together.
+
+    Per class: (cells; for the rows with a positive and with a negative
+    coefficient on each cell, their indices and |coefficients|, padded to
+    a common width with the row index len(A), which the kernel keeps at
+    +inf; the (row, place in class, coefficient) of every nonzero the
+    class touches, whose rows are distinct).
+    """
+    nz = A != 0
+    color = np.full(A.shape[1], -1)
+    for i in np.flatnonzero(nz.any(axis=0)):
+        taken = set(color[nz[nz[:, i]].any(axis=0)].tolist())
+        color[i] = next(c for c in range(A.shape[1]) if c not in taken)
+    classes = []
+    for c in range(color.max() + 1):
+        cells = np.flatnonzero(color == c)
+        sub = A[:, cells]
+        bounds = []
+        for sign in (1.0, -1.0):
+            lists = [np.flatnonzero(sign * sub[:, j] > 0) for j in range(cells.size)]
+            width = max(1, max(len(rows) for rows in lists))
+            idx = np.full((cells.size, width), A.shape[0])
+            coef = np.ones((cells.size, width, 1))
+            for j, rows in enumerate(lists):
+                idx[j, :rows.size] = rows
+                coef[j, :rows.size, 0] = np.abs(sub[rows, j])
+            bounds += [idx, coef]
+        rows, place = np.nonzero(sub)
+        classes.append((cells, *bounds, rows, place, sub[rows, place][:, None]))
+    return classes
+
+
+def _split_move(cls, y, R, tau, a, rng, exponential):
+    """Move one color class of every particle at level tau, in place.
+
+    A cell's feasible interval [l, u] keeps every row it touches at
+    R + tau >= 0: l = y - min over its positive rows of (R + tau)/|c|,
+    u = y + min over its negative rows of (R + tau)/|c|. When every shape
+    is 1 the cell is Exp(1) truncated to [e^l, e^u] and is drawn exactly
+    by inversion. Otherwise it is proposed from its untruncated
+    log-Gamma(a_i) and the proposal is kept only inside [l, u]: a
+    Metropolis move that leaves the restricted target invariant. The row
+    values then take the change by row adds.
+    """
+    cells, prow, pcoef, mrow, mcoef, rows, place, coef = cls
+    yc = y[cells]
+    lo = yc - np.min((R[prow] + tau) / pcoef, axis=1)
+    hi = yc + np.min((R[mrow] + tau) / mcoef, axis=1)
+    if exponential:
+        el = np.exp(lo)
+        width = np.maximum(np.exp(hi) - el, 0.0)
+        g = el - np.log1p(rng.random(yc.shape) * np.expm1(-width))
+        new = np.log(np.maximum(g, math.exp(LOG_FLOOR), out=g), out=g)
+    else:
+        new = _log_gammas(rng, a[cells], yc.shape[1])
+        new = np.where((lo <= new) & (new <= hi), new, yc)
+    R[rows] += coef * (new - yc)[place]
+    y[cells] = new
+
+
+def _split_run(A: np.ndarray, a: np.ndarray, rng: np.random.Generator, side: str):
+    """(ln P(A y >= 0), final survivors, levels) for y = log G, G_i
+    independent Gamma(a_i): adaptive multilevel splitting (subset
+    simulation) with rho = 1/2.
+
+    _SPLIT_PARTICLES particles are drawn from the unconstrained target.
+    The level variable is s = max_k(-R_k), with R = A y kept per particle.
+    Each level sets tau to the median of s, but never below 0, and adds ln
+    of the share with s <= tau to ln P; at tau = 0 the run ends.
+    Otherwise the particles with s <= tau are resampled multinomially to
+    _SPLIT_PARTICLES, and _SPLIT_SWEEPS sweeps of colored moves at tau
+    (_split_move) spread them over the level's region. Raises
+    UnboundedEstimateError when tau does not fall below the level before.
+
+    Arrays are cells x particles, and R has one more row held at +inf
+    that pads the bound lists. R is built and updated by elementwise
+    adds in a fixed order, with no BLAS product, so its bits do not
+    depend on the thread count. All randomness comes from rng, in order.
+    """
+    n = _SPLIT_PARTICLES
+    classes = _split_classes(A)
+    exponential = bool(np.all(a == 1.0))
+    y = _log_gammas(rng, a, n)
+    R = np.empty((A.shape[0] + 1, n))
+    R[-1] = np.inf
+    R[:-1] = 0.0
+    for k, j in zip(*np.nonzero(A)):
+        R[k] += A[k, j] * y[j]
+    ln_p, prev, level = 0.0, np.inf, 0
+    while True:
+        cancel.check()
+        level += 1
+        s = -R[:-1].min(axis=0)
+        tau = max(float(np.partition(s, n // 2)[n // 2]), 0.0)
+        keep = np.flatnonzero(s <= tau)
+        ln_p += math.log(keep.size / n)
+        if tau == 0.0:
+            return ln_p, keep.size, level
+        if tau >= prev:
+            raise UnboundedEstimateError(
+                side, f"{side}-side splitting stalled at threshold {prev:g}; "
+                "the Bayes factor is unbounded on this run")
+        prev = tau
+        pick = keep[rng.integers(0, keep.size, size=n)]
+        y, R = y[:, pick], R[:, pick]
+        for _ in range(_SPLIT_SWEEPS):
+            for cls in classes:
+                _split_move(cls, y, R, tau, a, rng, exponential)
+
+
+# ---------------------------------------------------------------------------
 # Bayes factors: one route for every model
 # ---------------------------------------------------------------------------
 
 class _Part:
     """One side of a Bayes factor over one _units unit: a sample that one
-    level after another reweights.
+    level after another reweights, or a split run.
 
-    The pilot routes it: when the pilot accepts at least direct_threshold
-    of its draws, the sample comes from the side's target, else from a
-    density tuned on the region (_pilot_routes_direct). The pilot and a
-    direct sample read only which draws the constraint checks accept, so
-    they ask _dirichlet_chunk for unnormalised draws, scaled per stratum;
-    a tuned sample reads log pi for its weights and draws normalised.
+    The pilot routes it (_pilot_routes_direct): when the pilot accepts at
+    least direct_threshold of its draws, the sample comes from the side's
+    target. Otherwise, when the model has no equality rows and its rows
+    are linear in log G (_linear_rows), the part splits (_split_run): it
+    fails fast when the region has no interior, keeps no draws, and its
+    one level reads the run's ln P with its final survivors as ESS and
+    accepted count. Otherwise the sample comes from a density tuned on
+    the region. The pilot and a direct sample read only which draws the
+    constraint checks accept, so they ask _dirichlet_chunk for
+    unnormalised draws, scaled per stratum; a tuned sample reads log pi
+    for its weights and draws normalised.
     Only the draws that the level-1 model accepts are kept, each with its
     equality statistic relative to the level-1 tolerances and, if tuned,
     its log-weight. A level at tolerance scale c <= 1 accepts the kept
@@ -963,15 +1146,31 @@ class _Part:
         self.path = path
         self.draw_key = 0
         self.diag = None                    # the last tuning's diagnostics
+        self.split = None                   # a split run's diagnostics
         if ev.cs.is_empty():                # no constraint: every draw is accepted
             self.kept, self.stat, self.logw = settings.n_draws, None, None
             return
-        self._draw(1.0, direct=_pilot_routes_direct(
+        direct = _pilot_routes_direct(
             ev, target_alpha, settings.pilot_n, settings.direct_threshold,
-            substream(seed, side, "pilot", *path), settings.chunk))
+            substream(seed, side, "pilot", *path), settings.chunk)
+        rows = None if direct else _linear_rows(ev)
+        if rows is None:
+            self._draw(1.0, direct=direct)
+            return
+        if not _has_interior(side, ev.model, 0.0):
+            raise UnboundedEstimateError(
+                side, f"the {side}-side constraint region has no interior; "
+                "the Bayes factor is unbounded")
+        self.ln_p, self.kept, levels = _split_run(
+            rows, target_alpha.ravel(), substream(seed, side, "split", *path), side)
+        self.stat, self.logw = None, None
+        self.split = {"unit": list(path), "levels": levels, "particles": _SPLIT_PARTICLES,
+                      "sweeps": _SPLIT_SWEEPS, "survivor_share": self.kept / _SPLIT_PARTICLES}
 
     @property
     def route(self) -> str:
+        if self.split is not None:
+            return "split"
         return "direct" if self.logw is None else "importance"
 
     @property
@@ -1018,7 +1217,10 @@ class _Part:
 
     def level(self, scale):
         """(ln proportion, ess, accepted draws) at a tolerance scale. A
-        direct sample's ESS is its accepted count."""
+        direct sample's ESS is its accepted count, a split run's its final
+        survivors."""
+        if self.split is not None:
+            return self.ln_p, float(self.kept), self.kept
         n = self.settings.n_draws
         d = slice(None) if self.stat is None else self.stat <= scale
         acc = self.kept if self.stat is None else int(d.sum())
@@ -1144,6 +1346,7 @@ def bayes_factor(model: ModelSpec, table: StratifiedTable, prior: PriorSpec,
         "warnings": warnings,
         "tuning": {side: [p.diag for p in sides[side]] for side in sides},
         "retunes": {side: [p.draw_key for p in sides[side]] for side in sides},
+        "split": {side: [p.split for p in sides[side] if p.split] for side in sides},
         "max_abs_log_weight": {side: max(p.max_abs_logw for p in sides[side])
                                for side in sides},
     }

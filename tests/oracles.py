@@ -243,3 +243,29 @@ def tp2_equal_columns(K: int) -> float:
     the exact TP2 Bayes factor of such a table is 1 (log10 BF 0) at every K.
     """
     return 1.0 / math.factorial(K)
+
+
+def tp2_2xk(row1, row2, kappa: float = 1.0, h: float = 0.002, lim: float = 60.0) -> float:
+    """P(local TP2) on a 2 x K table under Dirichlet(kappa + counts), rows
+    row1 and row2 of counts.
+
+    The cells are normalised independent gammas G_ij ~ Gamma(a_ij), so
+    local TP2 is D_1 >= D_2 >= ... >= D_K with D_j = log G_1j - log G_2j.
+    The D_j are independent log-beta-prime variables with density
+    f_j(d) = e^{a d} (1 + e^d)^{-(a+b)} / B(a, b), a = a_1j, b = a_2j.
+    With S_0 = 1 and S_k(x) = P(D_k >= x, D_{k-1} >= D_k, ..., D_1 >= D_2)
+    = int_x^inf f_k(t) S_{k-1}(t) dt, the answer is S_K(-inf): K
+    reverse cumulative trapezoid sums on one grid of step h over
+    [-lim, lim].
+    """
+    from scipy.special import betaln
+
+    a1 = kappa + np.asarray(row1, dtype=float)
+    a2 = kappa + np.asarray(row2, dtype=float)
+    x = np.linspace(-lim, lim, int(round(2 * lim / h)) + 1)
+    step = x[1] - x[0]
+    S = np.ones_like(x)
+    for a, b in zip(a1, a2):
+        g = np.exp(a * x - (a + b) * np.logaddexp(0.0, x) - betaln(a, b)) * S
+        S = np.concatenate([np.cumsum((0.5 * step * (g[1:] + g[:-1]))[::-1])[::-1], [0.0]])
+    return float(S[0])

@@ -11,6 +11,7 @@ MODELS = [
     {"schema_version": 1, "name": "saturated", "logits": "local", "constraints": []},
 ]
 TP2 = {"schema_version": 1, "name": "tp2", "logits": "local", "constraints": [{"kind": "tp2"}]}
+PQD = {"schema_version": 1, "name": "pqd", "logits": "global", "constraints": [{"kind": "pqd"}]}
 
 
 def write_manifest(tmp_path, **extra):
@@ -282,17 +283,19 @@ def test_bad_fit_smoothing_is_an_input_error(tmp_path, capsys, value):
 
 
 def test_replicate_warnings_reach_the_report(tmp_path, capsys):
-    # father_son TP2 at 30k draws: the tuned importance weights leave an ESS
-    # of a few draws per side, which the JSON and the text report both name
+    # father_son PQD at 30k draws, the prior side tuned and the posterior
+    # direct, against an ESS floor that no side reaches: the JSON and the
+    # text report both name the warning
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({
-        "dataset": "father_son", "models": [TP2], "replicates": 1, "seed": 1,
-        "settings": {"n_draws": 30_000, "pilot_n": 20_000}}))
+        "dataset": "father_son", "models": [PQD], "replicates": 1, "seed": 1,
+        "settings": {"n_draws": 30_000, "pilot_n": 20_000, "ess_floor": 1e9}}))
     rc = cli.main(["bf", str(manifest), "--format", "text", "--out", str(tmp_path)])
     text = capsys.readouterr().out
     assert rc == 0
     report = json.loads((tmp_path / "report.json").read_text())
+    assert report["results"][0]["route"] == "importance/direct"
     [rep] = report["results"][0]["estimate"]["components"]["replicates"]
-    assert "level 1: ESS under 50 on prior/posterior side" in rep["warnings"]
-    assert "warning: tp2 replicate 1: level 1: ESS under 50 on prior/posterior side" \
+    assert "level 1: ESS under 1e+09 on prior/posterior side" in rep["warnings"]
+    assert "warning: pqd replicate 1: level 1: ESS under 1e+09 on prior/posterior side" \
         in text.splitlines()

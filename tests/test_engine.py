@@ -36,7 +36,7 @@ from margbayes import engine
 from margbayes.engine import _importance_stream, substream
 from margbayes.hypotheses import ConstraintSet, model_from_dict
 
-from oracles import (about_equality_2x2, posterior_summary_reference, tp2_2x2,
+from oracles import (about_equality_2x2, posterior_summary_reference, tp2_2x2, tp2_2xk,
                      tp2_equal_columns)
 
 
@@ -355,6 +355,13 @@ def test_bf_determinism_byte_identical():
     assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
 
 
+def model_log_or_zero():
+    """2x2 log odds ratio = 0, written as >= 0 and <= 0."""
+    log_or = ConstraintSet(np.zeros((0, 3)), np.array([[0.0, 0, 1], [0, 0, -1]]),
+                           np.zeros(0), 3)
+    return ModelSpec("log_or_zero", ("local", "local"), log_or)
+
+
 def test_unbounded_estimate_error_names_side(monkeypatch):
     # eta = 0 written as U eta >= 0 and -U eta >= 0: a region without
     # interior, which no draw can hit. It fails before any centring fit.
@@ -367,6 +374,26 @@ def test_unbounded_estimate_error_names_side(monkeypatch):
     with pytest.raises((UnboundedEstimateError, TuningError), match="no interior"):
         bayes_factor(model, t, PriorSpec.flat(4, 1, 1.0), settings, seed=16)
     assert calls == []
+    # the log odds ratio alone, written as >= 0 and <= 0: its row is linear
+    # in log G, so the side would split; it raises before any split draw
+    # instead of walking levels towards a threshold that never reaches 0
+    model = model_log_or_zero()
+    assert engine._linear_rows(ModelEval(model, (2, 2), 1)) is not None
+    with pytest.raises(UnboundedEstimateError, match="no interior") as err:
+        bayes_factor(model, t, PriorSpec.flat(4, 1, 1.0), settings, seed=16)
+    assert err.value.side == "prior"
+    assert calls == []
+
+
+def test_split_run_that_stops_gaining_raises(monkeypatch):
+    # past the interior check (forced here), splitting towards the point
+    # log OR = 0 halves its threshold each level until rounding keeps it
+    # from falling, then raises rather than walking on
+    monkeypatch.setattr(engine, "_has_interior", lambda *a: True)
+    with pytest.raises(UnboundedEstimateError, match="splitting stalled") as err:
+        bayes_factor(model_log_or_zero(), table_2x2(), PriorSpec.flat(4, 1, 1.0),
+                     RunSettings(n_draws=4_000, pilot_n=2_000), seed=16)
+    assert err.value.side == "prior"
 
 
 @pytest.mark.parametrize("prior_accepted", [30, 60])
@@ -492,52 +519,162 @@ def test_about_equality_fixed_epsilon_matches_exact_2x2():
     assert abs(np.mean(ests) - exact) < 4 * se
 
 
-def test_tp2_importance_route_matches_exact_2x2():
+def on_routes(monkeypatch):
+    """Yield "split" (the default for rows linear in log G), then
+    "importance", under which the linearity read finds no linear rows, so
+    a side that the pilot does not send to direct sampling is tuned."""
+    yield "split"
+    monkeypatch.setattr(engine, "_linear_rows", lambda ev: None)
+    yield "importance"
+
+
+def test_tp2_importance_route_matches_exact_2x2(monkeypatch):
     # log10 P_post(log OR >= 0) - log10(1/2) under a flat prior, exactly
-    # 0.30099; a threshold above 1 sends both sides down the importance
-    # route, and the seed mean must lie within 4 SE of the exact value
+    # 0.30099; a threshold above 1 sends both sides down the split route,
+    # or the importance route where the rows do not read as linear, and
+    # on each the seed mean must lie within 4 SE of the exact value
     counts = (30.0, 10.0, 12.0, 25.0)
     exact = np.log10(tp2_2x2(counts) / tp2_2x2((0, 0, 0, 0)))
     settings = RunSettings(n_draws=40_000, pilot_n=8_000, chunk=8192, direct_threshold=1.1)
-    ests = [bayes_factor(model_pa(), table_2x2(counts), PriorSpec.flat(4, 1, 1.0), settings,
-                         seed=seed) for seed in range(1, 9)]
-    assert {e.route for e in ests} == {"importance/importance"}
-    values = [e.log10_bf for e in ests]
-    se = np.std(values, ddof=1) / np.sqrt(len(values))
-    assert abs(np.mean(values) - exact) < 4 * se
+    for route in on_routes(monkeypatch):
+        ests = [bayes_factor(model_pa(), table_2x2(counts), PriorSpec.flat(4, 1, 1.0),
+                             settings, seed=seed) for seed in range(1, 9)]
+        assert {e.route for e in ests} == {f"{route}/{route}"}
+        values = [e.log10_bf for e in ests]
+        se = np.std(values, ddof=1) / np.sqrt(len(values))
+        assert abs(np.mean(values) - exact) < 4 * se, route
 
 
-def test_tp2_2x4_prior_proportion_is_one_over_4_factorial():
+def test_tp2_2x4_prior_proportion_is_one_over_4_factorial(monkeypatch):
     # under a flat prior the row log-ratios of a 2x4 table are i.i.d., so
     # local TP2 (all three local log odds ratios >= 0) has prior proportion
     # exactly 1/4!; below the default direct_threshold, the pilot sends the
-    # prior side down the importance route without any override
+    # prior side down the split (or importance) route without any override
     table = StratifiedTable(("all",), (ContingencyTable((2, 4), np.array(
         [30.0, 20.0, 10.0, 5.0, 5.0, 10.0, 20.0, 30.0])),))
     settings = RunSettings(n_draws=20_000, pilot_n=20_000, chunk=8192)
-    ests = [bayes_factor(model_pa((2, 4)), table, PriorSpec.flat(8, 1, 1.0), settings,
-                         seed=seed) for seed in range(1, 9)]
-    assert all(e.route.startswith("importance/") for e in ests)
-    prior_ln = [e.components["stages"][0]["prior_ln"] for e in ests]
-    se = np.std(prior_ln, ddof=1) / np.sqrt(len(prior_ln))
-    assert abs(np.mean(prior_ln) - np.log(1 / 24)) < 4 * se
+    for route in on_routes(monkeypatch):
+        ests = [bayes_factor(model_pa((2, 4)), table, PriorSpec.flat(8, 1, 1.0), settings,
+                             seed=seed) for seed in range(1, 9)]
+        assert all(e.route.startswith(f"{route}/") for e in ests)
+        prior_ln = [e.components["stages"][0]["prior_ln"] for e in ests]
+        se = np.std(prior_ln, ddof=1) / np.sqrt(len(prior_ln))
+        assert abs(np.mean(prior_ln) - np.log(1 / 24)) < 4 * se, route
 
 
-def test_tp2_equal_columns_bayes_factor_is_one():
+def test_tp2_equal_columns_bayes_factor_is_one(monkeypatch):
     # with the same counts in every column the exact Bayes factor of local
     # TP2 on 2xK is 1 (see oracles.tp2_equal_columns); at K = 4 both sides
-    # take the importance route, and the seed mean of log10 BF must lie
-    # within 4 SE of 0
+    # take the split (or importance) route, and the seed mean of log10 BF
+    # must lie within 4 SE of 0
     K = 4
     exact = np.log10(tp2_equal_columns(K) / tp2_equal_columns(K))     # posterior / prior
     table = StratifiedTable(("all",), (ContingencyTable((2, K), np.array(
         [5.0] * K + [3.0] * K)),))
     settings = RunSettings(n_draws=20_000, pilot_n=5_000, chunk=8192)
-    ests = [bayes_factor(model_pa((2, K)), table, PriorSpec.flat(2 * K, 1, 1.0), settings,
-                         seed=seed) for seed in range(1, 9)]
-    assert {e.route for e in ests} == {"importance/importance"}
+    for route in on_routes(monkeypatch):
+        ests = [bayes_factor(model_pa((2, K)), table, PriorSpec.flat(2 * K, 1, 1.0), settings,
+                             seed=seed) for seed in range(1, 9)]
+        assert {e.route for e in ests} == {f"{route}/{route}"}
+        values = [e.log10_bf for e in ests]
+        se = np.std(values, ddof=1) / np.sqrt(len(values))
+        assert abs(np.mean(values) - exact) <= 4 * se, route
+
+
+def table_2xk(row1, row2):
+    K = len(row1)
+    return StratifiedTable(("all",), (ContingencyTable((2, K), np.array(
+        [*row1, *row2], dtype=float)),))
+
+
+@pytest.mark.parametrize("row1,row2", [
+    ([12, 11, 9, 8, 6, 5], [4, 6, 7, 9, 10, 12]),
+    ([14, 12, 13, 10, 9, 9, 7, 5], [3, 5, 4, 7, 8, 9, 11, 12]),
+    ([8, 9, 7, 8, 9, 8, 7, 8], [8, 7, 9, 8, 7, 8, 9, 8]),
+], ids=["K6_trend", "K8_trend", "K8_flat"])
+def test_tp2_2xk_bayes_factor_matches_exact(row1, row2):
+    # exactly 1.773, 2.594 and 0.037 (oracles.tp2_2xk); the prior side is
+    # rare at K = 8 (1/8!), and the seed mean must lie within 4 SE
+    K = len(row1)
+    exact = np.log10(tp2_2xk(row1, row2) / tp2_2xk([0] * K, [0] * K))
+    settings = RunSettings(n_draws=100_000, pilot_n=20_000)
+    ests = [bayes_factor(model_pa((2, K)), table_2xk(row1, row2), PriorSpec.flat(2 * K),
+                         settings, seed=seed) for seed in range(1, 9)]
+    assert all(e.route.startswith("split/") for e in ests)
     values = [e.log10_bf for e in ests]
-    assert abs(np.mean(values) - exact) <= 4 * np.std(values, ddof=1) / np.sqrt(len(values))
+    se = np.std(values, ddof=1) / np.sqrt(len(values))
+    assert abs(np.mean(values) - exact) < 4 * se
+
+
+@pytest.mark.parametrize("kappa", [0.5, 2.0, 10.0])
+def test_tp2_2x8_prior_proportion_is_one_over_8_factorial(kappa):
+    # 1/8! at every flat concentration (oracles.tp2_equal_columns); with
+    # shapes other than 1 the split moves are Metropolis proposals from
+    # the untruncated log-gammas, and below 1 they use the boost
+    row1, row2 = [14, 12, 13, 10, 9, 9, 7, 5], [3, 5, 4, 7, 8, 9, 11, 12]
+    settings = RunSettings(n_draws=20_000, pilot_n=20_000)
+    ests = [bayes_factor(model_pa((2, 8)), table_2xk(row1, row2), PriorSpec.flat(16, 1, kappa),
+                         settings, seed=seed) for seed in range(1, 9)]
+    assert all(e.route.startswith("split/") for e in ests)
+    prior_ln = [e.components["stages"][0]["prior_ln"] for e in ests]
+    se = np.std(prior_ln, ddof=1) / np.sqrt(len(prior_ln))
+    assert abs(np.mean(prior_ln) - np.log(tp2_equal_columns(8))) < 4 * se
+
+
+def test_father_son_tp2_reads_about_12_7():
+    # no exact answer is known; splitting with exact moves read 12.71 at
+    # N 2000 and two sweep counts. The seed mean must lie within 3 SE.
+    table = load_fixture("father_son")
+    model = model_from_dict({"name": "tp2", "logits": "local", "constraints": [{"kind": "tp2"}]},
+                            table.dims, table.s)
+    settings = RunSettings(n_draws=2_000, pilot_n=2_000)
+    ests = [bayes_factor(model, table, PriorSpec.flat(table.r), settings, seed=seed)
+            for seed in range(1, 9)]
+    assert {e.route for e in ests} == {"split/split"}
+    values = [e.log10_bf for e in ests]
+    se = np.std(values, ddof=1) / np.sqrt(len(values))
+    assert abs(np.mean(values) - 12.71) < 3 * se
+    split = ests[0].components["split"]
+    assert [len(split[side]) for side in ("prior", "posterior")] == [1, 1]
+    for entry in split["prior"] + split["posterior"]:
+        assert entry["particles"] == engine._SPLIT_PARTICLES
+        assert entry["sweeps"] == engine._SPLIT_SWEEPS
+        assert entry["levels"] > 1 and 0.5 <= entry["survivor_share"] <= 1.0
+
+
+@pytest.mark.parametrize("dataset,spec", [
+    ("father_son", {"name": "tp2", "logits": "local", "constraints": [{"kind": "tp2"}]}),
+    ("alzheimer", {"name": "trend", "logits": "local",
+                   "constraints": [{"kind": "association_trend", "direction": "increasing"}]}),
+])
+def test_linear_rows_reproduce_the_constraint_rows(dataset, spec):
+    # A y = U eta for y = log G, unnormalised; alzheimer's trend couples
+    # its two strata, so A spans both strata's cells
+    table = load_fixture(dataset)
+    ev = ModelEval(model_from_dict(spec, table.dims, table.s), table.dims, table.s)
+    A = engine._linear_rows(ev)
+    assert A.shape == (ev.U.shape[0], table.s * table.r)
+    G = np.random.default_rng(3).gamma(2.0, size=(50, table.s, table.r))
+    P = G / G.sum(axis=2, keepdims=True)
+    assert np.allclose(np.log(G).reshape(50, -1) @ A.T, ev.eta_reduced(P) @ ev.U.T,
+                       rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("dataset,spec", [
+    ("father_son", {"name": "pqd", "logits": "global", "constraints": [{"kind": "pqd"}]}),
+    ("father_son", {"name": "so", "logits": "global",
+                    "constraints": [{"kind": "stochastic_order", "direction": "ge"}]}),
+    ("father_son", {"name": "so", "logits": "local",
+                    "constraints": [{"kind": "stochastic_order", "direction": "ge"}]}),
+    ("father_son", {"name": "ind", "logits": "local",
+                    "constraints": [{"kind": "independence", "epsilon": 0.1}]}),
+], ids=["pqd_global", "stochastic_order_global", "margin_logits_local", "equality_rows"])
+def test_linear_rows_read_none_when_not_linear(dataset, spec):
+    # global logits sum cells, margin logits sum over the other variable,
+    # and a model with equality rows is left to the chain
+    table = load_fixture(dataset)
+    ev = ModelEval(model_from_dict(spec, table.dims, table.s), table.dims, table.s)
+    assert engine._linear_rows(ev) is None
 
 
 # ---------------------------------------------------------------------------
@@ -662,12 +799,15 @@ def test_centring_fits_made_once_per_problem_equality_model(monkeypatch):
 def test_centring_fits_keep_distinct_margins_for_inequalities(monkeypatch):
     t = StratifiedTable(("all",), (ContingencyTable((3, 3), np.array(
         [20.0, 9.0, 4.0, 8.0, 15.0, 9.0, 3.0, 10.0, 22.0])),))
-    # importance route on both sides, and an ESS target no pilot reaches,
-    # so each side walks the whole margin ladder in both replicates
+    # PQD (global logits, rows not linear in log G): importance route on
+    # both sides, and an ESS target no pilot reaches, so each side walks
+    # the whole margin ladder in both replicates
     settings = RunSettings(n_draws=4_000, pilot_n=4_000, chunk=4096,
                            direct_threshold=1.1, ess_floor=1e9, alpha_grid=(5.0, 50.0))
     calls = record_fits(monkeypatch)
-    replicate_bf(model_pa((3, 3)), t, PriorSpec.flat(9, 1, 1.0), settings, B=2, seed=8)
+    est = replicate_bf(model_pa((3, 3), "global"), t, PriorSpec.flat(9, 1, 1.0), settings,
+                       B=2, seed=8)
+    assert est.route == "importance/importance"
     margins = {kind: [c[-1] for c in calls if c[0] == kind] for kind in ("prior_center", "mle")}
     assert margins == {"prior_center": [1.0, 0.25, 2.0], "mle": [0.0, 0.25, 1.0, 2.0]}
 
@@ -727,11 +867,12 @@ def test_ladder_skips_a_repeated_margin_and_keeps_rung_seeds(monkeypatch):
 
 
 def test_every_stream_is_drawn_once(monkeypatch):
-    # every pilot, sample and tuning probe of a replicate_bf call draws from
-    # its own (seed, spawn key). Both sides are tuned, and no pilot ESS is
-    # enough, so every rung of both sides' margin ladders runs: once on one
-    # unit over three rungs, and once per stratum on a chain whose parts are
-    # redrawn at every level
+    # every pilot, sample, tuning probe and split run of a replicate_bf
+    # call draws from its own (seed, spawn key). PQD's rows are not linear
+    # in log G, so both sides are tuned, and no pilot ESS is enough, so
+    # every rung of both sides' margin ladders runs: once on one unit over
+    # three rungs, and once per stratum on a chain whose parts are redrawn
+    # at every level. TP2 splits both sides of each stratum.
     uses = []
     orig = engine.substream
 
@@ -746,7 +887,9 @@ def test_every_stream_is_drawn_once(monkeypatch):
     settings = RunSettings(n_draws=4_000, pilot_n=4_000, chunk=4096, direct_threshold=1.1,
                            ess_floor=1e9, alpha_grid=(5.0, 50.0))
     monkeypatch.setattr(engine, "_MAX_RETUNES", 2)
-    replicate_bf(model_pa((3, 3)), t, PriorSpec.flat(9, 1, 1.0), settings, B=2, seed=8)
+    est = replicate_bf(model_pa((3, 3), "global"), t, PriorSpec.flat(9, 1, 1.0), settings,
+                       B=2, seed=8)
+    assert est.route == "importance/importance"
     # per replicate and side: pilot, sample, two probes on each rung
     assert len(uses) == 2 * (2 + 2 + 2 * 3 + 2 * 4)
     assert len(set(uses)) == len(uses)
@@ -761,6 +904,16 @@ def test_every_stream_is_drawn_once(monkeypatch):
     # per replicate, side and stratum: pilot, three samples, and the probes
     # of three tunings, the two redraws' on a six-point grid about the last pick
     assert len(uses) == 2 * 2 * 2 * (1 + 3 + 2 + 6 + 6)
+    assert len(set(uses)) == len(uses)
+
+    del uses[:]
+    strata = StratifiedTable(("a", "b"), (ContingencyTable((3, 3), t.tables[0].counts),
+                                          ContingencyTable((3, 3), t.tables[0].counts[::-1])))
+    est = replicate_bf(model_pa((3, 3), s=2), strata, PriorSpec.flat(9, 2, 1.0), settings,
+                       B=2, seed=8)
+    assert est.route == "split/split"
+    # per replicate, side and stratum: pilot and split run
+    assert len(uses) == 2 * 2 * 2 * 2
     assert len(set(uses)) == len(uses)
 
 

@@ -10,6 +10,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 TP2 = {"schema_version": 1, "name": "tp2", "logits": "local", "constraints": [{"kind": "tp2"}]}
+PQD = {"schema_version": 1, "name": "pqd", "logits": "global", "constraints": [{"kind": "pqd"}]}
 SATURATED = {"schema_version": 1, "name": "saturated", "logits": "local", "constraints": []}
 
 # a None entry in sys.modules makes every `import scipy...` raise ImportError
@@ -20,12 +21,14 @@ BLOCKED = ("import sys; sys.modules['scipy'] = None; "
 @pytest.mark.parametrize("command", ["bf", "sensitivity", "fit", "posterior"])
 def test_cli_runs_with_scipy_blocked(tmp_path, command):
     (tmp_path / "tp2.json").write_text(json.dumps(TP2))
+    (tmp_path / "pqd.json").write_text(json.dumps(PQD))
     (tmp_path / "saturated.json").write_text(json.dumps(SATURATED))
-    # father_son TP2 is rare on both sides: the importance route, whose
-    # weights need the Dirichlet log normaliser
+    # father_son TP2 is rare on both sides and its rows are linear in log G:
+    # the split route. PQD (global logits) is rare on the prior side: the
+    # importance route, whose weights need the Dirichlet log normaliser
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({
-        "dataset": "father_son", "models": ["tp2.json"], "replicates": 1, "seed": 7,
+        "dataset": "father_son", "models": ["tp2.json", "pqd.json"], "replicates": 1, "seed": 7,
         "settings": {"n_draws": 4000, "pilot_n": 4000, "alpha_grid": [1, 5, 20]}}))
     argv = {
         "bf": ["bf", str(manifest), "--format", "json"],
@@ -42,4 +45,6 @@ def test_cli_runs_with_scipy_blocked(tmp_path, command):
     report = json.loads(proc.stdout)
     assert report["command"] == command
     if command in ("bf", "sensitivity"):
-        assert all(r["route"] == "importance/importance" for r in report["results"])
+        routes = [r["route"] for r in report["results"]]
+        assert routes[::2] == ["split/split"] * (len(routes) // 2)
+        assert all(r.startswith("importance/") for r in routes[1::2])

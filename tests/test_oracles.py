@@ -1,11 +1,13 @@
 """The exact oracles against closed forms, and against themselves at half
 the grid step."""
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.stats import logistic
 
-from oracles import about_equality_2x2, tp2_2x2
+from oracles import about_equality_2x2, tp2_2x2, tp2_2xk
 
 
 @pytest.mark.parametrize("eps", [0.0125, 0.1, 1.0])
@@ -36,3 +38,24 @@ def test_tp2_2x2_is_converged_in_the_grid_step(counts):
     coarse = tp2_2x2(counts, 1.0)
     fine = tp2_2x2(counts, 1.0, h=0.005)
     assert abs(np.log10(fine) - np.log10(coarse)) < 1e-5
+
+
+@pytest.mark.parametrize("K", range(1, 9))
+def test_tp2_2xk_is_one_over_k_factorial_at_equal_columns(K):
+    # zero counts make the D_j i.i.d., so each of the K! orders is as likely
+    assert tp2_2xk([0] * K, [0] * K) == pytest.approx(1 / math.factorial(K), rel=1e-5)
+
+
+def test_tp2_2xk_matches_tp2_2x2():
+    assert tp2_2xk([30, 10], [12, 25]) == pytest.approx(tp2_2x2((30, 10, 12, 25)), rel=1e-6)
+
+
+@pytest.mark.parametrize("rows", [
+    ([12, 11, 9, 8, 6, 5], [4, 6, 7, 9, 10, 12]),
+    ([14, 12, 13, 10, 9, 9, 7, 5], [3, 5, 4, 7, 8, 9, 11, 12]),
+    ([8, 9, 7, 8, 9, 8, 7, 8], [8, 7, 9, 8, 7, 8, 9, 8]),
+])
+def test_tp2_2xk_is_converged_in_the_grid_step(rows):
+    coarse = tp2_2xk(*rows)
+    fine = tp2_2xk(*rows, h=0.001)
+    assert abs(np.log10(fine) - np.log10(coarse)) < 1e-4

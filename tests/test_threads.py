@@ -78,6 +78,12 @@ def model_tp2_3x3():
                      positive_association(link_for((3, 3), "local")))
 
 
+def model_pqd_3x3():
+    # global logits: rows not linear in log G, so a side that is not direct is tuned
+    return ModelSpec("pqd", ("global", "global"),
+                     positive_association(link_for((3, 3), "global")))
+
+
 def as_json(obj) -> str:
     return json.dumps(obj, sort_keys=True)
 
@@ -256,11 +262,13 @@ class GivenUp:
     failed_at = 0                # an enclosing map whose item 0 has failed
 
 
-@pytest.mark.parametrize("loop", ["fit", "direct", "importance"])
+@pytest.mark.parametrize("loop", ["fit", "direct", "importance", "split"])
 def test_long_loops_stop_once_given_up(loop):
     ev = ModelEval(model_tp2_3x3(), (3, 3), 1)
     alpha = np.ones((1, 9))
     run = {
+        "split": lambda: engine._split_run(engine._linear_rows(ev), alpha.ravel(),
+                                           substream(1, 0), "prior"),
         "fit": lambda: fitmod.constrained_mle(table_3x3(), model_tp2_3x3()),
         "direct": lambda: engine._pilot_routes_direct(ev, alpha, 1000, 0.05, substream(1, 0),
                                                       100),
@@ -321,15 +329,16 @@ def test_tune_alpha_probe_error_reaches_caller(monkeypatch):
 
 
 def test_replicate_bf_importance_route_same_at_any_thread_count(monkeypatch):
-    # direct_threshold above 1 sends both sides down the tuned importance route
+    # direct_threshold above 1 sends both sides of PQD down the tuned
+    # importance route
     settings = RunSettings(n_draws=4_000, pilot_n=4_000, chunk=4096, direct_threshold=1.1)
     outs = []
     for n in THREAD_COUNTS:
         est = on_threads(monkeypatch, n, lambda: replicate_bf(
-            model_tp2_3x3(), table_3x3(), PriorSpec.flat(9, 1, 1.0), settings,
+            model_pqd_3x3(), table_3x3(), PriorSpec.flat(9, 1, 1.0), settings,
             B=2, seed=13))
         outs.append(as_json(est.to_dict()))
-    assert "importance" in outs[0]
+    assert est.route == "importance/importance"
     assert outs[1] == outs[0] and outs[2] == outs[0]
 
 
@@ -379,7 +388,7 @@ def test_replicate_bf_direct_route_same_at_any_thread_count(monkeypatch):
 def test_replicate_bf_stratum_split_same_at_any_thread_count(monkeypatch):
     # replicates, strata and tuning probes, nested three deep
     table = table_3x3_two_strata()
-    model = model_from_dict({"name": "tp2", "logits": "local", "constraints": [{"kind": "tp2"}]},
+    model = model_from_dict({"name": "pqd", "logits": "global", "constraints": [{"kind": "pqd"}]},
                             table.dims, table.s)
     assert ModelEval(model, table.dims, table.s).stratum_split() is not None
     settings = RunSettings(n_draws=2_000, pilot_n=2_000, chunk=4096, direct_threshold=1.1,
@@ -390,6 +399,21 @@ def test_replicate_bf_stratum_split_same_at_any_thread_count(monkeypatch):
             model, table, PriorSpec.flat(table.r, table.s, 1.0), settings, B=3, seed=16))
         outs.append(as_json(est.to_dict()))
     assert est.route == "importance/importance"
+    assert outs[1] == outs[0] and outs[2] == outs[0]
+
+
+def test_replicate_bf_split_route_same_at_any_thread_count(monkeypatch):
+    # replicates and strata, each part one split run on its own stream
+    table = table_3x3_two_strata()
+    model = model_from_dict({"name": "tp2", "logits": "local", "constraints": [{"kind": "tp2"}]},
+                            table.dims, table.s)
+    settings = RunSettings(n_draws=2_000, pilot_n=2_000, chunk=4096, direct_threshold=1.1)
+    outs = []
+    for n in THREAD_COUNTS:
+        est = on_threads(monkeypatch, n, lambda: replicate_bf(
+            model, table, PriorSpec.flat(table.r, table.s, 1.0), settings, B=3, seed=16))
+        outs.append(as_json(est.to_dict()))
+    assert est.route == "split/split"
     assert outs[1] == outs[0] and outs[2] == outs[0]
 
 
@@ -407,7 +431,7 @@ def test_posterior_summary_same_at_any_thread_count(monkeypatch, case):
 def test_concurrent_replicates_fit_each_centre_once(monkeypatch):
     # concurrent replicates miss the same keys together; each is fitted once
     table = table_3x3_two_strata()
-    model = model_from_dict({"name": "tp2", "logits": "local", "constraints": [{"kind": "tp2"}]},
+    model = model_from_dict({"name": "pqd", "logits": "global", "constraints": [{"kind": "pqd"}]},
                             table.dims, table.s)
     settings = RunSettings(n_draws=2_000, pilot_n=2_000, chunk=4096, direct_threshold=1.1,
                            ess_floor=1e9, alpha_grid=(5.0, 50.0))
