@@ -7,7 +7,9 @@ under an encompassing Dirichlet prior: directly where the region is
 common, by splitting in log-gamma coordinates where it is rare and its
 rows are linear in the log-gammas, by tuned importance sampling for other
 rare constraints, and by a geometric epsilon-shrinking chain for
-about-equality models.
+about-equality models. A run is set by its draw count, pilot size and
+print base (RunSettings); how each side is routed and tuned is fixed in
+margbayes.engine.
 
 numpy is the only runtime dependency; the one special function the
 importance weights need, the Dirichlet log normaliser, uses math.lgamma.
@@ -70,7 +72,6 @@ from .engine import (
     EpsilonSchedule,
     ModelEval,
     PriorSpec,
-    ProportionEstimate,
     RunSettings,
     TuningError,
     UnboundedEstimateError,
@@ -78,12 +79,10 @@ from .engine import (
     compare_models,
     estimate_proportion_direct,
     jeffreys_label,
-    make_density,
     posterior_draws_under_model,
     replicate_bf,
     sample_posterior,
     sample_prior,
-    tune_alpha,
 )
 
 __version__ = "0.1.0"

@@ -17,8 +17,10 @@ A run manifest is a JSON object with these top-level keys:
                       the manifest's folder)
     models            list, required, non-empty: model-spec objects, or
                       paths of model-spec JSON files relative to the manifest
-    settings          object: fields of engine.RunSettings, whose docstring
-                      gives each one's meaning and range
+    settings          object: n_draws, pilot_n and log_base, the fields of
+                      engine.RunSettings, whose docstring gives each one's
+                      meaning and range; the routing threshold, tuning grid,
+                      ESS floor and chunk size are fixed in the engine
     epsilon_schedule  object: fields of engine.EpsilonSchedule
     seed              whole number >= 0 (default 20240901; --seed overrides)
     replicates        whole number >= 1 (default 1; --replicates overrides)
@@ -54,7 +56,6 @@ from .engine import (
     jeffreys_label,
     posterior_draws_under_model,
     replicate_bf,
-    _is_number,
 )
 from .fit import FitError, constrained_mle
 from .hypotheses import ConstraintError, model_from_dict
@@ -100,13 +101,13 @@ def _models_from_manifest(manifest: dict, table):
     return models
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _setting(label: str, k: str, default, v):
     """Manifest value v as the type of its default; a ValueError naming
     the key when it cannot be one."""
-    if isinstance(default, tuple):
-        if isinstance(v, list) and all(_is_number(x) for x in v):
-            return tuple(v)
-        raise ValueError(f"{label} {k!r} must be a list of numbers, got {v!r}")
     if isinstance(default, int):
         if isinstance(v, int) and not isinstance(v, bool):
             return v

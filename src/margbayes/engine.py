@@ -7,7 +7,7 @@ a model with about-equality rows runs the geometric epsilon-shrinking
 chain, and an inequality-only model is that chain's first level.
 
 Each side of each unit takes one of three routes, picked by its pilot:
-    direct      the pilot accepts at least direct_threshold: count the
+    direct      the pilot accepts at least _DIRECT_THRESHOLD: count the
                 accepted draws of the side's own Dirichlet
     split       otherwise, when the model has no equality rows and every
                 inequality row is linear in the log-gammas y = log G of
@@ -37,14 +37,14 @@ ladder. sample_prior and posterior_draws_under_model draw from
 ("prior",), and replicate i of replicate_bf runs at a seed generated
 from the spawn key ("replicate", i).
 
-The pilot draws _BLOCK rows a step (fewer if chunk is smaller) and stops
+The pilot draws _BLOCK rows a step (fewer if _CHUNK is smaller) and stops
 once its route is fixed, so its stream is read only as far as needed.
 On a one-stratum unit whose shapes are all >= 1 a step holds the rows
 that a chunk of the whole pilot held. On other units (several strata,
 or a shape below 1) which variates make up a row depends on the step
 size, so the rows differ from those of chunked draws; a route can then
 differ from a whole-chunk pilot's only where the pilot's acceptance
-sits at direct_threshold.
+sits at _DIRECT_THRESHOLD.
 
 Every sampling loop takes its draws from _chunks, the one chunked draw
 loop. A model that factorises over strata is estimated per stratum, as
@@ -89,12 +89,23 @@ _THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
 # maps do the same arithmetic on a row whatever block holds it.
 _BLOCK = 4096
 
-DEFAULT_ALPHA_GRID = (0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 30.0, 50.0)
+# Rows per sampling-loop step (_chunks): the draws a loop holds at once.
+_CHUNK = 32768
+# Accepted draws the posterior summaries keep, the first ones in draw order.
+_KEEP_CAP = 200_000
 
-# The tuner's policy, fixed: the paper fixes the estimator, not how its
-# importance density is tuned. A probe qualifies when it accepts at least
-# _TUNE_ACCEPT_MIN of its draws; when no grid probe does, the multiplier
-# grows from the grid's top by _TUNE_EXTEND_FACTOR, up to the cap.
+# The routing and tuning policy, fixed: the paper fixes the estimator by
+# the prior and the number of draws, not by how a side is routed or its
+# importance density tuned. A side whose pilot accepts at least
+# _DIRECT_THRESHOLD of its draws samples its target directly. A level with
+# less ESS than _ESS_FLOOR is warned about, and a chain part under it is
+# retuned. The tuner probes the multipliers of DEFAULT_ALPHA_GRID; a probe
+# qualifies when it accepts at least _TUNE_ACCEPT_MIN of its draws, and
+# when no grid probe does, the multiplier grows from the grid's top by
+# _TUNE_EXTEND_FACTOR, up to the cap. Each is read at call time.
+_DIRECT_THRESHOLD = 0.05
+_ESS_FLOOR = 50.0
+DEFAULT_ALPHA_GRID = (0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 30.0, 50.0)
 _TUNE_ACCEPT_MIN = 0.01
 _TUNE_EXTEND_FACTOR = 4.0
 _TUNE_EXTEND_MAX_MULTIPLIER = 1e7
@@ -195,64 +206,38 @@ class EpsilonSchedule:
 LOG_BASES = ("10", "e")
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 @dataclass(frozen=True)
 class RunSettings:
-    """Run sizes and thresholds of a Bayes factor, each checked against its
-    range here: the fields of a run manifest's "settings" object.
+    """Run sizes of a Bayes factor and the base it is printed in, each
+    checked against its range here: the fields of a run manifest's
+    "settings" object. The routing threshold, the tuner's grid, the ESS
+    floor and the loop sizes are engine constants (_DIRECT_THRESHOLD,
+    DEFAULT_ALPHA_GRID, _ESS_FLOOR, _CHUNK), not settings.
 
-    n_draws           whole number >= 1: draws per side and unit of a direct
-                      or tuned sample, and per redraw; a split side runs
-                      _SPLIT_PARTICLES particles whatever it is
-    pilot_n           whole number >= 1: routing pilot size per side and unit;
-                      the pilot stops drawing once the route is fixed, so it
-                      draws at most this many; a tuning probe takes
-                      max(4000, pilot_n // 4)
-    direct_threshold  finite number >= 0: a side whose pilot accepts at least
-                      this share samples its target directly, else it splits
-                      (rows linear in log G, no equality rows) or samples a
-                      tuned density (above 1, no side is direct)
-    alpha_grid        non-empty list of finite numbers > 0: the concentration
-                      multipliers the tuner probes; split sides do not tune
-    chunk             whole number >= 1: draws each sampling loop holds at once
-    ess_floor         number >= 0: a level with less ESS is warned about, and
-                      a chain part under it is retuned; a split side's ESS
-                      is its count of final survivors
-    log_base          "10" or "e": base of the printed log Bayes factors
+    n_draws   whole number >= 1: draws per side and unit of a direct or
+              tuned sample, and per redraw; a split side runs
+              _SPLIT_PARTICLES particles whatever it is
+    pilot_n   whole number >= 1: routing pilot size per side and unit; the
+              pilot stops drawing once the route is fixed, so it draws at
+              most this many; a tuning probe takes max(4000, pilot_n // 4)
+    log_base  "10" or "e": base of the printed log Bayes factors
     """
 
     n_draws: int = 1_000_000
     pilot_n: int = 100_000
-    direct_threshold: float = 0.05
-    alpha_grid: tuple = DEFAULT_ALPHA_GRID
-    chunk: int = 32768
-    ess_floor: float = 50.0
     log_base: str = "10"
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha_grid", tuple(self.alpha_grid))
-        for name in ("n_draws", "pilot_n", "chunk"):
+        for name in ("n_draws", "pilot_n"):
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise ValueError(f"{name} must be a whole number >= 1, got {v!r}")
-        if not (_is_number(self.direct_threshold) and 0 <= self.direct_threshold < math.inf):
-            raise ValueError(f"direct_threshold must be a finite number >= 0, "
-                             f"got {self.direct_threshold!r}")
-        if not self.alpha_grid or not all(_is_number(a) and 0 < a < math.inf
-                                          for a in self.alpha_grid):
-            raise ValueError(f"alpha_grid must be a non-empty list of finite numbers > 0, "
-                             f"got {self.alpha_grid!r}")
-        if not (_is_number(self.ess_floor) and self.ess_floor >= 0):
-            raise ValueError(f"ess_floor must be a number >= 0, got {self.ess_floor!r}")
         if self.log_base not in LOG_BASES:
             raise ValueError(f"log_base must be one of {', '.join(LOG_BASES)}, "
                              f"got {self.log_base!r}")
 
     def to_dict(self) -> dict:
-        return dict(asdict(self), alpha_grid=list(self.alpha_grid))
+        return asdict(self)
 
 
 @dataclass
@@ -439,8 +424,6 @@ def _chunks(rng: np.random.Generator, alpha: np.ndarray, n: int, chunk: int,
     generator does not keep a chunk it has yielded, so a consumer that
     deletes each chunk before asking for the next never holds two.
     """
-    if chunk < 1:
-        raise EngineError(f"chunk must be at least 1, got {chunk}")
     done = 0
     while done < n:
         cancel.check()
@@ -608,11 +591,11 @@ def estimate_proportion_direct(draws: np.ndarray, ev: ModelEval) -> ProportionEs
 
 
 def _pilot_routes_direct(ev: ModelEval, alpha: np.ndarray, n: int, threshold: float,
-                         rng, chunk: int) -> bool:
+                         rng) -> bool:
     """Whether at least `threshold` of n draws from the Dirichlet with
     concentrations alpha satisfy ev: the routing pilot of a _Part.
 
-    The draws come min(chunk, _BLOCK) at a time, unnormalised where every
+    The draws come min(_CHUNK, _BLOCK) at a time, unnormalised where every
     shape is >= 1 (only acceptance is read), and the pilot stops as soon as
     the answer is fixed: once acc / n >= threshold, or once
     (acc + draws left) / n < threshold. The answer is the one all n draws
@@ -620,7 +603,7 @@ def _pilot_routes_direct(ev: ModelEval, alpha: np.ndarray, n: int, threshold: fl
     1), nothing is drawn.
     """
     acc, left = 0, n
-    draws = _chunks(rng, alpha, n, min(chunk, _BLOCK), normalise=False)
+    draws = _chunks(rng, alpha, n, min(_CHUNK, _BLOCK), normalise=False)
     while acc / n < threshold <= (acc + left) / n:
         _, P = next(draws)
         acc += int(ev.delta(P).sum())
@@ -630,12 +613,12 @@ def _pilot_routes_direct(ev: ModelEval, alpha: np.ndarray, n: int, threshold: fl
 
 
 def _importance_stream(ev: ModelEval, target_alpha: np.ndarray, params: np.ndarray,
-                       n: int, rng, chunk: int) -> ProportionEstimate:
+                       n: int, rng) -> ProportionEstimate:
     """mean of delta * p/g over n draws from the Dirichlet g with
     concentrations params, all in log space."""
     weight = _log_weight(target_alpha, params)
     logws = []
-    for _, P in _chunks(rng, params, n, chunk):
+    for _, P in _chunks(rng, params, n, _CHUNK):
         logws.append(weight(P[ev.delta(P)]))
         del P                   # not held while the next chunk is drawn
     logw = np.concatenate(logws)
@@ -665,9 +648,10 @@ def tune_alpha(ev: ModelEval, target_alpha: np.ndarray, center: np.ndarray,
     an acceptance floor; extend the grid geometrically above its top when
     nothing on it reaches the floor.
 
-    Returns (proposal concentrations, diagnostics); diagnostics["chosen"]
-    is the multiplier picked. Raises TuningError when no concentration,
-    extended included, yields a single accepted draw.
+    The grid is DEFAULT_ALPHA_GRID unless given. Returns (proposal
+    concentrations, diagnostics); diagnostics["chosen"] is the multiplier
+    picked. Raises TuningError when no concentration, extended included,
+    yields a single accepted draw.
 
     The grid probes are one of the engine's fan-out points (see
     _ordered_map): they run on whatever is left of the process-wide thread
@@ -681,14 +665,14 @@ def tune_alpha(ev: ModelEval, target_alpha: np.ndarray, center: np.ndarray,
     extension runs one probe at a time, since each step depends on the one
     before.
     """
-    grid = list(grid if grid is not None else settings.alpha_grid)
+    grid = list(grid if grid is not None else DEFAULT_ALPHA_GRID)
     results = []
 
     probe_n = max(4000, settings.pilot_n // 4)
 
     def draw(idx, mult):
         return _importance_stream(ev, target_alpha, make_density(center, target_alpha, mult),
-                                  probe_n, substream(seed, *path, idx), settings.chunk)
+                                  probe_n, substream(seed, *path, idx))
 
     def record(mult, est):
         results.append({"multiplier": float(mult),
@@ -728,7 +712,7 @@ def tune_alpha(ev: ModelEval, target_alpha: np.ndarray, center: np.ndarray,
             "increase pilot_n or improve the centring point"
         )
     ess_best = max(q[0] for q in qualifying)
-    if ess_best >= 10.0 * settings.ess_floor:
+    if ess_best >= 10.0 * _ESS_FLOOR:
         ess_pick, mult_best, _ = max(qualifying, key=lambda q: q[0])
     else:
         # degenerate regime: pilot ESS is too noisy to rank concentrations,
@@ -923,13 +907,12 @@ def _tuned_density(side: str, ev: ModelEval, target_alpha, model, table,
             center = _centre(side, model, table, margin)
             params, diag = tune_alpha(ev, target_alpha, center, settings, seed,
                                       path=(*path, j), grid=grid)
-            diag["margin"] = margin
         except (TuningError, fitmod.FitError) as err:
             last_err = err
             continue
         if best is None or diag.get("ess", 0.0) > best[1].get("ess", 0.0):
             best = (params, diag)
-        if diag.get("ess", 0.0) >= 2.0 * settings.ess_floor:
+        if diag.get("ess", 0.0) >= 2.0 * _ESS_FLOOR:
             return params, diag
     if best is not None:
         return best
@@ -1118,7 +1101,7 @@ class _Part:
     level after another reweights, or a split run.
 
     The pilot routes it (_pilot_routes_direct): when the pilot accepts at
-    least direct_threshold of its draws, the sample comes from the side's
+    least _DIRECT_THRESHOLD of its draws, the sample comes from the side's
     target. Otherwise, when the model has no equality rows and its rows
     are linear in log G (_linear_rows), the part splits (_split_run): it
     fails fast when the region has no interior, keeps no draws, and its
@@ -1150,9 +1133,8 @@ class _Part:
         if ev.cs.is_empty():                # no constraint: every draw is accepted
             self.kept, self.stat, self.logw = settings.n_draws, None, None
             return
-        direct = _pilot_routes_direct(
-            ev, target_alpha, settings.pilot_n, settings.direct_threshold,
-            substream(seed, side, "pilot", *path), settings.chunk)
+        direct = _pilot_routes_direct(ev, target_alpha, settings.pilot_n, _DIRECT_THRESHOLD,
+                                      substream(seed, side, "pilot", *path))
         rows = None if direct else _linear_rows(ev)
         if rows is None:
             self._draw(1.0, direct=direct)
@@ -1172,10 +1154,6 @@ class _Part:
         if self.split is not None:
             return "split"
         return "direct" if self.logw is None else "importance"
-
-    @property
-    def max_abs_logw(self) -> float:
-        return 0.0 if self.logw is None else float(np.max(np.abs(self.logw), initial=0.0))
 
     def _draw(self, scale, direct=False):
         """Draw a fresh sample: from the target when direct, else from a
@@ -1200,8 +1178,7 @@ class _Part:
             rng = substream(self.seed, self.side, "main", *self.path, self.draw_key)
         tube = self.ev.cs.n_eq > 0
         stats, logws, self.kept = [], [], 0
-        for _, P in _chunks(rng, alpha, self.settings.n_draws, self.settings.chunk,
-                            normalise=not direct):
+        for _, P in _chunks(rng, alpha, self.settings.n_draws, _CHUNK, normalise=not direct):
             if tube:
                 stat, ok = self.ev.eq_stat_and_ineq(P)
                 keep = ok & (stat <= 1.0)
@@ -1236,7 +1213,7 @@ class _Part:
         requirement."""
         _, ess, acc = self.level(scale)
         healthy = (acc >= max(200, int(0.02 * self.settings.n_draws))
-                   and ess >= self.settings.ess_floor)
+                   and ess >= _ESS_FLOOR)
         if healthy or self.draw_key >= _MAX_RETUNES:
             return False
         self.draw_key += 1
@@ -1308,10 +1285,10 @@ def bayes_factor(model: ModelSpec, table: StratifiedTable, prior: PriorSpec,
         elif bad:
             truncated = True
             break
-        weak = [s for s in cur if cur[s][1] < settings.ess_floor]
+        weak = [s for s in cur if cur[s][1] < _ESS_FLOOR]
         if weak:
             warnings.append(
-                f"level {level}: ESS under {settings.ess_floor:g} on "
+                f"level {level}: ESS under {_ESS_FLOOR:g} on "
                 + "/".join(weak) + " side")
         if level == 1:
             ln_stage = cur["posterior"][0] - cur["prior"][0]
@@ -1344,11 +1321,8 @@ def bayes_factor(model: ModelSpec, table: StratifiedTable, prior: PriorSpec,
         "final_epsilon": [float(e) for e in eps1 * final_scale],
         "truncated": truncated,
         "warnings": warnings,
-        "tuning": {side: [p.diag for p in sides[side]] for side in sides},
         "retunes": {side: [p.draw_key for p in sides[side]] for side in sides},
         "split": {side: [p.split for p in sides[side] if p.split] for side in sides},
-        "max_abs_log_weight": {side: max(p.max_abs_logw for p in sides[side])
-                               for side in sides},
     }
     return BFEstimate(
         log10_bf=log10, ln_bf=log10 * LN10,
@@ -1367,7 +1341,8 @@ def replicate_bf(model: ModelSpec, table: StratifiedTable, prior: PriorSpec,
     replicate mean of the log Bayes factors. The runs go concurrently (see
     _ordered_map) and share one centring memo. Each replicate's entry
     keeps its estimate, route, seed, final tolerances, truncation flag,
-    level count and warnings."""
+    level count and warnings. The estimate's route joins, per side, the
+    routes of every replicate with "+", as bayes_factor joins strata."""
     if B < 1:
         raise EngineError("need B >= 1 replicates")
 
@@ -1386,11 +1361,14 @@ def replicate_bf(model: ModelSpec, table: StratifiedTable, prior: PriorSpec,
     finally:
         _CENTRES.reset(centres)
     reps = [info["log10_bf"] for info in infos]
+    side_routes = zip(*(info["route"].split("/") for info in infos))
+    route = "/".join("+".join(sorted({r for rs in side for r in rs.split("+")}))
+                     for side in side_routes)
     mean = float(np.mean(reps))
     sd = float(np.std(reps, ddof=1)) if B > 1 else 0.0
     return BFEstimate(
         log10_bf=mean, ln_bf=mean * LN10, replicates=[float(v) for v in reps],
-        mean=mean, sd=sd, route=infos[0]["route"],
+        mean=mean, sd=sd, route=route,
         components={"model": model.name, "replicates": infos, "B": B},
         settings={"seed": int(seed), "B": B,
                   **({"schedule": asdict(schedule)} if schedule else {}),
@@ -1448,11 +1426,10 @@ class PosteriorSummary:
 
 
 def posterior_draws_under_model(model: ModelSpec, table: StratifiedTable,
-                                prior: PriorSpec, n: int, seed: int,
-                                chunk: int = 32768, keep_cap: int = 200_000) -> PosteriorSummary:
+                                prior: PriorSpec, n: int, seed: int) -> PosteriorSummary:
     """Accepted encompassing-posterior draws and their summaries.
 
-    Of the n draws, the first min(accepted, keep_cap) accepted ones, in
+    Of the n draws, the first min(accepted, _KEEP_CAP) accepted ones, in
     draw order, are kept for the means and quantiles; the acceptance rate
     counts them all. A rare-event warning is attached when almost nothing
     is accepted.
@@ -1468,9 +1445,9 @@ def posterior_draws_under_model(model: ModelSpec, table: StratifiedTable,
         raise EngineError(f"need n >= 1 posterior draws, got {n}")
     ev = ModelEval(model, table.dims, table.s)
     alpha = prior.posterior(table)
-    P = np.empty((min(n, keep_cap), table.s, table.r))
+    P = np.empty((min(n, _KEEP_CAP), table.s, table.r))
     acc = kept = 0
-    for _, D in _chunks(substream(seed, "prior"), alpha, n, chunk):
+    for _, D in _chunks(substream(seed, "prior"), alpha, n, _CHUNK):
         if not ev.cs.is_empty():
             D = D[ev.delta(D)]
         acc += D.shape[0]

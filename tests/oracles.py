@@ -269,3 +269,31 @@ def tp2_2xk(row1, row2, kappa: float = 1.0, h: float = 0.002, lim: float = 60.0)
         g = np.exp(a * x - (a + b) * np.logaddexp(0.0, x) - betaln(a, b)) * S
         S = np.concatenate([np.cumsum((0.5 * step * (g[1:] + g[:-1]))[::-1])[::-1], [0.0]])
     return float(S[0])
+
+
+def independence_limit(counts, kappa: float = 1.0) -> float:
+    """ln of the epsilon -> 0 limit of the about-equality Bayes factor of
+    independence (every local log odds ratio within epsilon of 0) on a
+    two-way table (I, J), or on strata of them (s, I, J), under
+    Dirichlet(kappa + counts) per stratum.
+
+    The cells are normalised independent gammas with y_ij = log G_ij. As
+    epsilon -> 0 the Bayes factor tends to the ratio, posterior over
+    prior, of the densities of the interaction contrasts at 0. On the
+    subspace y_ij = u_i + v_j the u and v integrals are gamma and
+    Dirichlet integrals, so
+        ln dens0(a) = sum_i lnG(a_i+) + sum_j lnG(a_+j) - lnG(a_++)
+                      - sum_ij lnG(a_ij),
+    and the answer is ln dens0(kappa + n) - ln dens0(kappa), summed over
+    strata: the product-of-gammas form of Gunel & Dickey's (1974)
+    independence Bayes factors.
+    """
+    from scipy.special import gammaln
+
+    def ln_dens0(a):
+        return (gammaln(a.sum(axis=1)).sum() + gammaln(a.sum(axis=0)).sum()
+                - gammaln(a.sum()) - gammaln(a).sum())
+
+    n = np.asarray(counts, dtype=float)
+    strata = n.reshape(-1, *n.shape[-2:])
+    return float(sum(ln_dens0(kappa + t) - ln_dens0(np.full_like(t, kappa)) for t in strata))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -23,17 +24,15 @@ from margbayes import (
     jeffreys_label,
     link_for,
     load_fixture,
-    make_density,
     positive_association,
     posterior_draws_under_model,
     replicate_bf,
     sample_posterior,
     sample_prior,
-    tune_alpha,
 )
 from margbayes import fit as fitmod
 from margbayes import engine
-from margbayes.engine import _importance_stream, substream
+from margbayes.engine import _importance_stream, make_density, substream, tune_alpha
 from margbayes.hypotheses import ConstraintSet, model_from_dict
 
 from oracles import (about_equality_2x2, posterior_summary_reference, tp2_2x2, tp2_2xk,
@@ -67,7 +66,13 @@ def model_saturated(dims=(2, 2), s=1):
                      empty_constraints(s * link.t))
 
 
-SMALL = RunSettings(n_draws=40_000, pilot_n=8_000, chunk=8192)
+SMALL = RunSettings(n_draws=40_000, pilot_n=8_000)
+
+
+def set_engine(monkeypatch, **constants):
+    """Set engine constants, such as _DIRECT_THRESHOLD, for one test."""
+    for name, value in constants.items():
+        monkeypatch.setattr(engine, name, value)
 
 
 # ---------------------------------------------------------------------------
@@ -194,15 +199,16 @@ def test_early_pilot_routes_as_the_full_pilot(posterior):
     p = acc / n
     for threshold in (0.0, np.nextafter(p, 0.0), p, np.nextafter(p, 1.0), (acc - 1) / n,
                       (acc + 1) / n, 1.0, 2.0):
-        assert engine._pilot_routes_direct(ev, alpha, n, threshold, substream(5, 0), 32768) \
+        assert engine._pilot_routes_direct(ev, alpha, n, threshold, substream(5, 0)) \
             == (acc / n >= threshold), threshold
 
 
 @pytest.mark.parametrize("chunk", [32768, 1000])
 def test_pilot_stops_once_its_route_is_fixed(monkeypatch, chunk):
-    # the pilot draws min(chunk, _BLOCK) rows a step, unnormalised, and
+    # the pilot draws min(_CHUNK, _BLOCK) rows a step, unnormalised, and
     # stops after the first step that fixes the route; a route fixed before
     # any draw (threshold 0, or above 1) draws nothing
+    set_engine(monkeypatch, _CHUNK=chunk)
     ev, alpha = pilot_case(False)
     n = 10 * engine._BLOCK + 5
     step = min(chunk, engine._BLOCK)
@@ -223,7 +229,7 @@ def test_pilot_stops_once_its_route_is_fixed(monkeypatch, chunk):
         while got / n < threshold <= (got + left) / n:
             got, left, k = got + blocks[k][1], left - blocks[k][0], k + 1
         del calls[:]
-        assert engine._pilot_routes_direct(ev, alpha, n, threshold, substream(6, 0), chunk) \
+        assert engine._pilot_routes_direct(ev, alpha, n, threshold, substream(6, 0)) \
             == (acc / n >= threshold)
         assert calls == [(size, False) for size, _ in blocks[:k]], threshold
         seen.add(k)
@@ -241,7 +247,7 @@ def test_importance_with_g_equal_target_matches_direct():
     g = make_density(np.full((1, 4), 0.25), prior.concentration, 1.0)
     assert np.allclose(g, prior.concentration)
     est = _importance_stream(ev, prior.concentration, g, 60_000,
-                             substream(77, "prior", "main"), 16384)
+                             substream(77, "prior", "main"))
     # weights are identically 1, so value is the plain acceptance fraction
     assert est.value == pytest.approx(est.accepted / 60_000, rel=1e-9)
     assert abs(est.value - 0.5) < 3.5 * se(est, 60_000)
@@ -260,7 +266,7 @@ def test_importance_agrees_with_direct_2x2():
     center = np.full((1, 4), 0.25)
     g = make_density(center, prior.concentration, 2.0)
     imp = _importance_stream(ev, prior.concentration, g, 150_000,
-                             substream(5, "prior", "main"), 32768)
+                             substream(5, "prior", "main"))
     diff = abs(imp.value - direct.value)
     assert diff < 3.0 * np.sqrt(se(imp, 150_000) ** 2 + se(direct, 150_000) ** 2)
 
@@ -284,18 +290,18 @@ def test_importance_nesting_monotone_on_same_draws():
 # ---------------------------------------------------------------------------
 
 def test_tune_alpha_grid_contains_paper_values():
-    s = RunSettings()
-    assert 1.0 in s.alpha_grid and 20.0 in s.alpha_grid
-    assert len(s.alpha_grid) == 12
-    assert min(s.alpha_grid) == 0.02 and max(s.alpha_grid) == 50.0
+    grid = engine.DEFAULT_ALPHA_GRID
+    assert 1.0 in grid and 20.0 in grid
+    assert len(grid) == 12
+    assert min(grid) == 0.02 and max(grid) == 50.0
 
 
 def test_tune_alpha_unconstrained_maximises_ess():
     ev = ModelEval(model_saturated(), (2, 2), 1)
     prior = PriorSpec.flat(4, 1, 1.0)
-    settings = RunSettings(pilot_n=4_000, chunk=4096, alpha_grid=(0.5, 1.0, 2.0))
     center = np.full((1, 4), 0.25)
-    params, diag = tune_alpha(ev, prior.concentration, center, settings, seed=8)
+    params, diag = tune_alpha(ev, prior.concentration, center, RunSettings(pilot_n=4_000),
+                              seed=8, grid=(0.5, 1.0, 2.0))
     # with delta == 1 everywhere the best ESS is at g == target
     assert diag["chosen"] == 1.0
     assert np.array_equal(params, make_density(center, prior.concentration, 1.0))
@@ -306,9 +312,9 @@ def test_tune_alpha_extends_grid_for_tight_tubes():
     # |log-odds| <= 0.01 on a 2x2: nothing on the default grid reaches 1%
     ev = ModelEval(model_indep(eps=0.01), (2, 2), 1)
     prior = PriorSpec.flat(4, 1, 1.0)
-    settings = RunSettings(pilot_n=4_000, chunk=4096, alpha_grid=(0.5, 1.0))
     center = np.full((1, 4), 0.25)
-    params, diag = tune_alpha(ev, prior.concentration, center, settings, seed=9)
+    params, diag = tune_alpha(ev, prior.concentration, center, RunSettings(pilot_n=4_000),
+                              seed=9, grid=(0.5, 1.0))
     assert diag["chosen"] > 1.0
     assert np.array_equal(params, make_density(center, prior.concentration, diag["chosen"]))
 
@@ -324,10 +330,10 @@ def test_tune_alpha_error_when_nothing_accepts(monkeypatch):
                            np.zeros(0), 3)
     ev = ModelEval(ModelSpec("point", ("local", "local"), strict), (2, 2), 1)
     prior = PriorSpec.flat(4, 1, 1.0)
-    settings = RunSettings(pilot_n=2_000, chunk=2048, alpha_grid=(1.0,))
     monkeypatch.setattr(engine, "_TUNE_EXTEND_MAX_MULTIPLIER", 4.0)
     with pytest.raises(TuningError):
-        tune_alpha(ev, prior.concentration, np.full((1, 4), 0.25), settings, seed=10)
+        tune_alpha(ev, prior.concentration, np.full((1, 4), 0.25), RunSettings(pilot_n=2_000),
+                   seed=10, grid=(1.0,))
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +375,7 @@ def test_unbounded_estimate_error_names_side(monkeypatch):
                            np.vstack([np.eye(3), -np.eye(3)]), np.zeros(0), 3)
     model = ModelSpec("point", ("local", "local"), strict)
     t = table_2x2()
-    settings = RunSettings(n_draws=4_000, pilot_n=2_000, chunk=2048, alpha_grid=(1.0, 5.0))
+    settings = RunSettings(n_draws=4_000, pilot_n=2_000)
     calls = record_fits(monkeypatch)
     with pytest.raises((UnboundedEstimateError, TuningError), match="no interior"):
         bayes_factor(model, t, PriorSpec.flat(4, 1, 1.0), settings, seed=16)
@@ -411,18 +417,14 @@ def test_a_side_with_no_accepted_draw_raises(monkeypatch, prior_accepted):
     monkeypatch.setattr(engine._Part, "level", level)
     with pytest.raises(UnboundedEstimateError) as err:
         bayes_factor(model_pa(), table_2x2(), PriorSpec.flat(4, 1, 1.0),
-                     RunSettings(n_draws=n, pilot_n=2_000, chunk=4096), seed=16)
+                     RunSettings(n_draws=n, pilot_n=2_000), seed=16)
     assert err.value.side == "posterior"
 
 
 @pytest.mark.parametrize("bad", [
-    {"n_draws": 0}, {"pilot_n": 0}, {"chunk": 0},
-    {"direct_threshold": float("nan")}, {"direct_threshold": -0.5},
-    {"direct_threshold": float("inf")}, {"alpha_grid": ()}, {"alpha_grid": (1, 0)},
-    {"ess_floor": -1}, {"log_base": "2"},
+    {"n_draws": 0}, {"pilot_n": 0}, {"log_base": "2"},
 ], ids=lambda bad: "{}={!r}".format(*next(iter(bad.items()))))
 def test_run_settings_check_their_range(bad):
-    # a NaN direct_threshold sent 2x2 TP2 down the importance route, and
     # n_draws 0 ended in a ZeroDivisionError
     [name] = bad
     with pytest.raises(ValueError, match=f"^{name} must be .*, got {re.escape(repr(bad[name]))}$"):
@@ -432,6 +434,15 @@ def test_run_settings_check_their_range(bad):
 def test_run_settings_are_frozen():
     with pytest.raises(AttributeError):
         SMALL.n_draws = 1
+
+
+def test_run_settings_are_the_run_sizes_and_print_base():
+    # the routing threshold, tuning grid, ESS floor and chunk size are
+    # engine constants, not settings
+    assert [f.name for f in dataclasses.fields(RunSettings)] == ["n_draws", "pilot_n", "log_base"]
+    assert SMALL.to_dict() == {"n_draws": 40_000, "pilot_n": 8_000, "log_base": "10"}
+    with pytest.raises(TypeError):
+        RunSettings(direct_threshold=0.5)
 
 
 @pytest.mark.parametrize("side", ["prior", "posterior"])
@@ -459,12 +470,6 @@ def test_interior_check_finds_the_slack_of_each_region(side):
 def test_epsilon_schedule_rejects_bad_values(kw):
     with pytest.raises(engine.EngineError):
         EpsilonSchedule(**kw)
-
-
-def test_zero_chunk_is_rejected_not_looped_on():
-    ev = ModelEval(model_pa(), (2, 2), 1)
-    with pytest.raises(engine.EngineError, match="chunk"):
-        engine._pilot_routes_direct(ev, np.ones((1, 4)), 100, 0.05, substream(1, 0), 0)
 
 
 def test_about_equality_single_stage_is_fixed_epsilon():
@@ -535,7 +540,8 @@ def test_tp2_importance_route_matches_exact_2x2(monkeypatch):
     # on each the seed mean must lie within 4 SE of the exact value
     counts = (30.0, 10.0, 12.0, 25.0)
     exact = np.log10(tp2_2x2(counts) / tp2_2x2((0, 0, 0, 0)))
-    settings = RunSettings(n_draws=40_000, pilot_n=8_000, chunk=8192, direct_threshold=1.1)
+    settings = RunSettings(n_draws=40_000, pilot_n=8_000)
+    set_engine(monkeypatch, _DIRECT_THRESHOLD=1.1)
     for route in on_routes(monkeypatch):
         ests = [bayes_factor(model_pa(), table_2x2(counts), PriorSpec.flat(4, 1, 1.0),
                              settings, seed=seed) for seed in range(1, 9)]
@@ -548,11 +554,11 @@ def test_tp2_importance_route_matches_exact_2x2(monkeypatch):
 def test_tp2_2x4_prior_proportion_is_one_over_4_factorial(monkeypatch):
     # under a flat prior the row log-ratios of a 2x4 table are i.i.d., so
     # local TP2 (all three local log odds ratios >= 0) has prior proportion
-    # exactly 1/4!; below the default direct_threshold, the pilot sends the
+    # exactly 1/4!; below the routing threshold, the pilot sends the
     # prior side down the split (or importance) route without any override
     table = StratifiedTable(("all",), (ContingencyTable((2, 4), np.array(
         [30.0, 20.0, 10.0, 5.0, 5.0, 10.0, 20.0, 30.0])),))
-    settings = RunSettings(n_draws=20_000, pilot_n=20_000, chunk=8192)
+    settings = RunSettings(n_draws=20_000, pilot_n=20_000)
     for route in on_routes(monkeypatch):
         ests = [bayes_factor(model_pa((2, 4)), table, PriorSpec.flat(8, 1, 1.0), settings,
                              seed=seed) for seed in range(1, 9)]
@@ -571,7 +577,7 @@ def test_tp2_equal_columns_bayes_factor_is_one(monkeypatch):
     exact = np.log10(tp2_equal_columns(K) / tp2_equal_columns(K))     # posterior / prior
     table = StratifiedTable(("all",), (ContingencyTable((2, K), np.array(
         [5.0] * K + [3.0] * K)),))
-    settings = RunSettings(n_draws=20_000, pilot_n=5_000, chunk=8192)
+    settings = RunSettings(n_draws=20_000, pilot_n=5_000)
     for route in on_routes(monkeypatch):
         ests = [bayes_factor(model_pa((2, K)), table, PriorSpec.flat(2 * K, 1, 1.0), settings,
                              seed=seed) for seed in range(1, 9)]
@@ -691,11 +697,24 @@ def test_replicate_single_equals_point_estimate():
 def test_replicate_mean_sd():
     t = table_2x2()
     est = replicate_bf(model_pa(), t, PriorSpec.flat(4, 1, 1.0),
-                       RunSettings(n_draws=20_000, pilot_n=4_000, chunk=8192),
+                       RunSettings(n_draws=20_000, pilot_n=4_000),
                        B=4, seed=25)
     assert len(est.replicates) == 4
     assert est.mean == pytest.approx(np.mean(est.replicates))
     assert est.sd == pytest.approx(np.std(est.replicates, ddof=1))
+
+
+def test_replicate_route_joins_every_replicates_route(monkeypatch):
+    # 2x2 TP2 with the routing threshold at the prior's acceptance, 1/2:
+    # the pilots send some replicates' prior sides to direct sampling and
+    # split the others. The estimate's route named replicate 0's alone.
+    set_engine(monkeypatch, _DIRECT_THRESHOLD=0.5)
+    est = replicate_bf(model_pa(), table_2x2((30.0, 10.0, 12.0, 25.0)),
+                       PriorSpec.flat(4, 1, 1.0), RunSettings(n_draws=2_000, pilot_n=200),
+                       B=6, seed=3)
+    assert {rep["route"] for rep in est.components["replicates"]} \
+        == {"direct/direct", "split/direct"}
+    assert est.route == "direct+split/direct"
 
 
 def test_replicate_dispatches_equality_models():
@@ -717,10 +736,10 @@ def test_more_draws_do_not_increase_sd():
     sds_small, sds_big = [], []
     for trial in range(5):
         small = replicate_bf(model_pa(), t, prior,
-                             RunSettings(n_draws=4_000, pilot_n=2_000, chunk=4096),
+                             RunSettings(n_draws=4_000, pilot_n=2_000),
                              B=6, seed=300 + trial)
         big = replicate_bf(model_pa(), t, prior,
-                           RunSettings(n_draws=16_000, pilot_n=2_000, chunk=4096),
+                           RunSettings(n_draws=16_000, pilot_n=2_000),
                            B=6, seed=600 + trial)
         sds_small.append(small.sd)
         sds_big.append(big.sd)
@@ -763,7 +782,8 @@ def test_centring_fits_made_once_per_problem_equality_model(monkeypatch):
                              "constraints": [{"kind": "independence", "epsilon": 0.1}]},
                             table.dims, table.s)
     prior = PriorSpec.flat(table.r, table.s, 1.0)
-    settings = RunSettings(n_draws=2_000, pilot_n=1_000, chunk=4096, alpha_grid=(20.0,))
+    settings = RunSettings(n_draws=2_000, pilot_n=1_000)
+    set_engine(monkeypatch, DEFAULT_ALPHA_GRID=(20.0,))
     monkeypatch.setattr(engine, "_MAX_RETUNES", 0)
     sched = EpsilonSchedule(epsilon_start=0.1, b=0.25, max_stages=2)
     calls = record_fits(monkeypatch)
@@ -802,8 +822,9 @@ def test_centring_fits_keep_distinct_margins_for_inequalities(monkeypatch):
     # PQD (global logits, rows not linear in log G): importance route on
     # both sides, and an ESS target no pilot reaches, so each side walks
     # the whole margin ladder in both replicates
-    settings = RunSettings(n_draws=4_000, pilot_n=4_000, chunk=4096,
-                           direct_threshold=1.1, ess_floor=1e9, alpha_grid=(5.0, 50.0))
+    settings = RunSettings(n_draws=4_000, pilot_n=4_000)
+    set_engine(monkeypatch, _DIRECT_THRESHOLD=1.1, _ESS_FLOOR=1e9,
+               DEFAULT_ALPHA_GRID=(5.0, 50.0))
     calls = record_fits(monkeypatch)
     est = replicate_bf(model_pa((3, 3), "global"), t, PriorSpec.flat(9, 1, 1.0), settings,
                        B=2, seed=8)
@@ -833,7 +854,8 @@ def ladder_walk(monkeypatch, model, table, side, seed=100):
     """(fit margin, rung index) of each rung one _tuned_density call runs,
     with an ESS target no pilot reaches so that no rung ends the walk.
     Every rung tunes at the part's seed, on the part's path plus its index."""
-    settings = RunSettings(pilot_n=4_000, chunk=4096, ess_floor=1e9, alpha_grid=(5.0, 50.0))
+    settings = RunSettings(pilot_n=4_000)
+    set_engine(monkeypatch, _ESS_FLOOR=1e9, DEFAULT_ALPHA_GRID=(5.0, 50.0))
     prior = PriorSpec.flat(table.r, table.s, 1.0)
     target = prior.concentration if side == "prior" else prior.posterior(table)
     fits, tunes = record_fits(monkeypatch), record_tunes(monkeypatch)
@@ -884,8 +906,9 @@ def test_every_stream_is_drawn_once(monkeypatch):
     monkeypatch.setattr(engine, "substream", substream)
     t = StratifiedTable(("all",), (ContingencyTable((3, 3), np.array(
         [20.0, 9.0, 4.0, 8.0, 15.0, 9.0, 3.0, 10.0, 22.0])),))
-    settings = RunSettings(n_draws=4_000, pilot_n=4_000, chunk=4096, direct_threshold=1.1,
-                           ess_floor=1e9, alpha_grid=(5.0, 50.0))
+    settings = RunSettings(n_draws=4_000, pilot_n=4_000)
+    set_engine(monkeypatch, _DIRECT_THRESHOLD=1.1, _ESS_FLOOR=1e9,
+               DEFAULT_ALPHA_GRID=(5.0, 50.0))
     monkeypatch.setattr(engine, "_MAX_RETUNES", 2)
     est = replicate_bf(model_pa((3, 3), "global"), t, PriorSpec.flat(9, 1, 1.0), settings,
                        B=2, seed=8)
@@ -984,20 +1007,22 @@ def posterior_cases():
 
 
 @pytest.mark.parametrize("case", posterior_cases(), ids=lambda c: c[0])
-def test_posterior_summary_matches_reference_bit_for_bit(case):
+def test_posterior_summary_matches_reference_bit_for_bit(monkeypatch, case):
     _, model, table, prior, sizes = case
-    s = posterior_draws_under_model(model, table, prior, **sizes)
+    set_engine(monkeypatch, _CHUNK=sizes["chunk"])
+    s = posterior_draws_under_model(model, table, prior, sizes["n"], sizes["seed"])
     assert 0 < s.n_accepted <= s.n_drawn
     assert json.dumps(s.to_dict()) == json.dumps(
         posterior_summary_reference(model, table, prior, **sizes))
 
 
 @pytest.mark.parametrize("model, chunk", [(model_saturated(), 30), (model_pa(), 7)])
-def test_posterior_summary_keeps_first_keep_cap_accepted_draws(model, chunk):
-    # the chunk that crosses keep_cap is cut, not dropped
+def test_posterior_summary_keeps_first_keep_cap_accepted_draws(monkeypatch, model, chunk):
+    # the chunk that crosses _KEEP_CAP is cut, not dropped
+    set_engine(monkeypatch, _CHUNK=chunk, _KEEP_CAP=50)
     t = table_2x2()
     prior = PriorSpec.flat(4, 1, 1.0)
-    s = posterior_draws_under_model(model, t, prior, n=100, seed=43, chunk=chunk, keep_cap=50)
+    s = posterior_draws_under_model(model, t, prior, n=100, seed=43)
     assert s.n_accepted > 50
     assert json.dumps(s.to_dict()) == json.dumps(posterior_summary_reference(
         model, t, prior, n=100, seed=43, chunk=chunk, keep_cap=50))

@@ -29,7 +29,7 @@ def test_cli_runs_with_scipy_blocked(tmp_path, command):
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({
         "dataset": "father_son", "models": ["tp2.json", "pqd.json"], "replicates": 1, "seed": 7,
-        "settings": {"n_draws": 4000, "pilot_n": 4000, "alpha_grid": [1, 5, 20]}}))
+        "settings": {"n_draws": 4000, "pilot_n": 4000}}))
     argv = {
         "bf": ["bf", str(manifest), "--format", "json"],
         "sensitivity": ["sensitivity", str(manifest), "--concentrations", "1", "2",

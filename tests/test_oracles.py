@@ -7,7 +7,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import logistic
 
-from oracles import about_equality_2x2, tp2_2x2, tp2_2xk
+from margbayes import load_fixture
+
+from oracles import about_equality_2x2, independence_limit, tp2_2x2, tp2_2xk
 
 
 @pytest.mark.parametrize("eps", [0.0125, 0.1, 1.0])
@@ -59,3 +61,24 @@ def test_tp2_2xk_is_converged_in_the_grid_step(rows):
     coarse = tp2_2xk(*rows)
     fine = tp2_2xk(*rows, h=0.001)
     assert abs(np.log10(fine) - np.log10(coarse)) < 1e-4
+
+
+def test_independence_limit_is_about_equality_at_small_epsilon():
+    # the 2x2 about-equality Bayes factor at eps 0.003 reads -2.33631
+    # decades; its eps -> 0 limit is -2.33635
+    counts = (30, 10, 12, 25)
+    eps = 0.003
+    at_eps = np.log10(about_equality_2x2(counts, eps) / about_equality_2x2((0, 0, 0, 0), eps))
+    limit = independence_limit(np.reshape(counts, (2, 2))) / math.log(10)
+    assert limit == pytest.approx(-2.33635, abs=1e-5)
+    assert abs(limit - at_eps) < 1e-4
+
+
+def test_independence_limit_of_alzheimer_conditional_independence():
+    # the limit of the chain the benchmark's chain-ci workload walks: one
+    # stratum term each, summed
+    table = load_fixture("alzheimer")
+    strata = table.counts_matrix().reshape(table.s, *table.dims)
+    per_stratum = [independence_limit(t) / math.log(10) for t in strata]
+    assert per_stratum == [pytest.approx(-39.3245, abs=1e-4), pytest.approx(-79.8128, abs=1e-4)]
+    assert independence_limit(strata) / math.log(10) == pytest.approx(-119.1373, abs=1e-4)

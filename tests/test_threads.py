@@ -29,18 +29,16 @@ from margbayes import (
     bayes_factor,
     link_for,
     load_fixture,
-    make_density,
     positive_association,
     replicate_bf,
-    tune_alpha,
 )
 from margbayes import cancel, engine
 from margbayes import fit as fitmod
-from margbayes.engine import substream
+from margbayes.engine import make_density, substream, tune_alpha
 from margbayes.hypotheses import model_from_dict
 
 from oracles import posterior_summary_reference
-from test_engine import posterior_cases, record_fits, table_2x2
+from test_engine import posterior_cases, record_fits, set_engine, table_2x2
 
 THREAD_COUNTS = (1, 2, 8)
 
@@ -245,7 +243,8 @@ def test_chain_parts_stop_once_one_fails(monkeypatch):
     cs = ConstraintSet(np.array([[0.0, 0.0, 1.0]]),
                        np.vstack([np.eye(3)[:2], -np.eye(3)[:2]]), np.array([0.1]), 3)
     model = ModelSpec("no_interior", ("local", "local"), cs)
-    settings = RunSettings(n_draws=4_000, pilot_n=2_000, chunk=2048, alpha_grid=(1.0, 5.0))
+    settings = RunSettings(n_draws=4_000, pilot_n=2_000)
+    set_engine(monkeypatch, DEFAULT_ALPHA_GRID=(1.0, 5.0))
     monkeypatch.setattr(engine, "_TUNE_EXTEND_MAX_MULTIPLIER", 20.0)
     # the interior check would fail both parts before any fit; passed here,
     # the posterior part's slow fits start and must be stopped
@@ -270,11 +269,9 @@ def test_long_loops_stop_once_given_up(loop):
         "split": lambda: engine._split_run(engine._linear_rows(ev), alpha.ravel(),
                                            substream(1, 0), "prior"),
         "fit": lambda: fitmod.constrained_mle(table_3x3(), model_tp2_3x3()),
-        "direct": lambda: engine._pilot_routes_direct(ev, alpha, 1000, 0.05, substream(1, 0),
-                                                      100),
+        "direct": lambda: engine._pilot_routes_direct(ev, alpha, 1000, 0.05, substream(1, 0)),
         "importance": lambda: engine._importance_stream(
-            ev, alpha, make_density(np.full((1, 9), 1 / 9), alpha, 5.0), 1000,
-            substream(1, 0), 100),
+            ev, alpha, make_density(np.full((1, 9), 1 / 9), alpha, 5.0), 1000, substream(1, 0)),
     }[loop]
     run()                                    # outside any map, check() does nothing
     scope = cancel.SCOPE.set(((GivenUp(), 1),))
@@ -293,7 +290,7 @@ def test_tune_alpha_same_at_any_thread_count(monkeypatch):
     ev = ModelEval(model_tp2_3x3(), (3, 3), 1)
     prior = PriorSpec.flat(9, 1, 1.0)
     center = np.full((1, 9), 1.0 / 9.0)
-    settings = RunSettings(pilot_n=8_000, chunk=4096)
+    settings = RunSettings(pilot_n=8_000)
     outs = []
     for n in THREAD_COUNTS:
         params, diag = on_threads(monkeypatch, n, lambda: tune_alpha(
@@ -305,10 +302,10 @@ def test_tune_alpha_same_at_any_thread_count(monkeypatch):
     probe_n = max(4000, settings.pilot_n // 4)
     loop = [engine._importance_stream(ev, prior.concentration,
                                       make_density(center, prior.concentration, m),
-                                      probe_n, substream(11, "tune", i), settings.chunk)
-            for i, m in enumerate(settings.alpha_grid)]
+                                      probe_n, substream(11, "tune", i))
+            for i, m in enumerate(engine.DEFAULT_ALPHA_GRID)]
     assert [(r["multiplier"], r["ess"], r["log_value"]) for r in diag["grid"]][:len(loop)] \
-        == [(m, e.ess, e.log_value) for m, e in zip(settings.alpha_grid, loop)]
+        == [(m, e.ess, e.log_value) for m, e in zip(engine.DEFAULT_ALPHA_GRID, loop)]
 
 
 def test_tune_alpha_probe_error_reaches_caller(monkeypatch):
@@ -325,13 +322,14 @@ def test_tune_alpha_probe_error_reaches_caller(monkeypatch):
     monkeypatch.setattr(engine, "_importance_stream", failing)
     with pytest.raises(FloatingPointError, match="probe failed"):
         on_threads(monkeypatch, 2, lambda: tune_alpha(
-            ev, prior.concentration, center, RunSettings(pilot_n=8_000, chunk=4096), seed=12))
+            ev, prior.concentration, center, RunSettings(pilot_n=8_000), seed=12))
 
 
 def test_replicate_bf_importance_route_same_at_any_thread_count(monkeypatch):
-    # direct_threshold above 1 sends both sides of PQD down the tuned
+    # a routing threshold above 1 sends both sides of PQD down the tuned
     # importance route
-    settings = RunSettings(n_draws=4_000, pilot_n=4_000, chunk=4096, direct_threshold=1.1)
+    settings = RunSettings(n_draws=4_000, pilot_n=4_000)
+    set_engine(monkeypatch, _DIRECT_THRESHOLD=1.1)
     outs = []
     for n in THREAD_COUNTS:
         est = on_threads(monkeypatch, n, lambda: replicate_bf(
@@ -349,8 +347,8 @@ def test_replicate_bf_chain_route_same_at_any_thread_count(monkeypatch):
                             table.dims, table.s)
     # the short grid still reaches the geometric extension, and the retune
     # tunes again on a grid around the first multiplier
-    settings = RunSettings(n_draws=2_000, pilot_n=1_000, chunk=4096,
-                           alpha_grid=(0.5, 2.0, 5.0, 20.0, 50.0))
+    settings = RunSettings(n_draws=2_000, pilot_n=1_000)
+    set_engine(monkeypatch, DEFAULT_ALPHA_GRID=(0.5, 2.0, 5.0, 20.0, 50.0))
     monkeypatch.setattr(engine, "_MAX_RETUNES", 1)
     sched = EpsilonSchedule(epsilon_start=0.1, b=0.25, max_stages=2)
     outs = []
@@ -375,7 +373,7 @@ def test_replicate_bf_direct_route_same_at_any_thread_count(monkeypatch):
     model = model_from_dict({"name": "so", "logits": "global",
                              "constraints": [{"kind": "stochastic_order", "direction": "ge"}]},
                             table.dims, table.s)
-    settings = RunSettings(n_draws=6_000, pilot_n=3_000, chunk=4096)
+    settings = RunSettings(n_draws=6_000, pilot_n=3_000)
     outs = []
     for n in THREAD_COUNTS:
         est = on_threads(monkeypatch, n, lambda: replicate_bf(
@@ -391,8 +389,8 @@ def test_replicate_bf_stratum_split_same_at_any_thread_count(monkeypatch):
     model = model_from_dict({"name": "pqd", "logits": "global", "constraints": [{"kind": "pqd"}]},
                             table.dims, table.s)
     assert ModelEval(model, table.dims, table.s).stratum_split() is not None
-    settings = RunSettings(n_draws=2_000, pilot_n=2_000, chunk=4096, direct_threshold=1.1,
-                           alpha_grid=(1.0, 5.0, 20.0))
+    settings = RunSettings(n_draws=2_000, pilot_n=2_000)
+    set_engine(monkeypatch, _DIRECT_THRESHOLD=1.1, DEFAULT_ALPHA_GRID=(1.0, 5.0, 20.0))
     outs = []
     for n in THREAD_COUNTS:
         est = on_threads(monkeypatch, n, lambda: replicate_bf(
@@ -407,7 +405,8 @@ def test_replicate_bf_split_route_same_at_any_thread_count(monkeypatch):
     table = table_3x3_two_strata()
     model = model_from_dict({"name": "tp2", "logits": "local", "constraints": [{"kind": "tp2"}]},
                             table.dims, table.s)
-    settings = RunSettings(n_draws=2_000, pilot_n=2_000, chunk=4096, direct_threshold=1.1)
+    settings = RunSettings(n_draws=2_000, pilot_n=2_000)
+    set_engine(monkeypatch, _DIRECT_THRESHOLD=1.1)
     outs = []
     for n in THREAD_COUNTS:
         est = on_threads(monkeypatch, n, lambda: replicate_bf(
@@ -422,9 +421,10 @@ def test_posterior_summary_same_at_any_thread_count(monkeypatch, case):
     # one stratum per unit; one stratum runs inline whatever the budget
     _, model, table, prior, sizes = case
     want = as_json(posterior_summary_reference(model, table, prior, **sizes))
+    set_engine(monkeypatch, _CHUNK=sizes["chunk"])
     for n in THREAD_COUNTS:
         s = on_threads(monkeypatch, n, lambda: engine.posterior_draws_under_model(
-            model, table, prior, **sizes))
+            model, table, prior, sizes["n"], sizes["seed"]))
         assert as_json(s.to_dict()) == want
 
 
@@ -433,8 +433,9 @@ def test_concurrent_replicates_fit_each_centre_once(monkeypatch):
     table = table_3x3_two_strata()
     model = model_from_dict({"name": "pqd", "logits": "global", "constraints": [{"kind": "pqd"}]},
                             table.dims, table.s)
-    settings = RunSettings(n_draws=2_000, pilot_n=2_000, chunk=4096, direct_threshold=1.1,
-                           ess_floor=1e9, alpha_grid=(5.0, 50.0))
+    settings = RunSettings(n_draws=2_000, pilot_n=2_000)
+    set_engine(monkeypatch, _DIRECT_THRESHOLD=1.1, _ESS_FLOOR=1e9,
+               DEFAULT_ALPHA_GRID=(5.0, 50.0))
     calls = record_fits(monkeypatch)
     fits = {}
     for n in (1, 8):
