@@ -8,9 +8,10 @@ the end: loops that run for long (the chunked samplers, the fit's outer
 iterations) call check() once per pass. Items before i run on, since one of
 them may still fail first.
 
-The scope is a ContextVar holding one (map, index) pair per enclosing map
-item, so a check deep inside nested maps also sees that an outer item was
-given up. Outside any map the scope is empty and check() does nothing.
+Only a map that runs on threads sets the scope, and a map inside one of
+its items runs inline, so the scope is one (map, index) pair: the threaded
+map item that the calling code runs in, however deep. Outside any such
+item the scope is None and check() does nothing.
 """
 from __future__ import annotations
 
@@ -25,13 +26,14 @@ class Cancelled(BaseException):
     """
 
 
-# (map, index) for each enclosing map item, outermost first. A map is any
-# object whose failed_at is the lowest index that has failed in it so far.
-SCOPE: ContextVar[tuple] = ContextVar("margbayes_scope", default=())
+# (map, index) of the threaded map item the caller runs in, or None. A map
+# is any object whose failed_at is the lowest index that has failed in it
+# so far.
+SCOPE: ContextVar[tuple | None] = ContextVar("margbayes_scope", default=None)
 
 
 def check() -> None:
-    """Raise Cancelled if an enclosing map item's result is no longer wanted."""
-    for fan, i in SCOPE.get():
-        if fan.failed_at < i:
-            raise Cancelled
+    """Raise Cancelled if the enclosing map item's result is no longer wanted."""
+    scope = SCOPE.get()
+    if scope is not None and scope[0].failed_at < scope[1]:
+        raise Cancelled

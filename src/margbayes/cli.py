@@ -249,10 +249,8 @@ def cmd_sensitivity(args) -> int:
     models = _models_from_manifest(manifest, table)
     settings = _from_manifest(manifest, "settings", RunSettings, "setting", n_draws=args.draws,
                               pilot_n=args.pilot, log_base=args.log_base)
-    schedule = None
-    if manifest.get("epsilon_schedule"):
-        schedule = _from_manifest(manifest, "epsilon_schedule", EpsilonSchedule,
-                                  "epsilon_schedule key")
+    schedule = _from_manifest(manifest, "epsilon_schedule", EpsilonSchedule,
+                              "epsilon_schedule key")
     seed = _whole("seed", args.seed if args.seed is not None else manifest.get("seed", 20240901),
                   least=0)
     B = args.replicates if args.replicates is not None else manifest.get("replicates", 1)

@@ -50,14 +50,17 @@ Every sampling loop takes its draws from _chunks, the one chunked draw
 loop. A model that factorises over strata is estimated per stratum, as
 _units splits it.
 
-Independent units of work run concurrently through _ordered_map, under one
-process-wide budget of _THREADS threads: the replicates of replicate_bf,
-the parts of bayes_factor (both sides times each stratum unit; built,
-then re-checked at each level), the grid probes of tune_alpha and the
-strata of posterior_draws_under_model's summaries. Each unit draws from
-its own substream and results are combined in input order, so every
-estimate is the same bits whatever the thread count. Once a unit fails,
-the units after it stop at their next cancel.check().
+Independent units of work run concurrently through _ordered_map, one
+level of fan-out at a time on up to _THREADS threads: the replicates of
+replicate_bf, the parts of bayes_factor (both sides times each stratum
+unit; built, then re-checked at each level) and the strata of
+posterior_draws_under_model's summaries. A map inside an item of a
+threaded map runs as a plain loop on that item's thread, and a one-item
+map leaves the threads to the maps inside it, so a single replicate's
+parts still fan out. Each unit draws from its own substream and results
+are combined in input order, so every estimate is the same bits whatever
+the thread count. Once a unit fails, the units after it stop at their
+next cancel.check().
 """
 from __future__ import annotations
 
@@ -271,13 +274,8 @@ def substream(seed: int, *path) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=key))
 
 
-# Threads started by _ordered_map calls that are still taking items.
-_started = 0
-_started_lock = threading.Lock()
-
-
 class _Fan:
-    """One running _ordered_map call, as cancel.check() sees it."""
+    """One threaded _ordered_map call, as cancel.check() sees it."""
 
     __slots__ = ("failed_at",)
 
@@ -288,35 +286,33 @@ class _Fan:
 def _ordered_map(fn, items) -> list:
     """[fn(x) for x in items], run on up to _THREADS threads.
 
-    The thread budget is process-wide: the thread that made the outermost
-    call plus the threads that all running maps, nested ones included,
-    have started never number more than _THREADS (read at call time). A
-    map starts at most one thread per item beyond the first, and only as
-    many as the budget has left; with none left it runs every item on the
-    calling thread. It never waits for a thread to free up, so maps nested
-    to any depth cannot deadlock. The calling thread works rather than
-    waits: each extra thread costs a malloc arena that keeps about one
-    item's working set.
+    One level of fan-out: a map called inside an item of a threaded map,
+    or one with no second thread to use (a single item, or _THREADS 1,
+    read at call time), is that plain loop on the calling thread and sets
+    no cancel scope. Any other map starts min(_THREADS, len(items)) - 1
+    threads and works on the calling thread too, rather than waiting: each
+    extra thread costs a malloc arena that keeps about one item's working
+    set. So a one-item map leaves the fan-out to the maps inside it.
 
     Each thread takes the next unstarted index from a shared counter and
-    hands its place in the budget back once none is left. Started threads
-    run in a copy of the caller's context, so they see its ContextVar
-    values (the centring memo among them). Results land in input order
-    whatever the thread count. After a failure no further item starts,
-    and once every thread has joined the exception of the lowest failing
-    index is re-raised: the one a plain loop would raise. Once item i has
-    failed, the running items after it, whose results would be dropped,
-    stop at their next cancel.check() (each chunk of draws, each outer
-    iteration of a fit), nested maps included; the items before it run on,
-    since one of them may still fail first.
+    runs in a copy of the caller's context, so it sees the caller's
+    ContextVar values (the centring memo among them). Results land in
+    input order whatever the thread count. After a failure no further item
+    starts, and once every thread has joined the exception of the lowest
+    failing index is re-raised: the one a plain loop would raise. Once item
+    i has failed, the running items after it, whose results would be
+    dropped, stop at their next cancel.check() (each chunk of draws, each
+    outer iteration of a fit), inline maps inside them included; the items
+    before it run on, since one of them may still fail first.
     """
-    global _started
     items = list(items)
+    n_new = min(_THREADS, len(items)) - 1
+    if n_new < 1 or cancel.SCOPE.get() is not None:
+        return [fn(x) for x in items]
     out = [None] * len(items)
     errors = []                          # (index, exception)
     lock = threading.Lock()
     fan = _Fan(len(items))
-    enclosing = cancel.SCOPE.get()
     next_i = 0
 
     def work():
@@ -327,9 +323,8 @@ def _ordered_map(fn, items) -> list:
                 if errors or i >= len(items):
                     return
                 next_i += 1
-            scope = cancel.SCOPE.set(enclosing + ((fan, i),))
+            scope = cancel.SCOPE.set((fan, i))
             try:
-                cancel.check()           # an enclosing item may have been given up
                 out[i] = fn(items[i])
             except BaseException as err:
                 with lock:
@@ -339,28 +334,15 @@ def _ordered_map(fn, items) -> list:
             finally:
                 cancel.SCOPE.reset(scope)
 
-    def worker(ctx):
-        global _started
-        try:
-            ctx.run(work)
-        finally:
-            with _started_lock:
-                _started -= 1
-
-    with _started_lock:
-        n_new = max(0, min(_THREADS - 1 - _started, len(items) - 1))
-        _started += n_new
     threads = []
     try:
         for k in range(n_new):
-            t = threading.Thread(target=worker, args=(copy_context(),),
+            t = threading.Thread(target=copy_context().run, args=(work,),
                                  name=f"margbayes-worker-{k}")
             t.start()
             threads.append(t)
         work()
     finally:
-        with _started_lock:
-            _started -= n_new - len(threads)     # places of threads never started
         for t in threads:
             t.join()
     if errors:
@@ -653,48 +635,33 @@ def tune_alpha(ev: ModelEval, target_alpha: np.ndarray, center: np.ndarray,
     picked. Raises TuningError when no concentration, extended included,
     yields a single accepted draw.
 
-    The grid probes are one of the engine's fan-out points (see
-    _ordered_map): they run on whatever is left of the process-wide thread
-    budget, which inside concurrent replicates, strata or chain parts is
-    often nothing, and then they run on the calling thread. Probe idx,
-    counted in grid order and then along the extension, draws from its own
-    stream substream(seed, *path, idx). The probes share `ev`,
-    `target_alpha` and `center`, and only read them. Results are recorded
-    in grid order, so the density and diagnostics are the same whatever
-    the thread count. The geometric
-    extension runs one probe at a time, since each step depends on the one
-    before.
+    The probes run one after another on the calling thread, in grid order
+    and then along the extension; probe idx, counted that way, draws from
+    its own stream substream(seed, *path, idx).
     """
     grid = list(grid if grid is not None else DEFAULT_ALPHA_GRID)
-    results = []
-
     probe_n = max(4000, settings.pilot_n // 4)
+    results, qualifying = [], []
 
-    def draw(idx, mult):
-        return _importance_stream(ev, target_alpha, make_density(center, target_alpha, mult),
-                                  probe_n, substream(seed, *path, idx))
-
-    def record(mult, est):
-        results.append({"multiplier": float(mult),
-                        "acceptance": est.accepted / probe_n,
+    def probe(mult) -> bool:
+        """Draw and record the probe at mult; True if it qualifies."""
+        est = _importance_stream(ev, target_alpha, make_density(center, target_alpha, mult),
+                                 probe_n, substream(seed, *path, len(results)))
+        results.append({"multiplier": float(mult), "acceptance": est.accepted / probe_n,
                         "ess": est.ess, "log_value": est.log_value})
-        return est
+        if est.accepted / probe_n < _TUNE_ACCEPT_MIN:
+            return False
+        qualifying.append((est.ess, mult))
+        return True
 
-    ests = _ordered_map(lambda im: draw(*im), enumerate(grid))
-    for m, e in zip(grid, ests):
-        record(m, e)
-    qualifying = [(e.ess, m, e) for m, e in zip(grid, ests)
-                  if e.accepted / probe_n >= _TUNE_ACCEPT_MIN]
-    idx = len(grid)
+    for mult in grid:
+        probe(mult)
     if not qualifying:
         mult = max(grid)
         extra_hits = 0
         while mult < _TUNE_EXTEND_MAX_MULTIPLIER:
             mult *= _TUNE_EXTEND_FACTOR
-            e = record(mult, draw(idx, mult))
-            idx += 1
-            if e.accepted / probe_n >= _TUNE_ACCEPT_MIN:
-                qualifying.append((e.ess, mult, e))
+            if probe(mult):
                 extra_hits += 1
                 if extra_hits >= 3:
                     break
@@ -713,13 +680,13 @@ def tune_alpha(ev: ModelEval, target_alpha: np.ndarray, center: np.ndarray,
         )
     ess_best = max(q[0] for q in qualifying)
     if ess_best >= 10.0 * _ESS_FLOOR:
-        ess_pick, mult_best, _ = max(qualifying, key=lambda q: q[0])
+        ess_pick, mult_best = max(qualifying, key=lambda q: q[0])
     else:
         # degenerate regime: pilot ESS is too noisy to rank concentrations,
         # and wider proposals cover the unconstrained directions better, so
         # take the smallest concentration within a factor 3 of the best
         near_best = [q for q in qualifying if q[0] >= ess_best / 3.0]
-        ess_pick, mult_best, _ = min(near_best, key=lambda q: q[1])
+        ess_pick, mult_best = min(near_best, key=lambda q: q[1])
     return make_density(center, target_alpha, mult_best), {
         "grid": results, "chosen": float(mult_best), "fallback": None, "ess": float(ess_pick)}
 
@@ -1187,7 +1154,7 @@ class _Part:
                 keep = self.ev.delta(P)
             self.kept += int(keep.sum())
             if weight is not None:
-                logws.append(weight(P[keep]))
+                logws.append(weight(P)[keep])
             del P               # not held while the next chunk is drawn
         self.stat = np.concatenate(stats) if tube else None
         self.logw = None if weight is None else np.concatenate(logws)
@@ -1342,24 +1309,28 @@ def replicate_bf(model: ModelSpec, table: StratifiedTable, prior: PriorSpec,
     _ordered_map) and share one centring memo. Each replicate's entry
     keeps its estimate, route, seed, final tolerances, truncation flag,
     level count and warnings. The estimate's route joins, per side, the
-    routes of every replicate with "+", as bayes_factor joins strata."""
+    routes of every replicate with "+", as bayes_factor joins strata; its
+    schedule is the one the replicates walked (none for an
+    inequality-only model)."""
     if B < 1:
         raise EngineError("need B >= 1 replicates")
 
     def run(i):
         rep_seed = int(np.random.SeedSequence(
             int(seed), spawn_key=(_PURPOSE["replicate"], i)).generate_state(1)[0])
-        est = bayes_factor(model, table, prior, settings, rep_seed, schedule)
-        comp = est.components
-        return {"log10_bf": est.log10_bf, "route": est.route, "seed": rep_seed,
-                "final_epsilon": comp["final_epsilon"], "truncated": comp["truncated"],
-                "n_stages": len(comp["stages"]), "warnings": comp["warnings"]}
+        return bayes_factor(model, table, prior, settings, rep_seed, schedule)
 
     centres = _CENTRES.set(_CentreMemo())
     try:
-        infos = _ordered_map(run, range(B))
+        ests = _ordered_map(run, range(B))
     finally:
         _CENTRES.reset(centres)
+    infos = [{"log10_bf": est.log10_bf, "route": est.route, "seed": est.settings["seed"],
+              "final_epsilon": est.components["final_epsilon"],
+              "truncated": est.components["truncated"],
+              "n_stages": len(est.components["stages"]),
+              "warnings": est.components["warnings"]} for est in ests]
+    walked = ests[0].settings.get("schedule")
     reps = [info["log10_bf"] for info in infos]
     side_routes = zip(*(info["route"].split("/") for info in infos))
     route = "/".join("+".join(sorted({r for rs in side for r in rs.split("+")}))
@@ -1371,7 +1342,7 @@ def replicate_bf(model: ModelSpec, table: StratifiedTable, prior: PriorSpec,
         mean=mean, sd=sd, route=route,
         components={"model": model.name, "replicates": infos, "B": B},
         settings={"seed": int(seed), "B": B,
-                  **({"schedule": asdict(schedule)} if schedule else {}),
+                  **({"schedule": walked} if walked else {}),
                   **settings.to_dict()},
     )
 

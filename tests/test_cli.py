@@ -129,6 +129,11 @@ def test_unknown_reference_is_an_input_error(tmp_path, capsys):
     # a dataset naming the manifest's folder ended in IsADirectoryError
     ({"dataset": ""}, "dataset '' names a folder, not a fixture or a table file"),
     ({"dataset": "."}, "dataset '.' names a folder, not a fixture or a table file"),
+    # an epsilon_schedule that is empty but not an object ran the default
+    ({"epsilon_schedule": []}, "epsilon_schedule must be an object, got []"),
+    ({"epsilon_schedule": 0}, "epsilon_schedule must be an object, got 0"),
+    ({"epsilon_schedule": False}, "epsilon_schedule must be an object, got False"),
+    ({"epsilon_schedule": ""}, "epsilon_schedule must be an object, got ''"),
 ])
 def test_bad_manifest_is_an_input_error(tmp_path, capsys, extra, needle):
     if isinstance(extra, dict):

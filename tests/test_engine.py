@@ -730,6 +730,20 @@ def test_replicate_dispatches_equality_models():
         assert rep["final_epsilon"] == [pytest.approx(0.2 * 0.5 ** (rep["n_stages"] - 1))]
 
 
+def test_replicate_reports_the_schedule_its_replicates_used():
+    # the report printed the schedule it was passed: none for a tube model
+    # run on the default schedule, and one an inequality-only model ignores
+    settings = RunSettings(n_draws=2_000, pilot_n=1_000)
+    prior = PriorSpec.flat(4, 1, 1.0)
+    tube = replicate_bf(model_indep(), table_2x2(), prior, settings, B=2, seed=27)
+    assert tube.settings["schedule"] == dataclasses.asdict(EpsilonSchedule())
+    sched = EpsilonSchedule(epsilon_start=0.2, max_stages=3)
+    ineq = replicate_bf(model_pa(), table_2x2(), prior, settings, B=2, seed=27,
+                        schedule=sched)
+    assert "schedule" not in ineq.settings
+    assert all(rep["n_stages"] == 1 for rep in ineq.components["replicates"])
+
+
 def test_more_draws_do_not_increase_sd():
     t = table_2x2()
     prior = PriorSpec.flat(4, 1, 1.0)

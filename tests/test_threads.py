@@ -1,10 +1,10 @@
 """Independent work runs on threads: the same estimates whatever the thread count.
 
-`engine._THREADS` is the number of threads that `engine._ordered_map`
-calls, nested ones included, may keep busy at once; the tests set it to 1,
-2 and 8 (and 3 for the budget itself). The 8-thread runs also switch
-threads as often as the interpreter allows, to shake out races on shared
-state.
+`engine._THREADS` is the number of threads that one `engine._ordered_map`
+call may keep busy; a map inside an item of a threaded map runs inline on
+that item's thread. The tests set it to 1, 2 and 8 (and 3 for nested
+maps). The 8-thread runs also switch threads as often as the interpreter
+allows, to shake out races on shared state.
 """
 import contextvars
 import faulthandler
@@ -139,7 +139,7 @@ TAG = contextvars.ContextVar("test_threads_tag", default="unset")
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 8))
-def test_nested_maps_share_one_thread_budget(monkeypatch, n):
+def test_nested_maps_keep_at_most_n_threads_busy(monkeypatch, n):
     lock = threading.Lock()
     running = peak = 0
     seen_tags = set()
@@ -170,31 +170,50 @@ def test_nested_maps_share_one_thread_budget(monkeypatch, n):
                    for x in range(5)]
     assert 1 <= peak <= n
     assert seen_tags == {"caller"}
-    assert engine._started == 0                 # every place handed back
 
 
-@pytest.mark.parametrize("n", (1, 2, 3, 8))
-def test_inner_maps_run_inline_when_budget_is_spent(monkeypatch, n):
-    # n outer items meet at a barrier before and after their inner maps, so
-    # each of n threads holds one, and all of the budget is in use while
-    # any inner map runs
-    barrier = threading.Barrier(n, timeout=60)
+@pytest.mark.parametrize("items", (2, 3, 8))
+def test_nested_map_runs_on_its_items_thread(monkeypatch, items):
+    # each outer item holds its own thread (they meet at a barrier), and
+    # with 8 threads allowed, 8 - items of them are idle: an inner map
+    # still runs inline, on the thread of the item that calls it
+    barrier = threading.Barrier(items, timeout=60)
     inner_threads = {}
 
     def inner(x):
-        return threading.get_ident()
+        return threading.get_ident(), cancel.SCOPE.get()
 
     def outer(x):
         barrier.wait()
-        inner_threads[x] = (threading.get_ident(), engine._ordered_map(inner, range(6)))
+        inner_threads[x] = (threading.get_ident(), cancel.SCOPE.get(),
+                            engine._ordered_map(inner, range(6)))
         barrier.wait()
         return x
 
-    assert on_threads(monkeypatch, n, lambda: engine._ordered_map(outer, range(n))) \
-        == list(range(n))
-    assert len({caller for caller, _ in inner_threads.values()}) == n
-    for caller, idents in inner_threads.values():
-        assert idents == [caller] * 6
+    assert on_threads(monkeypatch, 8, lambda: engine._ordered_map(outer, range(items))) \
+        == list(range(items))
+    assert len({caller for caller, _, _ in inner_threads.values()}) == items
+    for x, (caller, scope, seen) in inner_threads.items():
+        assert scope[1] == x                 # the outer item's scope, not a new one
+        assert seen == [(caller, scope)] * 6
+
+
+@pytest.mark.parametrize("n", (2, 8))
+def test_map_inside_a_one_item_map_fans_out(monkeypatch, n):
+    # a one-item map is a plain call, so the map inside it takes the
+    # threads: its n items meet at a barrier, each on its own thread
+    barrier = threading.Barrier(n, timeout=60)
+
+    def inner(x):
+        barrier.wait()
+        return threading.get_ident()
+
+    def outer(x):
+        return threading.get_ident(), engine._ordered_map(inner, range(n))
+
+    [(caller, idents)] = on_threads(monkeypatch, n, lambda: engine._ordered_map(outer, [0]))
+    assert caller == threading.get_ident()
+    assert len(set(idents)) == n
 
 
 @pytest.mark.parametrize("n", (3, 8))
@@ -232,7 +251,6 @@ def test_items_after_a_failure_stop_at_their_next_check(monkeypatch, n):
         on_threads(monkeypatch, n, lambda: engine._ordered_map(item, range(3)))
     assert err.value.args == (1,)
     assert ends == {0: True}
-    assert engine._started == 0
 
 
 def test_chain_parts_stop_once_one_fails(monkeypatch):
@@ -274,7 +292,7 @@ def test_long_loops_stop_once_given_up(loop):
             ev, alpha, make_density(np.full((1, 9), 1 / 9), alpha, 5.0), 1000, substream(1, 0)),
     }[loop]
     run()                                    # outside any map, check() does nothing
-    scope = cancel.SCOPE.set(((GivenUp(), 1),))
+    scope = cancel.SCOPE.set((GivenUp(), 1))
     try:
         with pytest.raises(cancel.Cancelled):
             run()
@@ -306,6 +324,24 @@ def test_tune_alpha_same_at_any_thread_count(monkeypatch):
             for i, m in enumerate(engine.DEFAULT_ALPHA_GRID)]
     assert [(r["multiplier"], r["ess"], r["log_value"]) for r in diag["grid"]][:len(loop)] \
         == [(m, e.ess, e.log_value) for m, e in zip(engine.DEFAULT_ALPHA_GRID, loop)]
+
+
+def test_tune_alpha_runs_every_probe_on_the_calling_thread(monkeypatch):
+    ev = ModelEval(model_tp2_3x3(), (3, 3), 1)
+    prior = PriorSpec.flat(9, 1, 1.0)
+    center = np.full((1, 9), 1.0 / 9.0)
+    orig = engine._importance_stream
+    probes = []
+
+    def recorded(*args):
+        probes.append(threading.get_ident())
+        return orig(*args)
+
+    monkeypatch.setattr(engine, "_importance_stream", recorded)
+    on_threads(monkeypatch, 8, lambda: tune_alpha(
+        ev, prior.concentration, center, RunSettings(pilot_n=8_000), seed=11))
+    assert probes == [threading.get_ident()] * len(probes)
+    assert len(probes) >= len(engine.DEFAULT_ALPHA_GRID)
 
 
 def test_tune_alpha_probe_error_reaches_caller(monkeypatch):
@@ -384,7 +420,8 @@ def test_replicate_bf_direct_route_same_at_any_thread_count(monkeypatch):
 
 
 def test_replicate_bf_stratum_split_same_at_any_thread_count(monkeypatch):
-    # replicates, strata and tuning probes, nested three deep
+    # replicates on threads; the strata and tuning probes inside each
+    # replicate run inline
     table = table_3x3_two_strata()
     model = model_from_dict({"name": "pqd", "logits": "global", "constraints": [{"kind": "pqd"}]},
                             table.dims, table.s)
@@ -418,7 +455,7 @@ def test_replicate_bf_split_route_same_at_any_thread_count(monkeypatch):
 
 @pytest.mark.parametrize("case", posterior_cases(), ids=lambda c: c[0])
 def test_posterior_summary_same_at_any_thread_count(monkeypatch, case):
-    # one stratum per unit; one stratum runs inline whatever the budget
+    # one stratum per unit; one stratum runs inline whatever the thread count
     _, model, table, prior, sizes = case
     want = as_json(posterior_summary_reference(model, table, prior, **sizes))
     set_engine(monkeypatch, _CHUNK=sizes["chunk"])
