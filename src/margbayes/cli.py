@@ -16,7 +16,8 @@ A run manifest is a JSON object with these top-level keys:
                       path of a table file (a relative one is read from
                       the manifest's folder)
     models            list, required, non-empty: model-spec objects, or
-                      paths of model-spec JSON files relative to the manifest
+                      paths of model-spec JSON files relative to the
+                      manifest; no two models may share a name
     settings          object: n_draws, pilot_n and log_base, the fields of
                       engine.RunSettings, whose docstring gives each one's
                       meaning and range; the routing threshold, tuning grid,
@@ -29,9 +30,9 @@ A run manifest is a JSON object with these top-level keys:
     prior             object {"concentration": number > 0, finite}
                       (default 1): the concentration of bf, and of
                       sensitivity when no concentrations are given
-    concentrations    list of numbers > 0, finite (default [the prior's
-                      concentration]; sensitivity only; --concentrations
-                      overrides)
+    concentrations    non-empty list of numbers > 0, finite (default [the
+                      prior's concentration]; sensitivity only;
+                      --concentrations overrides)
 Any other key in "settings" or "epsilon_schedule" is an input error.
 """
 from __future__ import annotations
@@ -95,7 +96,10 @@ def _models_from_manifest(manifest: dict, table):
         raise ValueError(f"models must be a list, got {entries!r}")
     for entry in entries:
         obj = json.loads((base / entry).read_text()) if isinstance(entry, str) else entry
-        models.append(model_from_dict(obj, table.dims, table.s))
+        model = model_from_dict(obj, table.dims, table.s)
+        if any(m.name == model.name for m in models):   # results are keyed by name
+            raise ValueError(f"model name {model.name!r} is used more than once")
+        models.append(model)
     if not models:
         raise ValueError("manifest lists no models")
     return models
@@ -263,8 +267,8 @@ def cmd_sensitivity(args) -> int:
     kappas = [prior.get("concentration", 1.0)]
     if args.command == "sensitivity":
         kappas = args.concentrations or manifest.get("concentrations", kappas)
-        if not isinstance(kappas, list):
-            raise ValueError(f"concentrations must be a list, got {kappas!r}")
+        if not isinstance(kappas, list) or not kappas:
+            raise ValueError(f"concentrations must be a non-empty list, got {kappas!r}")
     _check_run({"replicates": B}, kappas)
     kappas = [float(k) for k in kappas]
     t0 = time.time()

@@ -59,8 +59,9 @@ threaded map runs as a plain loop on that item's thread, and a one-item
 map leaves the threads to the maps inside it, so a single replicate's
 parts still fan out. Each unit draws from its own substream and results
 are combined in input order, so every estimate is the same bits whatever
-the thread count. Once a unit fails, the units after it stop at their
-next cancel.check().
+the thread count. Once a unit fails no further unit starts, the running
+ones run to their end, and the failure of the lowest failing unit is
+raised.
 """
 from __future__ import annotations
 
@@ -74,7 +75,6 @@ from functools import partial
 
 import numpy as np
 
-from . import cancel
 from . import fit as fitmod
 from .hypotheses import ConstraintSet, ModelSpec
 from .link import LOG_FLOOR, eta_batch, logsumexp
@@ -274,13 +274,9 @@ def substream(seed: int, *path) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=key))
 
 
-class _Fan:
-    """One threaded _ordered_map call, as cancel.check() sees it."""
-
-    __slots__ = ("failed_at",)
-
-    def __init__(self, n: int):
-        self.failed_at = n               # lowest failing index so far
+# True while a threaded map's worker runs items, so a map inside them runs
+# inline on the item's thread.
+_IN_FAN: ContextVar[bool] = ContextVar("margbayes_in_fan", default=False)
 
 
 def _ordered_map(fn, items) -> list:
@@ -288,51 +284,45 @@ def _ordered_map(fn, items) -> list:
 
     One level of fan-out: a map called inside an item of a threaded map,
     or one with no second thread to use (a single item, or _THREADS 1,
-    read at call time), is that plain loop on the calling thread and sets
-    no cancel scope. Any other map starts min(_THREADS, len(items)) - 1
-    threads and works on the calling thread too, rather than waiting: each
-    extra thread costs a malloc arena that keeps about one item's working
-    set. So a one-item map leaves the fan-out to the maps inside it.
+    read at call time), is that plain loop on the calling thread. Any
+    other map starts min(_THREADS, len(items)) - 1 threads and works on
+    the calling thread too, rather than waiting: each extra thread costs a
+    malloc arena that keeps about one item's working set. So a one-item
+    map leaves the fan-out to the maps inside it.
 
-    Each thread takes the next unstarted index from a shared counter and
+    Each worker takes the next unstarted index from a shared counter and
     runs in a copy of the caller's context, so it sees the caller's
     ContextVar values (the centring memo among them). Results land in
-    input order whatever the thread count. After a failure no further item
-    starts, and once every thread has joined the exception of the lowest
-    failing index is re-raised: the one a plain loop would raise. Once item
-    i has failed, the running items after it, whose results would be
-    dropped, stop at their next cancel.check() (each chunk of draws, each
-    outer iteration of a fit), inline maps inside them included; the items
-    before it run on, since one of them may still fail first.
+    input order whatever the thread count. Once an item fails no further
+    item starts, and the items already running run to their end; once
+    every thread has joined, the exception of the lowest failing index is
+    re-raised: the one a plain loop would raise, since every item before
+    it had started.
     """
     items = list(items)
     n_new = min(_THREADS, len(items)) - 1
-    if n_new < 1 or cancel.SCOPE.get() is not None:
+    if n_new < 1 or _IN_FAN.get():
         return [fn(x) for x in items]
     out = [None] * len(items)
     errors = []                          # (index, exception)
     lock = threading.Lock()
-    fan = _Fan(len(items))
     next_i = 0
 
     def work():
         nonlocal next_i
+        _IN_FAN.set(True)                # in this worker's own context copy
         while True:
             with lock:
                 i = next_i
                 if errors or i >= len(items):
                     return
                 next_i += 1
-            scope = cancel.SCOPE.set((fan, i))
             try:
                 out[i] = fn(items[i])
             except BaseException as err:
                 with lock:
                     errors.append((i, err))
-                    fan.failed_at = min(fan.failed_at, i)
                 return
-            finally:
-                cancel.SCOPE.reset(scope)
 
     threads = []
     try:
@@ -341,7 +331,7 @@ def _ordered_map(fn, items) -> list:
                                  name=f"margbayes-worker-{k}")
             t.start()
             threads.append(t)
-        work()
+        copy_context().run(work)
     finally:
         for t in threads:
             t.join()
@@ -402,13 +392,12 @@ def _chunks(rng: np.random.Generator, alpha: np.ndarray, n: int, chunk: int,
     """Yield (offset, draws) over n Dirichlet draws, at most `chunk` at a
     time, normalised or not as _dirichlet_chunk takes the flag.
 
-    The one place that counts draws and checks for cancellation. The
-    generator does not keep a chunk it has yielded, so a consumer that
-    deletes each chunk before asking for the next never holds two.
+    The one place that counts draws. The generator does not keep a chunk
+    it has yielded, so a consumer that deletes each chunk before asking
+    for the next never holds two.
     """
     done = 0
     while done < n:
-        cancel.check()
         b = min(chunk, n - done)
         yield done, _dirichlet_chunk(rng, alpha, b, normalise)
         done += b
@@ -720,9 +709,7 @@ class _CentreMemo:
     strata miss it together: the first caller stores an unfinished Future
     under the key and fits, and later callers wait on that Future. A
     failed fit hands its exception to every waiter and leaves the key
-    empty, so a caller that comes after the failure fits again. A fit
-    given up with its caller (cancel.Cancelled) is not a failure of the
-    problem: its waiters take the key over, unless they were given up too.
+    empty, so a caller that comes after the failure fits again.
     """
 
     def __init__(self):
@@ -730,25 +717,19 @@ class _CentreMemo:
         self._fits = {}
 
     def get(self, key, fit):
-        while True:
-            with self._lock:
-                fut = self._fits.get(key)
-                owner = fut is None
-                if owner:
-                    fut = self._fits[key] = Future()
+        with self._lock:
+            fut = self._fits.get(key)
+            owner = fut is None
             if owner:
-                try:
-                    fut.set_result(fit())
-                except BaseException as err:
-                    with self._lock:
-                        del self._fits[key]
-                    fut.set_exception(err)
+                fut = self._fits[key] = Future()
+        if owner:
             try:
-                return fut.result()
-            except cancel.Cancelled:
-                if owner:
-                    raise
-                cancel.check()
+                fut.set_result(fit())
+            except BaseException as err:
+                with self._lock:
+                    del self._fits[key]
+                fut.set_exception(err)
+        return fut.result()
 
 
 # The memo of the running replicate_bf call; None outside such a call, so
@@ -1039,7 +1020,6 @@ def _split_run(A: np.ndarray, a: np.ndarray, rng: np.random.Generator, side: str
         R[k] += A[k, j] * y[j]
     ln_p, prev, level = 0.0, np.inf, 0
     while True:
-        cancel.check()
         level += 1
         s = -R[:-1].min(axis=0)
         tau = max(float(np.partition(s, n // 2)[n // 2]), 0.0)

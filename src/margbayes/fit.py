@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cancel
 from .hypotheses import ModelSpec
 from .link import (LOG_FLOOR, LinkMatrices, eta_from_logpi, eta_jacobian_from_logpi,
                    logsumexp)
@@ -200,7 +199,6 @@ def _fit(counts, link, constraints, smoothing: float, interior_margin: float,
     converged = False
     outer = 0
     for outer in range(1, _MAX_OUTER + 1):
-        cancel.check()
         theta, logpi, pi, eta = _minimize_al(prob, mu, rho, theta)
         g = prob.g_of(eta) if prob.m_con else np.zeros(0)
         new_viol = prob.violation(eta)

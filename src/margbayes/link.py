@@ -176,66 +176,46 @@ def link_for(dims, logit_types) -> LinkMatrices:
 # Log-sum-exp
 # ---------------------------------------------------------------------------
 
-def logsumexp(a, axis=None, b=None, keepdims=False):
-    """log(sum(b * exp(a))) over `axis` for real input, overflow-free.
+def logsumexp(a, axis=None, keepdims=False):
+    """log(sum(exp(a))) over `axis` for real input, overflow-free.
 
     Does the same arithmetic as scipy.special.logsumexp (1.17, real input,
-    no sign output), so results agree bit for bit: entries with b == 0
-    are dropped, every tied maximum is taken out of the shifted sum and
-    enters as log(m), and a result that comes out non-finite is replaced
-    by the direct log(sum(b * exp(a))) over the unmasked input. That
-    direct sum is formed only for the results that need it.
+    no weights, no sign output), so results agree bit for bit: every tied
+    maximum is taken out of the shifted sum and enters as log(m), and a
+    result that comes out non-finite is replaced by the direct
+    log(sum(exp(a))). That direct sum is formed only for the results that
+    need it.
     """
     a = np.asarray(a)
-    dtype = a.dtype if b is None else np.result_type(a, np.asarray(b))
+    dtype = a.dtype
     if not np.issubdtype(dtype, np.floating):
         if np.issubdtype(dtype, np.complexfloating):
             raise TypeError("logsumexp takes real input only")
         dtype = np.float64
     a = np.atleast_1d(a.astype(dtype, copy=False))
-    if b is not None:
-        a, b = np.broadcast_arrays(a, np.atleast_1d(np.asarray(b, dtype=dtype)))
     axis = tuple(range(a.ndim)) if axis is None else axis
     if a.size == 0:
         out = np.full(np.sum(a, axis=axis, keepdims=True).shape, -np.inf, dtype=dtype)
     else:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = _logsumexp_shifted(a, b, axis, dtype)
+            a_max = np.max(a, axis=axis, keepdims=True)
+            top = a == a_max
+            m = np.sum(top, axis=axis, keepdims=True, dtype=dtype)
+            e = np.subtract(a, a_max)
+            np.copyto(e, -np.inf, where=top)
+            np.exp(e, out=e)
+            s = np.sum(e, axis=axis, keepdims=True)
+            np.divide(s, m, out=s, where=s != 0)
+            # m is a count and s >= 0 or nan, so no sign can go negative
+            out = np.log1p(s) + np.log(m) + a_max
             bad = ~np.isfinite(out)
             if bad.any():
-                sel = np.broadcast_to(bad, a.shape)
                 e = np.zeros(a.shape, dtype=dtype)
-                np.exp(a, out=e, where=sel)
-                if b is not None:
-                    np.multiply(b, e, out=e, where=sel)
+                np.exp(a, out=e, where=np.broadcast_to(bad, a.shape))
                 out = np.where(bad, np.log(np.sum(e, axis=axis, keepdims=True)), out)
     if not keepdims:
         out = np.squeeze(out, axis=axis)
     return out[()] if out.ndim == 0 else out
-
-
-def _logsumexp_shifted(a, b, axis, dtype):
-    """Max-shifted log-sum-exp, keepdims shape; may be non-finite."""
-    if b is not None:
-        a = np.where(b == 0, -np.inf, a)
-    a_max = np.max(a, axis=axis, keepdims=True)
-    top = a == a_max
-    m = np.sum(top if b is None else b * top, axis=axis, keepdims=True, dtype=dtype)
-    e = np.subtract(a, a_max)
-    np.copyto(e, -np.inf, where=top)
-    np.exp(e, out=e)
-    if b is not None:
-        np.multiply(b, e, out=e)
-    s = np.sum(e, axis=axis, keepdims=True)
-    np.divide(s, m, out=s, where=s != 0)
-    if b is None:
-        # m is a count and s >= 0 or nan, so no sign can go negative
-        return np.log1p(s) + np.log(m) + a_max
-    sgn = np.sign(s + 1) * np.sign(m)
-    s = np.where(s < -1, -s - 2, s)
-    out = np.log1p(s) + np.log(np.abs(m)) + a_max
-    out[sgn < 0] = np.nan
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +236,7 @@ def _check_pi(pi, link, tol=1e-12):
 def eta_from_logpi(logpi, link: LinkMatrices) -> np.ndarray:
     """eta from log probabilities; exact per-row logsumexp, overflow-free."""
     logpi = np.asarray(logpi, dtype=float)
-    logm = logsumexp(np.broadcast_to(logpi, link.M.shape), b=link.M, axis=1)
+    logm = logsumexp(np.where(link.M != 0, logpi, -np.inf), axis=1)
     return link.C @ logm
 
 
@@ -393,7 +373,7 @@ def eta_jacobian_from_logpi(logpi, link: LinkMatrices) -> np.ndarray:
     term drops out exactly.
     """
     logpi = np.asarray(logpi, dtype=float)
-    logm = logsumexp(np.broadcast_to(logpi, link.M.shape), b=link.M, axis=1)
+    logm = logsumexp(np.where(link.M != 0, logpi, -np.inf), axis=1)
     D = np.where(link.M != 0, logpi[None, :] - logm[:, None], -np.inf)
     J = link.C @ np.exp(D)       # in-support entries are <= 0, never overflow
     return J[:, 1:]

@@ -78,6 +78,17 @@ def test_reference_adds_vs_reference(tmp_path, capsys):
         == plain["results"]
 
 
+def test_repeated_model_name_is_an_input_error(tmp_path, capsys):
+    # results were keyed by name, so both rows named "m" took the last
+    # one's estimate as theirs in vs_reference
+    le = {"kind": "stochastic_order", "direction": "le"}
+    models = [dict(MODELS[0], name="m"), dict(MODELS[0], name="m", constraints=[le]),
+              dict(MODELS[1], name="sat")]
+    rc, _, err = run(capsys, "bf", write_manifest(tmp_path, models=models), "--reference", "sat")
+    assert rc == 1
+    assert err.startswith("input error") and "model name 'm' is used more than once" in err
+
+
 def test_unknown_reference_is_an_input_error(tmp_path, capsys):
     rc, _, err = run(capsys, "bf", write_manifest(tmp_path), "--reference", "nope")
     assert rc == 1 and "input error" in err and "nope" in err
@@ -134,6 +145,9 @@ def test_unknown_reference_is_an_input_error(tmp_path, capsys):
     ({"epsilon_schedule": 0}, "epsilon_schedule must be an object, got 0"),
     ({"epsilon_schedule": False}, "epsilon_schedule must be an object, got False"),
     ({"epsilon_schedule": ""}, "epsilon_schedule must be an object, got ''"),
+    # an empty sweep printed no result and exited 0
+    ({"concentrations": []}, "concentrations must be a non-empty list, got []"),
+    ({"concentrations": 1}, "concentrations must be a non-empty list, got 1"),
 ])
 def test_bad_manifest_is_an_input_error(tmp_path, capsys, extra, needle):
     if isinstance(extra, dict):
@@ -141,7 +155,9 @@ def test_bad_manifest_is_an_input_error(tmp_path, capsys, extra, needle):
     else:                                # the whole manifest
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(extra))
-    rc, _, err = run(capsys, "bf", str(path))
+    # only sensitivity reads the manifest's concentrations
+    command = "sensitivity" if "concentrations" in extra else "bf"
+    rc, _, err = run(capsys, command, str(path))
     assert rc == 1
     assert err.startswith("input error") and needle in err
 

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from margbayes import (
-    ConstraintSet,
     ContingencyTable,
     EpsilonSchedule,
     ModelEval,
@@ -25,20 +24,18 @@ from margbayes import (
     PriorSpec,
     RunSettings,
     StratifiedTable,
-    TuningError,
-    bayes_factor,
     link_for,
     load_fixture,
     positive_association,
     replicate_bf,
 )
-from margbayes import cancel, engine
+from margbayes import engine
 from margbayes import fit as fitmod
 from margbayes.engine import make_density, substream, tune_alpha
 from margbayes.hypotheses import model_from_dict
 
 from oracles import posterior_summary_reference
-from test_engine import posterior_cases, record_fits, set_engine, table_2x2
+from test_engine import posterior_cases, record_fits, set_engine
 
 THREAD_COUNTS = (1, 2, 8)
 
@@ -181,21 +178,27 @@ def test_nested_map_runs_on_its_items_thread(monkeypatch, items):
     inner_threads = {}
 
     def inner(x):
-        return threading.get_ident(), cancel.SCOPE.get()
+        return threading.get_ident()
 
     def outer(x):
         barrier.wait()
-        inner_threads[x] = (threading.get_ident(), cancel.SCOPE.get(),
-                            engine._ordered_map(inner, range(6)))
+        inner_threads[x] = (threading.get_ident(), engine._ordered_map(inner, range(6)))
         barrier.wait()
         return x
 
     assert on_threads(monkeypatch, 8, lambda: engine._ordered_map(outer, range(items))) \
         == list(range(items))
-    assert len({caller for caller, _, _ in inner_threads.values()}) == items
-    for x, (caller, scope, seen) in inner_threads.items():
-        assert scope[1] == x                 # the outer item's scope, not a new one
-        assert seen == [(caller, scope)] * 6
+    assert len({caller for caller, _ in inner_threads.values()}) == items
+    for caller, seen in inner_threads.values():
+        assert seen == [caller] * 6
+
+    # the caller is outside any map again: its next map fans out
+    def meet(x):
+        barrier.wait()
+        return threading.get_ident()
+
+    assert len(set(on_threads(monkeypatch, 8, lambda: engine._ordered_map(
+        meet, range(items))))) == items
 
 
 @pytest.mark.parametrize("n", (2, 8))
@@ -216,88 +219,46 @@ def test_map_inside_a_one_item_map_fans_out(monkeypatch, n):
     assert len(set(idents)) == n
 
 
-@pytest.mark.parametrize("n", (3, 8))
-def test_items_after_a_failure_stop_at_their_next_check(monkeypatch, n):
-    # item 1 fails while items 0 and 2 run. Item 2 and the inner map it runs
-    # stop at their next check; item 0 runs to its end, as a plain loop
-    # would have run it before item 1 started.
-    barrier = threading.Barrier(3, timeout=60)
-    item2_stopped = threading.Event()
-    ends = {}
+def left_the_map_loop(ident) -> bool:
+    """True once thread `ident` is no longer in _ordered_map's worker loop:
+    the failure it ran into is recorded."""
+    frame = sys._current_frames().get(ident)
+    while frame is not None:
+        if frame.f_code.co_name == "work" and frame.f_code.co_filename == engine.__file__:
+            return False
+        frame = frame.f_back
+    return True
 
-    def spin(x):
-        deadline = time.monotonic() + 10
-        while time.monotonic() < deadline:
-            cancel.check()
-            time.sleep(0.001)
-        return "not stopped"
+
+@pytest.mark.parametrize("n", (3, 8))
+def test_items_running_at_a_failure_finish_and_no_later_item_starts(monkeypatch, n):
+    # items 0 to n - 1 start together and item 1 fails. The others, item 2
+    # among them, run on past the recorded failure to their end, a chunked
+    # draw loop included, and their results are dropped; none of the items
+    # after them starts
+    barrier = threading.Barrier(n, timeout=60)
+    failed_on = []
+    started, ended = [], []
 
     def item(x):
+        started.append(x)
         barrier.wait()
         if x == 1:
+            failed_on.append(threading.get_ident())
             raise ValueError(1)
-        if x == 2:
-            try:
-                ends[2] = engine._ordered_map(spin, range(2))
-            except cancel.Cancelled:
-                item2_stopped.set()
-                raise
-        else:
-            ends[0] = item2_stopped.wait(30)
-            cancel.check()
-        return x
+        deadline = time.monotonic() + 60
+        while not (failed_on and left_the_map_loop(failed_on[0])):
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        draws = list(engine._chunks(substream(1, x), np.ones((1, 4)), 8, 2))
+        ended.append(x)
+        return draws
 
     with pytest.raises(ValueError) as err:
-        on_threads(monkeypatch, n, lambda: engine._ordered_map(item, range(3)))
+        on_threads(monkeypatch, n, lambda: engine._ordered_map(item, range(n + 3)))
     assert err.value.args == (1,)
-    assert ends == {0: True}
-
-
-def test_chain_parts_stop_once_one_fails(monkeypatch):
-    # η3 within 0.1 of 0 and η1 = η2 = 0: no draw can satisfy it. The prior
-    # part fails its tuning within a second; the posterior part, built
-    # beside it, would go on for about 100 s of failing centring fits if
-    # it ran to its end.
-    cs = ConstraintSet(np.array([[0.0, 0.0, 1.0]]),
-                       np.vstack([np.eye(3)[:2], -np.eye(3)[:2]]), np.array([0.1]), 3)
-    model = ModelSpec("no_interior", ("local", "local"), cs)
-    settings = RunSettings(n_draws=4_000, pilot_n=2_000)
-    set_engine(monkeypatch, DEFAULT_ALPHA_GRID=(1.0, 5.0))
-    monkeypatch.setattr(engine, "_TUNE_EXTEND_MAX_MULTIPLIER", 20.0)
-    # the interior check would fail both parts before any fit; passed here,
-    # the posterior part's slow fits start and must be stopped
-    monkeypatch.setattr(engine, "_has_interior", lambda *a: True)
-    start = time.monotonic()
-    with pytest.raises(TuningError):
-        on_threads(monkeypatch, 2, lambda: bayes_factor(
-            model, table_2x2(), PriorSpec.flat(4, 1, 1.0), settings, seed=16,
-            schedule=EpsilonSchedule(epsilon_start=0.1, b=0.5, max_stages=2)))
-    assert time.monotonic() - start < 30
-
-
-class GivenUp:
-    failed_at = 0                # an enclosing map whose item 0 has failed
-
-
-@pytest.mark.parametrize("loop", ["fit", "direct", "importance", "split"])
-def test_long_loops_stop_once_given_up(loop):
-    ev = ModelEval(model_tp2_3x3(), (3, 3), 1)
-    alpha = np.ones((1, 9))
-    run = {
-        "split": lambda: engine._split_run(engine._linear_rows(ev), alpha.ravel(),
-                                           substream(1, 0), "prior"),
-        "fit": lambda: fitmod.constrained_mle(table_3x3(), model_tp2_3x3()),
-        "direct": lambda: engine._pilot_routes_direct(ev, alpha, 1000, 0.05, substream(1, 0)),
-        "importance": lambda: engine._importance_stream(
-            ev, alpha, make_density(np.full((1, 9), 1 / 9), alpha, 5.0), 1000, substream(1, 0)),
-    }[loop]
-    run()                                    # outside any map, check() does nothing
-    scope = cancel.SCOPE.set((GivenUp(), 1))
-    try:
-        with pytest.raises(cancel.Cancelled):
-            run()
-    finally:
-        cancel.SCOPE.reset(scope)
+    assert sorted(started) == list(range(n))
+    assert sorted(ended) == [x for x in range(n) if x != 1]
 
 
 # ---------------------------------------------------------------------------
@@ -530,45 +491,3 @@ def test_failed_centring_fit_reaches_every_waiter():
     assert len(fits) == 1 and len(errors) == 4
     # the failure is not kept: the next caller fits again
     assert memo.get("key", lambda: "fitted") == "fitted"
-
-
-def test_centring_fit_given_up_is_taken_over_by_a_waiter():
-    # a fit stopped because its caller was given up says nothing about the
-    # problem: a waiter that is still wanted fits it instead
-    memo = engine._CentreMemo()
-    started = threading.Event()
-    release = threading.Event()
-    fits = []
-    ends = []
-
-    def given_up_fit():
-        fits.append("owner")
-        started.set()
-        release.wait(60)
-        raise cancel.Cancelled
-
-    def owner():
-        try:
-            memo.get("key", given_up_fit)
-        except cancel.Cancelled:
-            ends.append("given up")
-
-    def waiter():
-        ends.append(memo.get("key", lambda: fits.append("waiter") or "fitted"))
-
-    first = threading.Thread(target=owner)
-    first.start()
-    assert started.wait(60)
-    second = threading.Thread(target=waiter)
-    second.start()
-    deadline = time.monotonic() + 60
-    while not waiting_on_a_future(second):
-        assert time.monotonic() < deadline
-        time.sleep(0.001)
-    release.set()
-    for t in (first, second):
-        t.join(60)
-        assert not t.is_alive()
-    assert fits == ["owner", "waiter"]
-    assert sorted(ends) == ["fitted", "given up"]
-    assert memo.get("key", lambda: "again") == "fitted"
