@@ -33,9 +33,11 @@ then the purpose's own indices:
                                                   draws, then each level's
                                                   resampling and moves
 where draw_key counts the part's redraws and rung indexes the margin
-ladder. sample_prior and posterior_draws_under_model draw from
-("prior",), and replicate i of replicate_bf runs at a seed generated
-from the spawn key ("replicate", i).
+ladder. sample_prior draws from ("prior",), and each _units unit of
+posterior_draws_under_model from ("prior", *unit): ("prior",) for a
+one-unit model, ("prior", b) for stratum b of a factorising one.
+Replicate i of replicate_bf runs at a seed generated from the spawn key
+("replicate", i).
 
 The pilot draws _BLOCK rows a step (fewer if _CHUNK is smaller) and stops
 once its route is fixed, so its stream is read only as far as needed.
@@ -53,15 +55,16 @@ _units splits it.
 Independent units of work run concurrently through _ordered_map, one
 level of fan-out at a time on up to _THREADS threads: the replicates of
 replicate_bf, the parts of bayes_factor (both sides times each stratum
-unit; built, then re-checked at each level) and the strata of
-posterior_draws_under_model's summaries. A map inside an item of a
-threaded map runs as a plain loop on that item's thread, and a one-item
-map leaves the threads to the maps inside it, so a single replicate's
-parts still fan out. Each unit draws from its own substream and results
-are combined in input order, so every estimate is the same bits whatever
-the thread count. Once a unit fails no further unit starts, the running
-ones run to their end, and the failure of the lowest failing unit is
-raised.
+unit; built, then re-checked at each level), the units of
+posterior_draws_under_model (each samples, then summarises its strata)
+and the strata inside one such unit. A map inside an item of a threaded
+map runs as a plain loop on that item's thread, and a one-item map
+leaves the threads to the maps inside it, so a single replicate's parts,
+and the strata of a one-unit posterior, still fan out. Each unit draws
+from its own substream and results are combined in input order, so every
+estimate is the same bits whatever the thread count. Once a unit fails
+no further unit starts, the running ones run to their end, and the
+failure of the lowest failing unit is raised.
 """
 from __future__ import annotations
 
@@ -457,12 +460,14 @@ class ModelEval:
 
     def stratum_split(self):
         """Per-stratum sub-evaluators when every constraint row touches one
-        stratum only; None when rows couple strata (or s == 1).
+        stratum only, a model with no rows included (no row couples its
+        strata); None when rows couple strata (or s == 1).
 
         With independent per-stratum Dirichlet draws the satisfaction
-        proportion then factorises exactly over strata.
+        proportion then factorises exactly over strata, and so does the
+        posterior under the model.
         """
-        if self.s == 1 or self.cs.is_empty():
+        if self.s == 1:
             return None
         t = self.link.t
         cs = self.cs
@@ -1355,8 +1360,36 @@ def jeffreys_label(log_bf: float) -> str:
 _SUMMARY_COLS = 8
 
 
+def _quantiles(X: np.ndarray, q) -> np.ndarray:
+    """np.quantile(X, q, axis=0) for X (draws, columns), as (len(q),
+    columns), _SUMMARY_COLS columns at a time.
+
+    Each block is a private (columns, draws) copy, sorted along its rows
+    and then taken in place: np.quantile reads only order statistics,
+    which a sorted row already holds at their indices, so the bits are
+    those of np.quantile over the whole array, and the one sort costs less
+    than np.partition's multi-kth select.
+    """
+    out = np.empty((len(q), X.shape[1]))
+    for c in range(0, X.shape[1], _SUMMARY_COLS):
+        block = np.ascontiguousarray(X[:, c:c + _SUMMARY_COLS].T)
+        block.sort(axis=1)
+        out[:, c:c + _SUMMARY_COLS] = np.quantile(block, q, axis=1, overwrite_input=True)
+    return out
+
+
 @dataclass
 class PosteriorSummary:
+    """Summaries of accepted posterior draws. Each stratum's means and
+    quantiles rest on the accepted draws of its own _units unit.
+
+    n_drawn      draws made per unit
+    n_accepted   the smallest unit's accepted count (all of them are
+                 counted, not only the kept ones)
+    acceptance   the product of the units' acceptance fractions: the
+                 estimated posterior probability of the whole model
+    """
+
     n_drawn: int
     n_accepted: int
     acceptance: float
@@ -1380,66 +1413,65 @@ def posterior_draws_under_model(model: ModelSpec, table: StratifiedTable,
                                 prior: PriorSpec, n: int, seed: int) -> PosteriorSummary:
     """Accepted encompassing-posterior draws and their summaries.
 
-    Of the n draws, the first min(accepted, _KEEP_CAP) accepted ones, in
-    draw order, are kept for the means and quantiles; the acceptance rate
-    counts them all. A rare-event warning is attached when almost nothing
-    is accepted.
+    One unit of _ordered_map per _units unit (per stratum when the model
+    factorises over strata, else the whole model): the unit draws n times
+    from substream(seed, "prior", *unit path), checks its own constraints,
+    and keeps its first min(accepted, _KEEP_CAP) accepted draws, in draw
+    order, for its strata's means and quantiles. A one-unit model draws
+    from ("prior",). The acceptance is the product of the units' fractions;
+    a rare-event warning is attached when the smallest of them is tiny,
+    and UnboundedEstimateError is raised, the lowest such unit's, when a
+    unit accepts nothing.
 
-    Each stratum's summaries are one unit of _ordered_map: the quantiles
-    of its pi columns, then its eta rows (one eta_batch call), their mean
-    and their quantiles. Both quantile levels are taken in one partition
-    of a small private transposed copy of a few columns; a column's
-    partition does not depend on the other columns, so the bits are those
-    of two separate np.quantile calls over the whole array.
+    Each stratum's summaries are one item of a map inside its unit: the
+    quantiles of its pi columns, then its eta rows (one eta_batch call),
+    their mean and their quantiles (_quantiles). That map fans out only
+    when the model is one unit, as the units' own map is then a plain loop.
     """
     if n < 1:
         raise EngineError(f"need n >= 1 posterior draws, got {n}")
     ev = ModelEval(model, table.dims, table.s)
     alpha = prior.posterior(table)
-    P = np.empty((min(n, _KEEP_CAP), table.s, table.r))
-    acc = kept = 0
-    for _, D in _chunks(substream(seed, "prior"), alpha, n, _CHUNK):
-        if not ev.cs.is_empty():
-            D = D[ev.delta(D)]
-        acc += D.shape[0]
-        m = min(D.shape[0], P.shape[0] - kept)
-        P[kept:kept + m] = D[:m]
-        kept += m
-        del D                   # not held while the next chunk is drawn
+    q = [(1 - 0.95) / 2, 1 - (1 - 0.95) / 2]     # the central 95% interval
+
+    def summarise(P, b):
+        pi_q = _quantiles(P[:, b, :], q)
+        eta = eta_batch(P[:, b, :], ev.link)
+        return pi_q, eta.mean(axis=0), _quantiles(eta, q)
+
+    def run(unit):
+        ev_u, sl, t_u, path = unit
+        P = np.empty((min(n, _KEEP_CAP), t_u.s, t_u.r))
+        acc = kept = 0
+        for _, D in _chunks(substream(seed, "prior", *path), alpha[sl], n, _CHUNK):
+            if not ev_u.cs.is_empty():
+                D = D[ev_u.delta(D)]
+            acc += D.shape[0]
+            m = min(D.shape[0], P.shape[0] - kept)
+            P[kept:kept + m] = D[:m]
+            kept += m
+            del D               # not held while the next chunk is drawn
+        if acc == 0:
+            raise UnboundedEstimateError(
+                "posterior", "no posterior draw satisfied the model constraints; "
+                "an about-equality schedule is the usual remedy for equality-type models")
+        P = P[:kept]
+        return acc, P.mean(axis=0), _ordered_map(partial(summarise, P), range(t_u.s))
+
+    accs, pi_means, strata = zip(*_ordered_map(run, _units(ev, table)))
+    pi_q, eta_mean, eta_q = zip(*(st for unit in strata for st in unit))
+    pi_q = np.stack(pi_q, axis=1)                # (2, s, r)
+    eta_q = np.concatenate(eta_q, axis=1)        # (2, s*t)
+    mean_pi = np.concatenate(pi_means, axis=0)
+    frac = min(accs) / n
     warnings = []
-    if acc == 0:
-        raise UnboundedEstimateError(
-            "posterior", "no posterior draw satisfied the model constraints; "
-            "an about-equality schedule is the usual remedy for equality-type models")
-    frac = acc / n
     if frac < 1e-3:
         warnings.append(
             f"acceptance {frac:.2e} is tiny; summaries rest on few draws and an "
             "about-equality route is likely more appropriate")
-    P = P[:kept]
-    q = [(1 - 0.95) / 2, 1 - (1 - 0.95) / 2]     # the central 95% interval
-
-    def quantiles(X):
-        # (2, columns) of X (draws, columns), _SUMMARY_COLS columns at a time,
-        # each block from a private (columns, draws) copy partitioned in place
-        out = np.empty((2, X.shape[1]))
-        for c in range(0, X.shape[1], _SUMMARY_COLS):
-            block = np.ascontiguousarray(X[:, c:c + _SUMMARY_COLS].T)
-            out[:, c:c + _SUMMARY_COLS] = np.quantile(block, q, axis=1, overwrite_input=True)
-        return out
-
-    def summarise(b):
-        pi_q = quantiles(P[:, b, :])
-        eta = eta_batch(P[:, b, :], ev.link)
-        return pi_q, eta.mean(axis=0), quantiles(eta)
-
-    pi_q, eta_mean, eta_q = zip(*_ordered_map(summarise, range(table.s)))
-    pi_q = np.stack(pi_q, axis=1)                # (2, s, r)
-    eta_q = np.concatenate(eta_q, axis=1)        # (2, s*t)
-    mean_pi = P.mean(axis=0)
     mean_sat = bool(ev.delta(mean_pi[None, :, :])[0]) if not ev.cs.is_empty() else True
     return PosteriorSummary(
-        n_drawn=n, n_accepted=acc, acceptance=frac,
+        n_drawn=n, n_accepted=min(accs), acceptance=math.prod(a / n for a in accs),
         pi_mean=mean_pi, pi_lo=pi_q[0], pi_hi=pi_q[1],
         eta_mean=np.concatenate(eta_mean), eta_lo=eta_q[0], eta_hi=eta_q[1],
         mean_satisfies=mean_sat, warnings=warnings,

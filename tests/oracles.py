@@ -126,35 +126,58 @@ def eta_batch_reference(P, link, rows=None, log_floor=-625.0):
 
 
 def posterior_summary_reference(model, table, prior, n, seed, chunk=32768,
-                                keep_cap=200_000, level=0.95) -> dict:
-    """PosteriorSummary.to_dict() the straightforward way: accepted draws
-    kept in a list and concatenated, the first min(accepted, keep_cap) of
-    them summarised by whole-array np.quantile calls, one per level, and
-    eta concatenated over strata. The engine's per-stratum summaries must
-    reproduce it bit for bit."""
+                                keep_cap=200_000, level=0.95, by_stratum=None) -> dict:
+    """PosteriorSummary.to_dict() the straightforward way. The posterior
+    factorises over strata when no constraint row touches two of them (or
+    by_stratum says so): then each stratum b is a unit drawn from stream
+    ("prior", b), else the whole table is one unit drawn from ("prior",).
+    Per unit: accepted draws kept in a list and concatenated, the first
+    min(accepted, keep_cap) of them summarised by whole-array np.quantile
+    calls, one per level, and eta concatenated over the unit's strata; a
+    stratum unit checks its draws with its ModelEval.stratum_split
+    evaluator. The acceptance is the product of the units' fractions, the
+    accepted count the smallest unit's. The engine must reproduce it bit
+    for bit."""
     from margbayes.engine import ModelEval, _chunks, substream
     from margbayes.link import eta_batch
 
     ev = ModelEval(model, table.dims, table.s)
-    kept, acc = [], 0
-    for _, P in _chunks(substream(seed, "prior"), prior.posterior(table), n, chunk):
-        d = ev.delta(P) if not ev.cs.is_empty() else np.ones(P.shape[0], dtype=bool)
-        acc += int(d.sum())
-        kept.append(P[d])
-    P = np.concatenate(kept, axis=0)[:keep_cap]
+    cs, t, s = ev.cs, ev.link.t, table.s
+    if by_stratum is None:
+        rows = np.vstack([cs.E, cs.U])
+        by_stratum = s > 1 and all(len({int(c) // t for c in np.flatnonzero(row)}) == 1
+                                   for row in rows)
+    paths = [(b,) for b in range(s)] if by_stratum else [()]
+    checks = ev.stratum_split() if by_stratum else [ev]
+    alpha = prior.posterior(table)
     lo_q, hi_q = (1 - level) / 2, 1 - (1 - level) / 2
-    eta = np.concatenate([eta_batch(P[:, b, :], ev.link) for b in range(table.s)], axis=1)
-    mean_pi = P.mean(axis=0)
-    frac = acc / n
+    accs, parts = [], []
+    for path, check in zip(paths, checks):
+        strata = list(path or range(s))
+        kept, acc = [], 0
+        for _, P in _chunks(substream(seed, "prior", *path), alpha[strata], n, chunk):
+            d = check.delta(P) if not cs.is_empty() else np.ones(P.shape[0], dtype=bool)
+            acc += int(d.sum())
+            kept.append(P[d])
+        accs.append(acc)
+        P = np.concatenate(kept, axis=0)[:keep_cap]
+        eta = np.concatenate([eta_batch(P[:, i, :], ev.link) for i in range(len(strata))],
+                             axis=1)
+        parts.append((P.mean(axis=0), np.quantile(P, lo_q, axis=0),
+                      np.quantile(P, hi_q, axis=0), eta.mean(axis=0),
+                      np.quantile(eta, lo_q, axis=0), np.quantile(eta, hi_q, axis=0)))
+    mean_pi, pi_lo, pi_hi = (np.concatenate(x, axis=0) for x in list(zip(*parts))[:3])
+    eta_mean, eta_lo, eta_hi = (np.concatenate(x) for x in list(zip(*parts))[3:])
+    frac = min(accs) / n
     return {
-        "n_drawn": n, "n_accepted": acc, "acceptance": frac,
+        "n_drawn": n, "n_accepted": min(accs), "acceptance": math.prod(a / n for a in accs),
         "pi_mean": mean_pi.tolist(),
-        "pi_lo": np.quantile(P, lo_q, axis=0).tolist(),
-        "pi_hi": np.quantile(P, hi_q, axis=0).tolist(),
-        "eta_mean": eta.mean(axis=0).tolist(),
-        "eta_lo": np.quantile(eta, lo_q, axis=0).tolist(),
-        "eta_hi": np.quantile(eta, hi_q, axis=0).tolist(),
-        "mean_satisfies": bool(ev.delta(mean_pi[None])[0]) if not ev.cs.is_empty() else True,
+        "pi_lo": pi_lo.tolist(),
+        "pi_hi": pi_hi.tolist(),
+        "eta_mean": eta_mean.tolist(),
+        "eta_lo": eta_lo.tolist(),
+        "eta_hi": eta_hi.tolist(),
+        "mean_satisfies": bool(ev.delta(mean_pi[None])[0]) if not cs.is_empty() else True,
         "warnings": [] if frac >= 1e-3 else [
             f"acceptance {frac:.2e} is tiny; summaries rest on few draws and an "
             "about-equality route is likely more appropriate"],

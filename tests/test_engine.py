@@ -953,6 +953,38 @@ def test_every_stream_is_drawn_once(monkeypatch):
     assert len(uses) == 2 * 2 * 2 * 2
     assert len(set(uses)) == len(uses)
 
+    # posterior summaries: a model that factorises over two strata draws
+    # one stream per stratum, a one-unit model the one stream ("prior",)
+    skin = load_fixture("skin_trial")
+    for model, table, want in ((model_saturated((3, 3, 3, 3), s=2), skin,
+                                [(10, (0, 0)), (10, (0, 1))]),
+                               (model_saturated((3, 3)), t, [(10, (0,))])):
+        del uses[:]
+        posterior_draws_under_model(model, table, PriorSpec.flat(table.r, table.s, 1.0),
+                                    n=100, seed=10)
+        assert uses == want
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_empty_model_bayes_factor_draws_nothing(monkeypatch, s):
+    # no constraint: every part accepts all its draws without drawing one,
+    # on one stratum and on each of two
+    uses = []
+    orig = engine.substream
+
+    def substream(seed, *path):
+        uses.append(path)
+        return orig(seed, *path)
+
+    monkeypatch.setattr(engine, "substream", substream)
+    table = StratifiedTable(("a", "b")[:s], tuple(
+        ContingencyTable((2, 2), np.array([20.0, 18, 22, 21]) + b) for b in range(s)))
+    est = replicate_bf(model_saturated(s=s), table, PriorSpec.flat(4, s, 1.0), SMALL,
+                       B=2, seed=11)
+    assert uses == []
+    assert est.log10_bf == 0.0 and est.replicates == [0.0, 0.0]
+    assert est.route == "direct/direct"
+
 
 def test_compare_models_antisymmetric_and_zero():
     t = table_2x2()
@@ -1002,9 +1034,23 @@ def test_posterior_summary_rare_model_raises_or_warns():
                                     PriorSpec.flat(4, 1, 1.0), n=20_000, seed=33)
 
 
+def alzheimer_models():
+    """alzheimer with positive association on global logits (two strata
+    that factorise, each with rejection) and with the logits of variable 0
+    decreasing across strata (rows that couple the strata)."""
+    az = load_fixture("alzheimer")
+    pa = model_from_dict({"name": "pa", "logits": "global",
+                          "constraints": [{"kind": "positive_association"}]}, az.dims, az.s)
+    trend = model_from_dict({"name": "trend", "logits": "global", "constraints": [
+        {"kind": "logit_trend", "direction": "decreasing", "variables": [0]}]}, az.dims, az.s)
+    return az, pa, trend
+
+
 def posterior_cases():
     """(name, model, table, prior, run sizes) of the posterior summary
-    checks: one constrained stratum, and two unconstrained strata."""
+    checks: one constrained stratum, two unconstrained strata, two
+    constrained strata that factorise, and two that a model couples. The
+    factorising and coupled cases name their unit layout for the oracle."""
     fs = load_fixture("father_son")
     so = model_from_dict({"name": "so", "logits": "global",
                           "constraints": [{"kind": "stochastic_order", "direction": "ge"}]},
@@ -1012,11 +1058,16 @@ def posterior_cases():
     skin = load_fixture("skin_trial")
     sat = model_from_dict({"name": "saturated", "logits": "local", "constraints": []},
                           skin.dims, skin.s)
+    az, pa, trend = alzheimer_models()
     return [
         ("father_son_so", so, fs, PriorSpec.flat(fs.r, fs.s, 1.0),
          dict(n=20_000, seed=41, chunk=4096)),
         ("skin_trial_saturated", sat, skin, PriorSpec.flat(skin.r, skin.s, 1.0),
          dict(n=3_000, seed=42, chunk=1024)),
+        ("alzheimer_pa", pa, az, PriorSpec.flat(az.r, az.s, 1.0),
+         dict(n=6_000, seed=44, chunk=2048, by_stratum=True)),
+        ("alzheimer_trend", trend, az, PriorSpec.flat(az.r, az.s, 1.0),
+         dict(n=6_000, seed=45, chunk=2048, by_stratum=False)),
     ]
 
 
@@ -1028,6 +1079,30 @@ def test_posterior_summary_matches_reference_bit_for_bit(monkeypatch, case):
     assert 0 < s.n_accepted <= s.n_drawn
     assert json.dumps(s.to_dict()) == json.dumps(
         posterior_summary_reference(model, table, prior, **sizes))
+
+
+def test_factorising_posterior_multiplies_unit_acceptances(monkeypatch):
+    # each stratum draws from its own stream and keeps its own accepted
+    # draws: the acceptance is the product of the strata's fractions, the
+    # accepted count the smaller one
+    az, pa, _ = alzheimer_models()
+    set_engine(monkeypatch, _CHUNK=2048)
+    prior = PriorSpec.flat(az.r, az.s, 1.0)
+    s = posterior_draws_under_model(pa, az, prior, 6_000, seed=44)
+    accs = []
+    for b, ev in enumerate(ModelEval(pa, az.dims, az.s).stratum_split()):
+        draws = np.concatenate([D for _, D in engine._chunks(
+            substream(44, "prior", b), prior.posterior(az)[b:b + 1], 6_000, 2048)])
+        accs.append(int(ev.delta(draws).sum()))
+    assert accs[0] != accs[1] and max(accs) < 6_000
+    assert s.n_drawn == 6_000 and s.n_accepted == min(accs)
+    assert s.acceptance == (accs[0] / 6_000) * (accs[1] / 6_000)
+
+
+def test_coupled_posterior_is_one_unit():
+    az, _, trend = alzheimer_models()
+    assert ModelEval(trend, az.dims, az.s).stratum_split() is None
+    assert engine._units(ModelEval(trend, az.dims, az.s), az)[0][3] == ()
 
 
 @pytest.mark.parametrize("model, chunk", [(model_saturated(), 30), (model_pa(), 7)])

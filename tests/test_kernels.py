@@ -3,8 +3,9 @@
 `margbayes.link.logsumexp` must do scipy.special.logsumexp's arithmetic
 for real input, the in-place, blocked Dirichlet sampler must reproduce the
 out-of-place scipy-based recipe in `oracles.dirichlet_chunk_reference`,
-and the row-blocked eta and constraint checks must match one evaluation
-over all rows and each draw evaluated alone. Equal bytes, not a
+the row-blocked eta and constraint checks must match one evaluation over
+all rows and each draw evaluated alone, and the posterior quantiles,
+taken on sorted blocks, must match np.quantile over the unsorted array. Equal bytes, not a
 tolerance: every estimate is reproducible per seed, and these kernels sit
 under all of them. Only against the dense C log(M pi) product, whose sums
 run in another order, is a tolerance (1e-12) allowed, likewise between the
@@ -20,7 +21,7 @@ import pytest
 from scipy.special import gammaln, logsumexp as scipy_logsumexp
 
 from margbayes import ModelEval, engine, link, load_fixture
-from margbayes.engine import _dirichlet_chunk, _log_weight, substream
+from margbayes.engine import _dirichlet_chunk, _log_weight, _quantiles, substream
 from margbayes.hypotheses import model_from_dict
 from margbayes.link import eta_batch, eta_from_logpi, link_for, logsumexp
 
@@ -284,3 +285,29 @@ def test_constraint_checks_read_unnormalised_draws(dataset, logits):
             (stat_raw, ok_raw), (stat, ok) = ev.eq_stat_and_ineq(raw), ev.eq_stat_and_ineq(P)
             np.testing.assert_allclose(stat_raw, stat, rtol=1e-12, atol=1e-12)
             assert_same(ok_raw, ok)
+
+
+# ---------------------------------------------------------------------------
+# posterior quantiles
+# ---------------------------------------------------------------------------
+
+def quantile_columns():
+    """(name, draws x columns): normal columns with ties, Dirichlet cell
+    probabilities, and skin_trial's posterior eta."""
+    rng = np.random.default_rng(5)
+    normal = rng.normal(size=(5001, 19))
+    normal[::7, 3] = 0.25                                # ties
+    yield "normal", normal
+    yield "dirichlet", _dirichlet_chunk(substream(6, 0), np.full((1, 12), 0.5), 3000)[:, 0, :]
+    skin = load_fixture("skin_trial")
+    P = _dirichlet_chunk(substream(7, 0), 1.0 + skin.counts_matrix(), 2000)
+    yield "skin_trial_eta", eta_batch(P[:, 1, :], link_for(skin.dims, "local"))
+
+
+@pytest.mark.parametrize("q", [[0.025, 0.975], [0.5], [0.0, 0.3, 1.0]])
+@pytest.mark.parametrize("case", list(quantile_columns()), ids=lambda c: c[0])
+def test_quantiles_of_sorted_blocks_match_np_quantile(case, q):
+    _, X = case
+    before = X.copy()
+    assert_same(_quantiles(X, q), np.quantile(X.copy(), q, axis=0))
+    assert_same(X, before)                               # the input is not sorted in place

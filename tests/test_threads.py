@@ -416,7 +416,8 @@ def test_replicate_bf_split_route_same_at_any_thread_count(monkeypatch):
 
 @pytest.mark.parametrize("case", posterior_cases(), ids=lambda c: c[0])
 def test_posterior_summary_same_at_any_thread_count(monkeypatch, case):
-    # one stratum per unit; one stratum runs inline whatever the thread count
+    # factorising models run one unit per stratum on threads, each unit's
+    # summaries inline; a one-unit model fans out over its strata, if any
     _, model, table, prior, sizes = case
     want = as_json(posterior_summary_reference(model, table, prior, **sizes))
     set_engine(monkeypatch, _CHUNK=sizes["chunk"])
