@@ -1099,12 +1099,6 @@ def test_factorising_posterior_multiplies_unit_acceptances(monkeypatch):
     assert s.acceptance == (accs[0] / 6_000) * (accs[1] / 6_000)
 
 
-def test_coupled_posterior_is_one_unit():
-    az, _, trend = alzheimer_models()
-    assert ModelEval(trend, az.dims, az.s).stratum_split() is None
-    assert engine._units(ModelEval(trend, az.dims, az.s), az)[0][3] == ()
-
-
 @pytest.mark.parametrize("model, chunk", [(model_saturated(), 30), (model_pa(), 7)])
 def test_posterior_summary_keeps_first_keep_cap_accepted_draws(monkeypatch, model, chunk):
     # the chunk that crosses _KEEP_CAP is cut, not dropped
