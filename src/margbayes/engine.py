@@ -10,9 +10,9 @@ Each side of each unit takes one of three routes, picked by its pilot:
     direct      the pilot accepts at least _DIRECT_THRESHOLD: count the
                 accepted draws of the side's own Dirichlet
     split       otherwise, when the model has no equality rows and every
-                inequality row is linear in the log-gammas y = log G of
-                the Dirichlet (_linear_rows): subset simulation on y,
-                with exact colored coordinate moves (_split_run)
+                inequality row is a +-1 combination of the log-gammas
+                y = log G of the Dirichlet (_linear_rows): subset
+                simulation on y, with exact colored moves (_split_run)
     importance  otherwise: a Dirichlet tuned on the region, centred at a
                 constrained fit, with importance weights
 
@@ -33,9 +33,9 @@ then the purpose's own indices:
                                                   draws, then each level's
                                                   resampling and moves
 where draw_key counts the part's redraws and rung indexes the margin
-ladder. sample_prior draws from ("prior",), and each _units unit of
-posterior_draws_under_model from ("prior", *unit): ("prior",) for a
-one-unit model, ("prior", b) for stratum b of a factorising one.
+ladder. sample_prior draws from ("prior",), and so does
+posterior_draws_under_model for a one-unit model; for a model that
+factorises over strata it draws stratum b from ("prior", "summary", b).
 Replicate i of replicate_bf runs at a seed generated from the spawn key
 ("replicate", i).
 
@@ -266,7 +266,7 @@ class BFEstimate:
 # ---------------------------------------------------------------------------
 
 _SIDES = {"prior": 0, "posterior": 1}
-_PURPOSE = {"pilot": 0, "main": 1, "tune": 2, "replicate": 3, "split": 4}
+_PURPOSE = {"pilot": 0, "main": 1, "tune": 2, "replicate": 3, "split": 4, "summary": 5}
 
 
 def substream(seed: int, *path) -> np.random.Generator:
@@ -451,8 +451,7 @@ class ModelEval:
             )
         active = cs.active_eta_rows()
         self.local_rows = np.unique(active % t) if active.size else np.zeros(0, dtype=int)
-        cols = np.concatenate([self.local_rows + b * t for b in range(s)]) \
-            if self.local_rows.size else np.zeros(0, dtype=int)
+        cols = (self.local_rows + t * np.arange(s)[:, None]).ravel()     # stratum by stratum
         self.E = cs.E[:, cols]
         self.U = cs.U[:, cols]
         self.epsilon = cs.epsilon
@@ -484,12 +483,8 @@ class ModelEval:
         for b in range(self.s):
             e_rows = [j for j, x in enumerate(eb) if x == b]
             u_rows = [j for j, x in enumerate(ub) if x == b]
-            csb = ConstraintSet(
-                cs.E[e_rows][:, b * t:(b + 1) * t] if e_rows else np.zeros((0, t)),
-                cs.U[u_rows][:, b * t:(b + 1) * t] if u_rows else np.zeros((0, t)),
-                cs.epsilon[e_rows],
-                t,
-            )
+            csb = ConstraintSet(cs.E[e_rows][:, b * t:(b + 1) * t],
+                                cs.U[u_rows][:, b * t:(b + 1) * t], cs.epsilon[e_rows], t)
             mb = ModelSpec(f"{self.model.name}@s{b}", self.model.logit_types, csb,
                            self.model.notes)
             subs.append(ModelEval(mb, self.dims, 1))
@@ -532,10 +527,7 @@ class ModelEval:
             stat = np.max(np.divide(np.abs(dev, out=dev), self.epsilon, out=dev), axis=1)
         else:
             stat = np.zeros(P.shape[0])
-        ok = np.ones(P.shape[0], dtype=bool)
-        if self.U.shape[0]:
-            ok = np.all(eta @ self.U.T >= 0, axis=1)
-        return stat, ok
+        return stat, np.all(eta @ self.U.T >= 0, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -896,8 +888,8 @@ _SPLIT_SWEEPS = 2
 def _linear_rows(ev: ModelEval):
     """(rows, s*r) matrix A with U eta = A y for y = log G, the log-gammas
     of the unit's cells (stratum by stratum, as target_alpha.ravel() lays
-    them out), or None when the model has equality rows or a row is not
-    linear in y.
+    them out), or None when the model has equality rows, a row is not
+    linear in y, or an entry of A is not -1, 0 or 1 (_split_move's bounds).
 
     Per stratum b, the rows are W = U_b C[local_rows] applied to log(M pi).
     When every M row that W uses has exactly one nonzero, each of those
@@ -914,34 +906,38 @@ def _linear_rows(ev: ModelEval):
     blocks = []
     for b in range(ev.s):
         W = ev.U[:, b * k:(b + 1) * k] @ C
-        if not single[np.any(W != 0, axis=0)].all():
-            return None
         blocks.append(W @ link.M)
+        if not single[np.any(W != 0, axis=0)].all() or not np.isin(blocks[-1], (-1, 0, 1)).all():
+            return None
     return np.hstack(blocks)
 
 
-def _log_gammas(rng: np.random.Generator, a: np.ndarray, n: int) -> np.ndarray:
-    """(len(a), n) draws of log G, G ~ Gamma(a_i) in row i, floored at
-    LOG_FLOOR; shapes below 1 use the boost G_a = G_{a+1} U^{1/a} in log
-    space, as _dirichlet_chunk does."""
+def _log_gammas(a: np.ndarray):
+    """draw(rng, n): (len(a), n) draws of log G, G ~ Gamma(a_i) in row i,
+    floored at LOG_FLOOR, with the shapes read once; shapes below 1 use
+    the boost G_a = G_{a+1} U^{1/a} in log space, as _dirichlet_chunk."""
     small = a < 1.0
-    g = rng.standard_gamma(np.where(small, a + 1.0, a)[:, None], size=(a.size, n))
-    y = np.log(np.maximum(g, 1e-300, out=g), out=g)
-    if small.any():
-        y[small] += np.log(rng.random((int(small.sum()), n))) / a[small, None]
-    return np.maximum(y, LOG_FLOOR, out=y)
+    shape, a_small = np.where(small, a + 1.0, a)[:, None], a[small, None]
+
+    def draw(rng: np.random.Generator, n: int) -> np.ndarray:
+        g = rng.standard_gamma(shape, size=(a.size, n))
+        y = np.log(np.maximum(g, 1e-300, out=g), out=g)
+        if a_small.size:
+            y[small] += np.log(rng.random((a_small.size, n))) / a_small
+        return np.maximum(y, LOG_FLOOR, out=y)
+    return draw
 
 
-def _split_classes(A: np.ndarray) -> list:
-    """The move plan of A's cells: a greedy coloring of the cells that
-    some row uses, in which no two cells of a class share a row, so a
-    class's cells are independent given the rest and move together.
+def _split_classes(A: np.ndarray, a: np.ndarray) -> list:
+    """The move plan of A's cells, for A's entries in {-1, 0, 1}: a greedy
+    coloring of the cells that some row uses, in which no two cells of a
+    class share a row, so a class's cells are independent given the rest
+    and move together.
 
-    Per class: (cells; for the rows with a positive and with a negative
-    coefficient on each cell, their indices and |coefficients|, padded to
-    a common width with the row index len(A), which the kernel keeps at
-    +inf; the (row, place in class, coefficient) of every nonzero the
-    class touches, whose rows are distinct).
+    Per class: (cells; their _log_gammas; each cell's +1 rows, then each
+    cell's -1 rows, as index columns padded with len(A), the row kept at
+    +inf; the class's distinct +1 rows and their cells' places, then the
+    -1 ones).
     """
     nz = A != 0
     color = np.full(A.shape[1], -1)
@@ -952,46 +948,50 @@ def _split_classes(A: np.ndarray) -> list:
     for c in range(color.max() + 1):
         cells = np.flatnonzero(color == c)
         sub = A[:, cells]
-        bounds = []
-        for sign in (1.0, -1.0):
-            lists = [np.flatnonzero(sign * sub[:, j] > 0) for j in range(cells.size)]
-            width = max(1, max(len(rows) for rows in lists))
-            idx = np.full((cells.size, width), A.shape[0])
-            coef = np.ones((cells.size, width, 1))
-            for j, rows in enumerate(lists):
-                idx[j, :rows.size] = rows
-                coef[j, :rows.size, 0] = np.abs(sub[rows, j])
-            bounds += [idx, coef]
-        rows, place = np.nonzero(sub)
-        classes.append((cells, *bounds, rows, place, sub[rows, place][:, None]))
+        lists = [np.flatnonzero(col == sign) for sign in (1.0, -1.0) for col in sub.T]
+        idx = np.full((max(map(len, lists)), len(lists)), A.shape[0])
+        for j, rows in enumerate(lists):
+            idx[:rows.size, j] = rows
+        classes.append((cells, _log_gammas(a[cells]), idx,
+                        *np.nonzero(sub == 1.0), *np.nonzero(sub == -1.0)))
     return classes
 
 
-def _split_move(cls, y, R, tau, a, rng, exponential):
+def _split_move(cls, y, R, tau, rng, exponential):
     """Move one color class of every particle at level tau, in place.
 
     A cell's feasible interval [l, u] keeps every row it touches at
-    R + tau >= 0: l = y - min over its positive rows of (R + tau)/|c|,
-    u = y + min over its negative rows of (R + tau)/|c|. When every shape
-    is 1 the cell is Exp(1) truncated to [e^l, e^u] and is drawn exactly
-    by inversion. Otherwise it is proposed from its untruncated
-    log-Gamma(a_i) and the proposal is kept only inside [l, u]: a
-    Metropolis move that leaves the restricted target invariant. The row
-    values then take the change by row adds.
+    R + tau >= 0: l = y - min over its +1 rows of (R + tau), u = y + min
+    over its -1 rows. Each min is taken over R, one index row at a time,
+    and tau added once: rounding is monotone, so min(R_k + tau) =
+    min(R_k) + tau exactly, and +inf stays +inf. At shapes 1 the cell is
+    Exp(1) truncated to [e^l, e^u], drawn exactly by inversion in place.
+    Otherwise a proposal from its untruncated log-Gamma(a_i) is kept only
+    inside [l, u]: a Metropolis move that leaves the restricted target
+    invariant. The rows then take the change d by two row adds, +d and
+    -d: a class's rows are distinct, and a product by +-1 is exact.
     """
-    cells, prow, pcoef, mrow, mcoef, rows, place, coef = cls
+    cells, propose, idx, prow, pplace, mrow, mplace = cls
     yc = y[cells]
-    lo = yc - np.min((R[prow] + tau) / pcoef, axis=1)
-    hi = yc + np.min((R[mrow] + tau) / mcoef, axis=1)
+    m = R[idx[0]]
+    for rows in idx[1:]:
+        np.minimum(m, R[rows], out=m)
+    m += tau
+    lo = np.subtract(yc, m[:cells.size], out=m[:cells.size])
+    hi = np.add(m[cells.size:], yc, out=m[cells.size:])
     if exponential:
-        el = np.exp(lo)
-        width = np.maximum(np.exp(hi) - el, 0.0)
-        g = el - np.log1p(rng.random(yc.shape) * np.expm1(-width))
-        new = np.log(np.maximum(g, math.exp(LOG_FLOOR), out=g), out=g)
+        el = np.exp(lo, out=lo)
+        width = np.maximum(np.subtract(np.exp(hi, out=hi), el, out=hi), 0.0, out=hi)
+        new = rng.random(yc.shape)
+        new *= np.expm1(np.negative(width, out=width), out=width)
+        np.subtract(el, np.log1p(new, out=new), out=new)
+        np.log(np.maximum(new, math.exp(LOG_FLOOR), out=new), out=new)
     else:
-        new = _log_gammas(rng, a[cells], yc.shape[1])
-        new = np.where((lo <= new) & (new <= hi), new, yc)
-    R[rows] += coef * (new - yc)[place]
+        new = propose(rng, yc.shape[1])
+        np.copyto(new, yc, where=(new < lo) | (hi < new))
+    d = np.subtract(new, yc, out=yc)
+    R[prow] += d[pplace]
+    R[mrow] -= d[mplace]
     y[cells] = new
 
 
@@ -1015,12 +1015,11 @@ def _split_run(A: np.ndarray, a: np.ndarray, rng: np.random.Generator, side: str
     depend on the thread count. All randomness comes from rng, in order.
     """
     n = _SPLIT_PARTICLES
-    classes = _split_classes(A)
+    classes = _split_classes(A, a)
     exponential = bool(np.all(a == 1.0))
-    y = _log_gammas(rng, a, n)
-    R = np.empty((A.shape[0] + 1, n))
+    y = _log_gammas(a)(rng, n)
+    R = np.zeros((A.shape[0] + 1, n))
     R[-1] = np.inf
-    R[:-1] = 0.0
     for k, j in zip(*np.nonzero(A)):
         R[k] += A[k, j] * y[j]
     ln_p, prev, level = 0.0, np.inf, 0
@@ -1041,7 +1040,7 @@ def _split_run(A: np.ndarray, a: np.ndarray, rng: np.random.Generator, side: str
         y, R = y[:, pick], R[:, pick]
         for _ in range(_SPLIT_SWEEPS):
             for cls in classes:
-                _split_move(cls, y, R, tau, a, rng, exponential)
+                _split_move(cls, y, R, tau, rng, exponential)
 
 
 # ---------------------------------------------------------------------------
@@ -1055,12 +1054,12 @@ class _Part:
     The pilot routes it (_pilot_routes_direct): when the pilot accepts at
     least _DIRECT_THRESHOLD of its draws, the sample comes from the side's
     target. Otherwise, when the model has no equality rows and its rows
-    are linear in log G (_linear_rows), the part splits (_split_run): it
-    fails fast when the region has no interior, keeps no draws, and its
-    one level reads the run's ln P with its final survivors as ESS and
-    accepted count. Otherwise the sample comes from a density tuned on
-    the region. The pilot and a direct sample read only which draws the
-    constraint checks accept, so they ask _dirichlet_chunk for
+    are +-1 combinations of log G (_linear_rows), the part splits
+    (_split_run): it fails fast when the region has no interior, keeps no
+    draws, and its one level reads the run's ln P with its final survivors
+    as ESS and accepted count. Otherwise the sample comes from a density
+    tuned on the region. The pilot and a direct sample read only which
+    draws the constraint checks accept, so they ask _dirichlet_chunk for
     unnormalised draws, scaled per stratum; a tuned sample reads log pi
     for its weights and draws normalised.
     Only the draws that the level-1 model accepts are kept, each with its
@@ -1415,13 +1414,13 @@ def posterior_draws_under_model(model: ModelSpec, table: StratifiedTable,
 
     One unit of _ordered_map per _units unit (per stratum when the model
     factorises over strata, else the whole model): the unit draws n times
-    from substream(seed, "prior", *unit path), checks its own constraints,
+    from substream(seed, "prior", "summary", b) for its stratum b, or from
+    ("prior",) when the model is one unit, checks its own constraints,
     and keeps its first min(accepted, _KEEP_CAP) accepted draws, in draw
-    order, for its strata's means and quantiles. A one-unit model draws
-    from ("prior",). The acceptance is the product of the units' fractions;
-    a rare-event warning is attached when the smallest of them is tiny,
-    and UnboundedEstimateError is raised, the lowest such unit's, when a
-    unit accepts nothing.
+    order, for its strata's means and quantiles. The acceptance is the
+    product of the units' fractions; a rare-event warning is attached
+    when the smallest of them is tiny, and UnboundedEstimateError is
+    raised, the lowest such unit's, when a unit accepts nothing.
 
     Each stratum's summaries are one item of a map inside its unit: the
     quantiles of its pi columns, then its eta rows (one eta_batch call),
@@ -1443,7 +1442,8 @@ def posterior_draws_under_model(model: ModelSpec, table: StratifiedTable,
         ev_u, sl, t_u, path = unit
         P = np.empty((min(n, _KEEP_CAP), t_u.s, t_u.r))
         acc = kept = 0
-        for _, D in _chunks(substream(seed, "prior", *path), alpha[sl], n, _CHUNK):
+        stream = substream(seed, "prior", "summary", *path) if path else substream(seed, "prior")
+        for _, D in _chunks(stream, alpha[sl], n, _CHUNK):
             if not ev_u.cs.is_empty():
                 D = D[ev_u.delta(D)]
             acc += D.shape[0]

@@ -130,7 +130,8 @@ def posterior_summary_reference(model, table, prior, n, seed, chunk=32768,
     """PosteriorSummary.to_dict() the straightforward way. The posterior
     factorises over strata when no constraint row touches two of them (or
     by_stratum says so): then each stratum b is a unit drawn from stream
-    ("prior", b), else the whole table is one unit drawn from ("prior",).
+    ("prior", "summary", b), else the whole table is one unit drawn from
+    ("prior",).
     Per unit: accepted draws kept in a list and concatenated, the first
     min(accepted, keep_cap) of them summarised by whole-array np.quantile
     calls, one per level, and eta concatenated over the unit's strata; a
@@ -147,13 +148,13 @@ def posterior_summary_reference(model, table, prior, n, seed, chunk=32768,
         rows = np.vstack([cs.E, cs.U])
         by_stratum = s > 1 and all(len({int(c) // t for c in np.flatnonzero(row)}) == 1
                                    for row in rows)
-    paths = [(b,) for b in range(s)] if by_stratum else [()]
+    paths = [("summary", b) for b in range(s)] if by_stratum else [()]
     checks = ev.stratum_split() if by_stratum else [ev]
     alpha = prior.posterior(table)
     lo_q, hi_q = (1 - level) / 2, 1 - (1 - level) / 2
     accs, parts = [], []
     for path, check in zip(paths, checks):
-        strata = list(path or range(s))
+        strata = list(path[1:] or range(s))
         kept, acc = [], 0
         for _, P in _chunks(substream(seed, "prior", *path), alpha[strata], n, chunk):
             d = check.delta(P) if not cs.is_empty() else np.ones(P.shape[0], dtype=bool)
@@ -320,3 +321,94 @@ def independence_limit(counts, kappa: float = 1.0) -> float:
     n = np.asarray(counts, dtype=float)
     strata = n.reshape(-1, *n.shape[-2:])
     return float(sum(ln_dens0(kappa + t) - ln_dens0(np.full_like(t, kappa)) for t in strata))
+
+
+# The split kernel as first written: padded per-cell bound tensors with
+# |coefficient| divisors, an out-of-place inversion and np.where rejects.
+# The engine's unit-coefficient kernel must reproduce it bit for bit.
+
+def _log_gammas_reference(rng, a, n, log_floor=-625.0):
+    small = a < 1.0
+    g = rng.standard_gamma(np.where(small, a + 1.0, a)[:, None], size=(a.size, n))
+    y = np.log(np.maximum(g, 1e-300, out=g), out=g)
+    if small.any():
+        y[small] += np.log(rng.random((int(small.sum()), n))) / a[small, None]
+    return np.maximum(y, log_floor, out=y)
+
+
+def _split_classes_reference(A):
+    nz = A != 0
+    color = np.full(A.shape[1], -1)
+    for i in np.flatnonzero(nz.any(axis=0)):
+        taken = set(color[nz[nz[:, i]].any(axis=0)].tolist())
+        color[i] = next(c for c in range(A.shape[1]) if c not in taken)
+    classes = []
+    for c in range(color.max() + 1):
+        cells = np.flatnonzero(color == c)
+        sub = A[:, cells]
+        bounds = []
+        for sign in (1.0, -1.0):
+            lists = [np.flatnonzero(sign * sub[:, j] > 0) for j in range(cells.size)]
+            width = max(1, max(len(rows) for rows in lists))
+            idx = np.full((cells.size, width), A.shape[0])
+            coef = np.ones((cells.size, width, 1))
+            for j, rows in enumerate(lists):
+                idx[j, :rows.size] = rows
+                coef[j, :rows.size, 0] = np.abs(sub[rows, j])
+            bounds += [idx, coef]
+        rows, place = np.nonzero(sub)
+        classes.append((cells, *bounds, rows, place, sub[rows, place][:, None]))
+    return classes
+
+
+def _split_move_reference(cls, y, R, tau, a, rng, exponential, log_floor=-625.0):
+    cells, prow, pcoef, mrow, mcoef, rows, place, coef = cls
+    yc = y[cells]
+    lo = yc - np.min((R[prow] + tau) / pcoef, axis=1)
+    hi = yc + np.min((R[mrow] + tau) / mcoef, axis=1)
+    if exponential:
+        el = np.exp(lo)
+        width = np.maximum(np.exp(hi) - el, 0.0)
+        g = el - np.log1p(rng.random(yc.shape) * np.expm1(-width))
+        new = np.log(np.maximum(g, math.exp(log_floor), out=g), out=g)
+    else:
+        new = _log_gammas_reference(rng, a[cells], yc.shape[1])
+        new = np.where((lo <= new) & (new <= hi), new, yc)
+    R[rows] += coef * (new - yc)[place]
+    y[cells] = new
+
+
+def split_run_reference(A, a, rng, side, n=1000, sweeps=2):
+    """(ln P(A y >= 0), final survivors, levels) for y = log G by subset
+    simulation at rho 1/2 with colored exact moves, written for any
+    coefficients; the engine's _split_run must return the same values
+    and leave rng in the same state."""
+    from margbayes.engine import UnboundedEstimateError
+
+    classes = _split_classes_reference(A)
+    exponential = bool(np.all(a == 1.0))
+    y = _log_gammas_reference(rng, a, n)
+    R = np.empty((A.shape[0] + 1, n))
+    R[-1] = np.inf
+    R[:-1] = 0.0
+    for k, j in zip(*np.nonzero(A)):
+        R[k] += A[k, j] * y[j]
+    ln_p, prev, level = 0.0, np.inf, 0
+    while True:
+        level += 1
+        s = -R[:-1].min(axis=0)
+        tau = max(float(np.partition(s, n // 2)[n // 2]), 0.0)
+        keep = np.flatnonzero(s <= tau)
+        ln_p += math.log(keep.size / n)
+        if tau == 0.0:
+            return ln_p, keep.size, level
+        if tau >= prev:
+            raise UnboundedEstimateError(
+                side, f"{side}-side splitting stalled at threshold {prev:g}; "
+                "the Bayes factor is unbounded on this run")
+        prev = tau
+        pick = keep[rng.integers(0, keep.size, size=n)]
+        y, R = y[:, pick], R[:, pick]
+        for _ in range(sweeps):
+            for cls in classes:
+                _split_move_reference(cls, y, R, tau, a, rng, exponential)

@@ -33,7 +33,8 @@ from margbayes import (
 from margbayes import fit as fitmod
 from margbayes import engine
 from margbayes.engine import _importance_stream, make_density, substream, tune_alpha
-from margbayes.hypotheses import ConstraintSet, model_from_dict
+from margbayes.hypotheses import ConstraintError, ConstraintSet, model_from_dict, registry_names
+from margbayes.tables import LOGIT_TYPES
 
 from oracles import (about_equality_2x2, posterior_summary_reference, tp2_2x2, tp2_2xk,
                      tp2_equal_columns)
@@ -674,13 +675,73 @@ def test_linear_rows_reproduce_the_constraint_rows(dataset, spec):
                     "constraints": [{"kind": "stochastic_order", "direction": "ge"}]}),
     ("father_son", {"name": "ind", "logits": "local",
                     "constraints": [{"kind": "independence", "epsilon": 0.1}]}),
-], ids=["pqd_global", "stochastic_order_global", "margin_logits_local", "equality_rows"])
+    ("2x2", ModelSpec("two_log_or", ("local", "local"), ConstraintSet(
+        np.zeros((0, 3)), np.array([[0.0, 0, 2]]), np.zeros(0), 3))),
+], ids=["pqd_global", "stochastic_order_global", "margin_logits_local", "equality_rows",
+        "coefficient_2"])
 def test_linear_rows_read_none_when_not_linear(dataset, spec):
     # global logits sum cells, margin logits sum over the other variable,
-    # and a model with equality rows is left to the chain
-    table = load_fixture(dataset)
-    ev = ModelEval(model_from_dict(spec, table.dims, table.s), table.dims, table.s)
+    # a model with equality rows is left to the chain, and a row linear in
+    # log G with coefficients +-2 (twice the 2x2 log odds ratio) is left to
+    # the importance route, as the split moves take unit coefficients
+    if dataset == "2x2":
+        ev = ModelEval(spec, (2, 2), 1)
+    else:
+        table = load_fixture(dataset)
+        ev = ModelEval(model_from_dict(spec, table.dims, table.s), table.dims, table.s)
     assert engine._linear_rows(ev) is None
+
+
+def registry_units():
+    """(label, unit evaluator) for every registry kind, in each direction
+    it takes, on each logit type it accepts, per _units unit of the three
+    fixtures."""
+    directions = {"association_trend": ("increasing", "decreasing"),
+                  "logit_trend": ("increasing", "decreasing"),
+                  "marginal_trend": ("increasing", "decreasing"),
+                  "stochastic_order": ("ge", "le")}
+    for dataset in ("father_son", "alzheimer", "skin_trial"):
+        table = load_fixture(dataset)
+        for kind in registry_names():
+            for params in [{"direction": d} for d in directions.get(kind, ())] or [{}]:
+                for logits in LOGIT_TYPES:
+                    spec = {"name": kind, "logits": logits,
+                            "constraints": [{"kind": kind, **params}]}
+                    try:
+                        model = model_from_dict(spec, table.dims, table.s)
+                    except ConstraintError:
+                        continue
+                    ev = ModelEval(model, table.dims, table.s)
+                    for unit, *_ in engine._units(ev, table):
+                        yield (dataset, kind, params, logits), unit
+
+
+def test_every_linear_registry_model_has_unit_coefficients():
+    # _linear_rows reads None when A has an entry outside {-1, 0, 1}, so a
+    # registry model whose rows are linear in y = log G must have unit
+    # coefficients, or it would lose the split route. Linearity is read
+    # independently of _linear_rows: U eta is additive in y.
+    rng = np.random.default_rng(4)
+    accepted = []
+    for label, ev in registry_units():
+        A = engine._linear_rows(ev)
+        if A is not None:
+            assert np.isin(A, (-1.0, 0.0, 1.0)).all(), label
+            accepted.append(label)
+        if ev.E.shape[0] or not ev.U.shape[0]:
+            assert A is None, label
+            continue
+        y1, y2 = rng.normal(size=(2, 20, ev.s, ev.link.r))
+
+        def rows(y):
+            G = np.exp(y)
+            return ev.eta_reduced(G / G.sum(axis=2, keepdims=True)) @ ev.U.T
+
+        additive = np.allclose(rows(y1 + y2), rows(y1) + rows(y2), rtol=0, atol=1e-9)
+        assert (A is not None) == additive, label
+    # TP2 and positive association on father_son, and on each of
+    # alzheimer's strata, and alzheimer's association trend both ways
+    assert len(accepted) == 8
 
 
 # ---------------------------------------------------------------------------
@@ -954,15 +1015,28 @@ def test_every_stream_is_drawn_once(monkeypatch):
     assert len(set(uses)) == len(uses)
 
     # posterior summaries: a model that factorises over two strata draws
-    # one stream per stratum, a one-unit model the one stream ("prior",)
+    # one "summary" stream per stratum, a one-unit model the one stream
+    # ("prior",)
     skin = load_fixture("skin_trial")
     for model, table, want in ((model_saturated((3, 3, 3, 3), s=2), skin,
-                                [(10, (0, 0)), (10, (0, 1))]),
+                                [(10, (0, 5, 0)), (10, (0, 5, 1))]),
                                (model_saturated((3, 3)), t, [(10, (0,))])):
         del uses[:]
         posterior_draws_under_model(model, table, PriorSpec.flat(table.r, table.s, 1.0),
                                     n=100, seed=10)
         assert uses == want
+
+    # at one seed, a two-stratum posterior and a one-unit Bayes factor
+    # (its prior pilot is ("prior", "pilot"), spawn key (0, 0)) draw from
+    # disjoint streams
+    del uses[:]
+    posterior_draws_under_model(model_saturated((3, 3, 3, 3), s=2), skin,
+                                PriorSpec.flat(skin.r, skin.s, 1.0), n=100, seed=10)
+    summary = set(uses)
+    del uses[:]
+    bayes_factor(model_pa((3, 3)), t, PriorSpec.flat(9, 1, 1.0), settings, seed=10)
+    assert (10, (0, 0)) in uses
+    assert summary.isdisjoint(uses)
 
 
 @pytest.mark.parametrize("s", [1, 2])
@@ -1092,7 +1166,7 @@ def test_factorising_posterior_multiplies_unit_acceptances(monkeypatch):
     accs = []
     for b, ev in enumerate(ModelEval(pa, az.dims, az.s).stratum_split()):
         draws = np.concatenate([D for _, D in engine._chunks(
-            substream(44, "prior", b), prior.posterior(az)[b:b + 1], 6_000, 2048)])
+            substream(44, "prior", "summary", b), prior.posterior(az)[b:b + 1], 6_000, 2048)])
         accs.append(int(ev.delta(draws).sum()))
     assert accs[0] != accs[1] and max(accs) < 6_000
     assert s.n_drawn == 6_000 and s.n_accepted == min(accs)

@@ -5,7 +5,9 @@ for real input, the in-place, blocked Dirichlet sampler must reproduce the
 out-of-place scipy-based recipe in `oracles.dirichlet_chunk_reference`,
 the row-blocked eta and constraint checks must match one evaluation over
 all rows and each draw evaluated alone, and the posterior quantiles,
-taken on sorted blocks, must match np.quantile over the unsorted array. Equal bytes, not a
+taken on sorted blocks, must match np.quantile over the unsorted array,
+and the unit-coefficient split kernel must walk the levels of the kernel
+first written for any coefficients (`oracles.split_run_reference`). Equal bytes, not a
 tolerance: every estimate is reproducible per seed, and these kernels sit
 under all of them. Only against the dense C log(M pi) product, whose sums
 run in another order, is a tolerance (1e-12) allowed, likewise between the
@@ -20,12 +22,13 @@ import numpy as np
 import pytest
 from scipy.special import gammaln, logsumexp as scipy_logsumexp
 
-from margbayes import ModelEval, engine, link, load_fixture
-from margbayes.engine import _dirichlet_chunk, _log_weight, _quantiles, substream
+from margbayes import ContingencyTable, ModelEval, StratifiedTable, engine, link, load_fixture
+from margbayes.engine import (PriorSpec, _dirichlet_chunk, _linear_rows, _log_weight,
+                              _quantiles, _split_run, substream)
 from margbayes.hypotheses import model_from_dict
 from margbayes.link import eta_batch, eta_from_logpi, link_for, logsumexp
 
-from oracles import dirichlet_chunk_reference, eta_batch_reference
+from oracles import dirichlet_chunk_reference, eta_batch_reference, split_run_reference
 
 
 def assert_same(ours, ref):
@@ -311,3 +314,42 @@ def test_quantiles_of_sorted_blocks_match_np_quantile(case, q):
     before = X.copy()
     assert_same(_quantiles(X, q), np.quantile(X.copy(), q, axis=0))
     assert_same(X, before)                               # the input is not sorted in place
+
+
+def split_case(name):
+    """(A, shapes) of one side of a split unit: father_son TP2 at shapes 1
+    (exact exponential moves) and at 1 + counts (Metropolis), alzheimer
+    TP2's stratum 0, alzheimer's association trend (both strata's 40
+    cells in one unit) and the 2x8 TP2 prior at concentrations below 1
+    (boosted proposals) and above."""
+    tp2 = {"name": "tp2", "logits": "local", "constraints": [{"kind": "tp2"}]}
+    trend = {"name": "trend", "logits": "local",
+             "constraints": [{"kind": "association_trend", "direction": "increasing"}]}
+    if name.startswith("2x8"):
+        counts = np.array([14, 12, 13, 10, 9, 9, 7, 5, 3, 5, 4, 7, 8, 9, 11, 12], dtype=float)
+        table = StratifiedTable(("all",), (ContingencyTable((2, 8), counts),))
+    else:
+        table = load_fixture("father_son" if name.startswith("father_son") else "alzheimer")
+    spec = trend if "trend" in name else tp2
+    ev = ModelEval(model_from_dict(spec, table.dims, table.s), table.dims, table.s)
+    posterior = PriorSpec.flat(table.r, table.s).posterior(table)
+    if name == "alzheimer_tp2_stratum0":
+        return _linear_rows(ev.stratum_split()[0]), posterior[0]
+    if name.startswith("2x8"):
+        return _linear_rows(ev), np.full(16, float(name.split("kappa")[1]))
+    return _linear_rows(ev), np.ones(posterior.size) if "prior" in name else posterior.ravel()
+
+
+@pytest.mark.parametrize("name", ["father_son_tp2_prior", "father_son_tp2_posterior",
+                                  "alzheimer_tp2_stratum0", "alzheimer_trend_posterior",
+                                  "2x8_tp2_kappa0.5", "2x8_tp2_kappa2"])
+def test_split_run_matches_reference(name):
+    # same ln P, survivors and levels, and the same draws taken from the
+    # stream, as the kernel with per-coefficient bounds and row adds
+    A, a = split_case(name)
+    assert set(np.unique(A)) == {-1.0, 0.0, 1.0}
+    ours, ref = substream(5, "prior", "split"), substream(5, "prior", "split")
+    got = _split_run(A, a, ours, "prior")
+    assert got == split_run_reference(A, a, ref, "prior")
+    assert got[2] > 1
+    assert ours.bit_generator.state == ref.bit_generator.state
