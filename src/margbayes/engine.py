@@ -33,38 +33,35 @@ then the purpose's own indices:
                                                   draws, then each level's
                                                   resampling and moves
 where draw_key counts the part's redraws and rung indexes the margin
-ladder. sample_prior draws from ("prior",), and so does
-posterior_draws_under_model for a one-unit model; for a model that
-factorises over strata it draws stratum b from ("prior", "summary", b).
-Replicate i of replicate_bf runs at a seed generated from the spawn key
-("replicate", i).
+ladder. sample_prior draws from ("prior",), posterior_draws_under_model
+each unit from ("prior", "summary", *unit). Replicate i of replicate_bf
+runs at a seed generated from the spawn key ("replicate", i).
 
 The pilot draws _BLOCK rows a step (fewer if _CHUNK is smaller) and stops
-once its route is fixed, so its stream is read only as far as needed.
-On a one-stratum unit whose shapes are all >= 1 a step holds the rows
-that a chunk of the whole pilot held. On other units (several strata,
-or a shape below 1) which variates make up a row depends on the step
-size, so the rows differ from those of chunked draws; a route can then
-differ from a whole-chunk pilot's only where the pilot's acceptance
-sits at _DIRECT_THRESHOLD.
+once all its draws would fix its route or a sequential bound rules a
+route out, wrongly at odds of at most _PILOT_ERROR a step: a rare side's
+pilot stops after one step. On a one-stratum unit whose shapes are all
+>= 1 a step holds the rows that a chunk of the whole pilot held. On other
+units (several strata, or a shape below 1) the rows depend on the step
+size; a route can then differ from a whole-chunk pilot's only where the
+pilot's acceptance sits near _DIRECT_THRESHOLD.
 
 Every sampling loop takes its draws from _chunks, the one chunked draw
 loop. A model that factorises over strata is estimated per stratum, as
 _units splits it.
 
 Independent units of work run concurrently through _ordered_map, one
-level of fan-out at a time on up to _THREADS threads: the replicates of
-replicate_bf, the parts of bayes_factor (both sides times each stratum
-unit; built, then re-checked at each level), the units of
-posterior_draws_under_model (each samples, then summarises its strata)
-and the strata inside one such unit. A map inside an item of a threaded
-map runs as a plain loop on that item's thread, and a one-item map
-leaves the threads to the maps inside it, so a single replicate's parts,
-and the strata of a one-unit posterior, still fan out. Each unit draws
-from its own substream and results are combined in input order, so every
-estimate is the same bits whatever the thread count. Once a unit fails
-no further unit starts, the running ones run to their end, and the
-failure of the lowest failing unit is raised.
+level of fan-out at a time on up to _THREADS threads: the parts (sides
+times stratum units) of every replicate of replicate_bf in one map, then
+its replicates, each walking its levels, where the parts are re-checked;
+the units of posterior_draws_under_model and the strata of one unit. A
+map inside an item of a threaded map is a plain loop on that item's
+thread, and a one-item map leaves the threads to the maps inside it, so
+one replicate's levels and a one-unit posterior's strata still fan out.
+Each unit draws from its own substream and results are combined in input
+order, so every estimate is the same bits whatever the thread count.
+Once a unit fails no further unit starts, the running ones run to their
+end, and the failure of the lowest failing unit is raised.
 """
 from __future__ import annotations
 
@@ -103,13 +100,16 @@ _KEEP_CAP = 200_000
 # The routing and tuning policy, fixed: the paper fixes the estimator by
 # the prior and the number of draws, not by how a side is routed or its
 # importance density tuned. A side whose pilot accepts at least
-# _DIRECT_THRESHOLD of its draws samples its target directly. A level with
-# less ESS than _ESS_FLOOR is warned about, and a chain part under it is
-# retuned. The tuner probes the multipliers of DEFAULT_ALPHA_GRID; a probe
-# qualifies when it accepts at least _TUNE_ACCEPT_MIN of its draws, and
-# when no grid probe does, the multiplier grows from the grid's top by
-# _TUNE_EXTEND_FACTOR, up to the cap. Each is read at call time.
+# _DIRECT_THRESHOLD of its draws samples its target directly; the pilot
+# stops once a sequential bound rules a route out at _PILOT_ERROR a step.
+# A level with less ESS than _ESS_FLOOR is warned about, and a chain part
+# under it is retuned. The tuner probes the multipliers of
+# DEFAULT_ALPHA_GRID; a probe qualifies when it accepts at least
+# _TUNE_ACCEPT_MIN of its draws, and when no grid probe does, the
+# multiplier grows from the grid's top by _TUNE_EXTEND_FACTOR, up to the
+# cap. Each is read at call time.
 _DIRECT_THRESHOLD = 0.05
+_PILOT_ERROR = 1e-12
 _ESS_FLOOR = 50.0
 DEFAULT_ALPHA_GRID = (0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 30.0, 50.0)
 _TUNE_ACCEPT_MIN = 0.01
@@ -558,25 +558,35 @@ def estimate_proportion_direct(draws: np.ndarray, ev: ModelEval) -> ProportionEs
     return _direct_result(int(ev.delta(draws).sum()), draws.shape[0])
 
 
+def _bernoulli_kl(p: float, q: float) -> float:
+    """KL(p || q) between Bernoulli laws, in nats, with 0 ln 0 = 0."""
+    return sum(a * math.log(a / b) for a, b in ((p, q), (1.0 - p, 1.0 - q)) if a > 0)
+
+
 def _pilot_routes_direct(ev: ModelEval, alpha: np.ndarray, n: int, threshold: float,
                          rng) -> bool:
-    """Whether at least `threshold` of n draws from the Dirichlet with
-    concentrations alpha satisfy ev: the routing pilot of a _Part.
+    """Whether the Dirichlet with concentrations alpha puts at least
+    `threshold` on ev's region, judged on at most n draws: a _Part's pilot.
 
     The draws come min(_CHUNK, _BLOCK) at a time, unnormalised where every
-    shape is >= 1 (only acceptance is read), and the pilot stops as soon as
-    the answer is fixed: once acc / n >= threshold, or once
-    (acc + draws left) / n < threshold. The answer is the one all n draws
-    would give. When it is fixed before any draw (threshold 0, or above
-    1), nothing is drawn.
+    shape is >= 1. With acc of m draws accepted, the pilot stops once all
+    n would fix the answer (acc >= threshold * n, or acc + draws left <
+    threshold * n) and gives it, or, for 0 < threshold < 1, once
+    m * KL(acc/m || threshold) >= ln(1/_PILOT_ERROR) (Wald's sequential
+    test) and answers acc/m >= threshold: by Chernoff's bound and a union
+    bound over steps, wrongly with probability at most (n / step) *
+    _PILOT_ERROR. Nothing is drawn when the answer is fixed before any
+    draw (threshold 0, or above 1).
     """
-    acc, left = 0, n
+    acc, m, bound = 0, 0, math.log(1.0 / _PILOT_ERROR)
     draws = _chunks(rng, alpha, n, min(_CHUNK, _BLOCK), normalise=False)
-    while acc / n < threshold <= (acc + left) / n:
+    while acc / n < threshold <= (acc + n - m) / n:
         _, P = next(draws)
         acc += int(ev.delta(P).sum())
-        left -= P.shape[0]
+        m += P.shape[0]
         del P                   # not held while the next block is drawn
+        if 0 < threshold < 1 and m * _bernoulli_kl(acc / m, threshold) >= bound:
+            return acc / m >= threshold
     return acc / n >= threshold
 
 
@@ -1172,40 +1182,58 @@ class _Part:
         return True
 
 
+def _level_one(model: ModelSpec, schedule: EpsilonSchedule | None):
+    """(model at the level-1 tolerances, schedule walked, those tolerances)
+    of bayes_factor: one level at scale 1 for an inequality-only model."""
+    cs = model.constraints
+    if not cs.n_eq:
+        return model, EpsilonSchedule(max_stages=1), np.zeros(0)
+    schedule = schedule or EpsilonSchedule()
+    eps1 = np.full(cs.n_eq, schedule.epsilon_start)
+    return ModelSpec(model.name, model.logit_types, cs.with_epsilon(eps1), model.notes), \
+        schedule, eps1
+
+
+def _part_makers(model: ModelSpec, table: StratifiedTable, prior: PriorSpec,
+                 settings: RunSettings, seed: int) -> list:
+    """The constructors of a Bayes factor's _Parts, for the level-1 model:
+    both sides times each _units unit, prior side first."""
+    targets = {"prior": prior.concentration, "posterior": prior.posterior(table)}
+    units = _units(ModelEval(model, table.dims, table.s), table)
+    return [partial(_Part, side, ev, targets[side][sl], t, settings, seed, path)
+            for side in ("prior", "posterior") for ev, sl, t, path in units]
+
+
 def bayes_factor(model: ModelSpec, table: StratifiedTable, prior: PriorSpec,
                  settings: RunSettings, seed: int,
-                 schedule: EpsilonSchedule | None = None) -> BFEstimate:
+                 schedule: EpsilonSchedule | None = None, *, parts=None) -> BFEstimate:
     """log Bayes factor of a constrained model against the encompassing
     model: the ratio of its posterior to its prior constraint-satisfaction
     proportion, the one route for every model.
 
     Each side is one _Part per _units unit (per stratum when the model
-    factorises), all built concurrently. A model with about-equality rows
-    walks the schedule's tolerance levels eps_1 * b^(n-1) (default
-    EpsilonSchedule()): every level reweights the same kept draws, and the
-    reported value is the exact sum of the stage logs. Before each level a
-    part with too few accepted draws or too little ESS is retuned at the
-    current tolerance and redrawn; once a level cannot be held the chain
-    stops early and flags truncation. An inequality-only model is the
-    chain's first level, at tolerance scale 1 and without a retune; its
-    schedule, if given, is not used.
+    factorises), all built concurrently from _part_makers, unless `parts`
+    holds them built in that order (replicate_bf's one map; an exception in a
+    part's place is raised). A model with about-equality rows walks the
+    schedule's tolerance levels eps_1 * b^(n-1) (default EpsilonSchedule()):
+    every level reweights the same kept draws, and the reported value is the
+    exact sum of the stage logs. Before each level a part with too few
+    accepted draws or too little ESS is retuned at the current tolerance and
+    redrawn; once a level cannot be held the chain stops early and flags
+    truncation. An inequality-only model is the chain's first level, at
+    tolerance scale 1 and without a retune; its schedule, if given, is not
+    used.
 
     Raises UnboundedEstimateError when a side accepts no draw at level 1.
     """
-    cs = model.constraints
-    retune = bool(cs.n_eq)
-    if retune:
-        schedule = schedule or EpsilonSchedule()
-        eps1 = np.full(cs.n_eq, schedule.epsilon_start)
-        model = ModelSpec(model.name, model.logit_types, cs.with_epsilon(eps1), model.notes)
-    else:
-        schedule, eps1 = EpsilonSchedule(max_stages=1), np.zeros(0)
-    targets = {"prior": prior.concentration, "posterior": prior.posterior(table)}
-    units = _units(ModelEval(model, table.dims, table.s), table)
-    parts = _ordered_map(
-        lambda make: make(),
-        [partial(_Part, side, ev, targets[side][sl], t, settings, seed, path)
-         for side in ("prior", "posterior") for ev, sl, t, path in units])
+    model, schedule, eps1 = _level_one(model, schedule)
+    retune = bool(eps1.size)
+    if parts is None:
+        parts = _ordered_map(lambda make: make(),
+                             _part_makers(model, table, prior, settings, seed))
+    for p in parts:
+        if isinstance(p, Exception):
+            raise p
     sides = {side: [p for p in parts if p.side == side] for side in ("prior", "posterior")}
 
     def side_level(side, scale):
@@ -1216,11 +1244,7 @@ def bayes_factor(model: ModelSpec, table: StratifiedTable, prior: PriorSpec,
     # accepted-draw count because the stage factors difference the common
     # weight noise away on shared draws
     count_floor = 50
-    stage_log10 = []
-    stage_info = []
-    truncated = False
-    warnings = []
-    prev = {}
+    stage_info, warnings, prev, truncated = [], [], {}, False
     for level in range(1, schedule.max_stages + 1):
         scale = schedule.b ** (level - 1)
         redrawn = retune and any(_ordered_map(lambda p: p.ensure(scale), parts))
@@ -1238,22 +1262,16 @@ def bayes_factor(model: ModelSpec, table: StratifiedTable, prior: PriorSpec,
             break
         weak = [s for s in cur if cur[s][1] < _ESS_FLOOR]
         if weak:
-            warnings.append(
-                f"level {level}: ESS under {_ESS_FLOOR:g} on "
-                + "/".join(weak) + " side")
+            warnings.append(f"level {level}: ESS under {_ESS_FLOOR:g} on {'/'.join(weak)} side")
         if level == 1:
             ln_stage = cur["posterior"][0] - cur["prior"][0]
         else:
             ln_stage = (cur["posterior"][0] - prev["posterior"][0]) \
                 - (cur["prior"][0] - prev["prior"][0])
-        stage_log10.append(ln_stage / LN10)
         stage_info.append({
-            "level": level,
-            "epsilon_scale": scale,
-            "log10_stage": ln_stage / LN10,
+            "level": level, "epsilon_scale": scale, "log10_stage": ln_stage / LN10,
             "prior_ln": cur["prior"][0], "prior_ess": cur["prior"][1],
-            "posterior_ln": cur["posterior"][0], "posterior_ess": cur["posterior"][1],
-        })
+            "posterior_ln": cur["posterior"][0], "posterior_ess": cur["posterior"][1]})
         prev = dict(cur)
         if level == 1 and bad:
             truncated = True
@@ -1263,21 +1281,19 @@ def bayes_factor(model: ModelSpec, table: StratifiedTable, prior: PriorSpec,
     warnings += [f"{p.side} side: tuner fell back to {p.diag['fallback']}"
                  for p in parts if p.diag and p.diag["fallback"]]
 
+    stage_log10 = [st["log10_stage"] for st in stage_info]
     log10 = float(sum(stage_log10))
     final_scale = stage_info[-1]["epsilon_scale"] if stage_info else 1.0
     comp = {
-        "model": model.name,
-        "stages": stage_info,
+        "model": model.name, "stages": stage_info,
         "stage_log10s": [float(v) for v in stage_log10],
         "final_epsilon": [float(e) for e in eps1 * final_scale],
-        "truncated": truncated,
-        "warnings": warnings,
+        "truncated": truncated, "warnings": warnings,
         "retunes": {side: [p.draw_key for p in sides[side]] for side in sides},
         "split": {side: [p.split for p in sides[side] if p.split] for side in sides},
     }
     return BFEstimate(
-        log10_bf=log10, ln_bf=log10 * LN10,
-        replicates=[log10], mean=log10, sd=0.0,
+        log10_bf=log10, ln_bf=log10 * LN10, replicates=[log10], mean=log10, sd=0.0,
         route="/".join("+".join(sorted({p.route for p in sides[s]})) for s in sides),
         components=comp,
         settings={"seed": int(seed), **({"schedule": asdict(schedule)} if retune else {}),
@@ -1289,30 +1305,47 @@ def replicate_bf(model: ModelSpec, table: StratifiedTable, prior: PriorSpec,
                  settings: RunSettings, B: int, seed: int,
                  schedule: EpsilonSchedule | None = None) -> BFEstimate:
     """B independently seeded runs; the reported point estimate is the
-    replicate mean of the log Bayes factors. The runs go concurrently (see
-    _ordered_map) and share one centring memo. Each replicate's entry
-    keeps its estimate, route, seed, final tolerances, truncation flag,
-    level count and warnings. The estimate's route joins, per side, the
-    routes of every replicate with "+", as bayes_factor joins strata; its
-    schedule is the one the replicates walked (none for an
+    replicate mean of the log Bayes factors. One map builds the parts
+    (_part_makers) of every replicate, with one centring memo, so no core
+    idles while parts are left; a map over the replicates then walks each
+    one's levels in a bayes_factor call, looked up at call time. The
+    lowest failing replicate's error is raised, as a loop would raise it.
+    Each replicate's entry keeps its estimate, route, seed, final
+    tolerances, truncation flag, level count and warnings; the route joins
+    each side's routes over the replicates with "+", as bayes_factor joins
+    strata, and the schedule is the one they walked (none for an
     inequality-only model)."""
     if B < 1:
         raise EngineError("need B >= 1 replicates")
+    seeds = [int(np.random.SeedSequence(int(seed), spawn_key=(_PURPOSE["replicate"], i))
+                 .generate_state(1)[0]) for i in range(B)]
+    first = _level_one(model, schedule)[0]
+    makers = [make for s in seeds for make in _part_makers(first, table, prior, settings, s)]
+    width, built = len(makers) // B, [None] * len(makers)
+
+    def build(k):
+        built[k] = makers[k]()
 
     def run(i):
-        rep_seed = int(np.random.SeedSequence(
-            int(seed), spawn_key=(_PURPOSE["replicate"], i)).generate_state(1)[0])
-        return bayes_factor(model, table, prior, settings, rep_seed, schedule)
+        return bayes_factor(model, table, prior, settings, seeds[i], schedule,
+                            parts=built[i * width:(i + 1) * width])
 
     centres = _CENTRES.set(_CentreMemo())
     try:
-        ests = _ordered_map(run, range(B))
+        runs = B
+        try:
+            _ordered_map(build, range(len(makers)))
+        except Exception as err:
+            # every part before the lowest failing one was built: its
+            # replicate's bayes_factor raises err, unless one before fails
+            k = built.index(None)
+            built[k], runs = err, k // width + 1
+        ests = _ordered_map(run, range(runs))
     finally:
         _CENTRES.reset(centres)
     infos = [{"log10_bf": est.log10_bf, "route": est.route, "seed": est.settings["seed"],
               "final_epsilon": est.components["final_epsilon"],
-              "truncated": est.components["truncated"],
-              "n_stages": len(est.components["stages"]),
+              "truncated": est.components["truncated"], "n_stages": len(est.components["stages"]),
               "warnings": est.components["warnings"]} for est in ests]
     walked = ests[0].settings.get("schedule")
     reps = [info["log10_bf"] for info in infos]
@@ -1414,8 +1447,8 @@ def posterior_draws_under_model(model: ModelSpec, table: StratifiedTable,
 
     One unit of _ordered_map per _units unit (per stratum when the model
     factorises over strata, else the whole model): the unit draws n times
-    from substream(seed, "prior", "summary", b) for its stratum b, or from
-    ("prior",) when the model is one unit, checks its own constraints,
+    from substream(seed, "prior", "summary", *unit), with unit (b,) for
+    stratum b and () for a one-unit model, checks its own constraints,
     and keeps its first min(accepted, _KEEP_CAP) accepted draws, in draw
     order, for its strata's means and quantiles. The acceptance is the
     product of the units' fractions; a rare-event warning is attached
@@ -1442,8 +1475,7 @@ def posterior_draws_under_model(model: ModelSpec, table: StratifiedTable,
         ev_u, sl, t_u, path = unit
         P = np.empty((min(n, _KEEP_CAP), t_u.s, t_u.r))
         acc = kept = 0
-        stream = substream(seed, "prior", "summary", *path) if path else substream(seed, "prior")
-        for _, D in _chunks(stream, alpha[sl], n, _CHUNK):
+        for _, D in _chunks(substream(seed, "prior", "summary", *path), alpha[sl], n, _CHUNK):
             if not ev_u.cs.is_empty():
                 D = D[ev_u.delta(D)]
             acc += D.shape[0]

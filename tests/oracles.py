@@ -131,7 +131,7 @@ def posterior_summary_reference(model, table, prior, n, seed, chunk=32768,
     factorises over strata when no constraint row touches two of them (or
     by_stratum says so): then each stratum b is a unit drawn from stream
     ("prior", "summary", b), else the whole table is one unit drawn from
-    ("prior",).
+    ("prior", "summary").
     Per unit: accepted draws kept in a list and concatenated, the first
     min(accepted, keep_cap) of them summarised by whole-array np.quantile
     calls, one per level, and eta concatenated over the unit's strata; a
@@ -148,7 +148,7 @@ def posterior_summary_reference(model, table, prior, n, seed, chunk=32768,
         rows = np.vstack([cs.E, cs.U])
         by_stratum = s > 1 and all(len({int(c) // t for c in np.flatnonzero(row)}) == 1
                                    for row in rows)
-    paths = [("summary", b) for b in range(s)] if by_stratum else [()]
+    paths = [("summary", b) for b in range(s)] if by_stratum else [("summary",)]
     checks = ev.stratum_split() if by_stratum else [ev]
     alpha = prior.posterior(table)
     lo_q, hi_q = (1 - level) / 2, 1 - (1 - level) / 2

@@ -204,11 +204,26 @@ def test_early_pilot_routes_as_the_full_pilot(posterior):
             == (acc / n >= threshold), threshold
 
 
+def pilot_stop(blocks, n, threshold):
+    """(steps, answer) of a pilot over these (rows, accepted) blocks: it
+    stops at the first step after which all n draws fix the answer, or
+    after which m * KL(acc/m || threshold) >= ln(1/_PILOT_ERROR)."""
+    k, got, m = 0, 0, 0
+    while got / n < threshold <= (got + n - m) / n:
+        got, m, k = got + blocks[k][1], m + blocks[k][0], k + 1
+        p = got / m
+        if 0 < threshold < 1 and m * sum(a * np.log(a / b) for a, b in (
+                (p, threshold), (1 - p, 1 - threshold)) if a) >= -np.log(engine._PILOT_ERROR):
+            return k, p >= threshold
+    return k, got / n >= threshold
+
+
 @pytest.mark.parametrize("chunk", [32768, 1000])
 def test_pilot_stops_once_its_route_is_fixed(monkeypatch, chunk):
     # the pilot draws min(_CHUNK, _BLOCK) rows a step, unnormalised, and
-    # stops after the first step that fixes the route; a route fixed before
-    # any draw (threshold 0, or above 1) draws nothing
+    # stops after the first step that fixes the route or after which the
+    # sequential bound rules a route out; a route fixed before any draw
+    # (threshold 0, or above 1) draws nothing
     set_engine(monkeypatch, _CHUNK=chunk)
     ev, alpha = pilot_case(False)
     n = 10 * engine._BLOCK + 5
@@ -216,6 +231,7 @@ def test_pilot_stops_once_its_route_is_fixed(monkeypatch, chunk):
     blocks = [(P.shape[0], int(ev.delta(P).sum()))
               for _, P in engine._chunks(substream(6, 0), alpha, n, step)]
     acc = sum(a for _, a in blocks)
+    p = acc / n
     calls = []
     orig = engine._dirichlet_chunk
 
@@ -225,17 +241,36 @@ def test_pilot_stops_once_its_route_is_fixed(monkeypatch, chunk):
 
     monkeypatch.setattr(engine, "_dirichlet_chunk", counted)
     seen = set()
-    for threshold in (0.0, 0.01, 0.1, acc / n, np.nextafter(acc / n, 1.0), 0.5, 0.9, 1.0, 2.0):
-        k, got, left = 0, 0, n             # blocks a plain loop needs to fix the route
-        while got / n < threshold <= (got + left) / n:
-            got, left, k = got + blocks[k][1], left - blocks[k][0], k + 1
+    for threshold in (0.0, 0.01, 0.1, p - 0.03, p - 0.015, p, np.nextafter(p, 1.0),
+                      p + 0.015, p + 0.03, 0.5, 0.9, 1.0, 2.0):
+        k, want = pilot_stop(blocks, n, threshold)
         del calls[:]
-        assert engine._pilot_routes_direct(ev, alpha, n, threshold, substream(6, 0)) \
-            == (acc / n >= threshold)
+        got = engine._pilot_routes_direct(ev, alpha, n, threshold, substream(6, 0))
+        assert got == want == (p >= threshold), threshold
         assert calls == [(size, False) for size, _ in blocks[:k]], threshold
         seen.add(k)
     # routes fixed before any draw, after the first step, midway and at the end
     assert {0, 1, len(blocks)} <= seen and any(1 < k < len(blocks) for k in seen)
+
+
+def test_rare_pilot_draws_one_step(monkeypatch):
+    # father_son TP2 accepts no prior draw of the first step: 4096 draws
+    # put m * KL(0 || 0.05) near 210 nats, past ln(1e12), so the pilot of
+    # 20 000 draws stops after that step
+    t = load_fixture("father_son")
+    ev = ModelEval(model_from_dict({"name": "tp2", "logits": "local",
+                                    "constraints": [{"kind": "tp2"}]}, t.dims, t.s), t.dims, t.s)
+    calls = []
+    orig = engine._dirichlet_chunk
+
+    def counted(rng, a, k, normalise=True):
+        calls.append(k)
+        return orig(rng, a, k, normalise)
+
+    monkeypatch.setattr(engine, "_dirichlet_chunk", counted)
+    assert not engine._pilot_routes_direct(ev, PriorSpec.flat(t.r, t.s, 1.0).concentration,
+                                           20_000, engine._DIRECT_THRESHOLD, substream(7, 0))
+    assert calls == [engine._BLOCK]
 
 
 # ---------------------------------------------------------------------------
@@ -1016,15 +1051,20 @@ def test_every_stream_is_drawn_once(monkeypatch):
 
     # posterior summaries: a model that factorises over two strata draws
     # one "summary" stream per stratum, a one-unit model the one stream
-    # ("prior",)
+    # ("prior", "summary")
     skin = load_fixture("skin_trial")
     for model, table, want in ((model_saturated((3, 3, 3, 3), s=2), skin,
                                 [(10, (0, 5, 0)), (10, (0, 5, 1))]),
-                               (model_saturated((3, 3)), t, [(10, (0,))])):
+                               (model_saturated((3, 3)), t, [(10, (0, 5))])):
         del uses[:]
         posterior_draws_under_model(model, table, PriorSpec.flat(table.r, table.s, 1.0),
                                     n=100, seed=10)
         assert uses == want
+    # and at one seed no posterior summary reads the stream of sample_prior
+    del uses[:]
+    sample_prior(PriorSpec.flat(9, 1, 1.0), 100, seed=10)
+    assert uses == [(10, (0,))]
+    assert set(uses).isdisjoint(want)
 
     # at one seed, a two-stratum posterior and a one-unit Bayes factor
     # (its prior pilot is ("prior", "pilot"), spawn key (0, 0)) draw from
@@ -1184,7 +1224,7 @@ def test_posterior_summary_keeps_first_keep_cap_accepted_draws(monkeypatch, mode
     assert json.dumps(s.to_dict()) == json.dumps(posterior_summary_reference(
         model, t, prior, n=100, seed=43, chunk=chunk, keep_cap=50))
     draws = np.concatenate([D for _, D in engine._chunks(
-        substream(43, "prior"), prior.posterior(t), 100, chunk)])
+        substream(43, "prior", "summary"), prior.posterior(t), 100, chunk)])
     ev = ModelEval(model, (2, 2), 1)
     accepted = draws if ev.cs.is_empty() else draws[ev.delta(draws)]
     assert np.array_equal(s.pi_mean, accepted[:50].mean(axis=0))

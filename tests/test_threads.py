@@ -337,7 +337,7 @@ def test_replicate_bf_importance_route_same_at_any_thread_count(monkeypatch):
     assert outs[1] == outs[0] and outs[2] == outs[0]
 
 
-def test_replicate_bf_chain_route_same_at_any_thread_count(monkeypatch):
+def chain_same_at_any_thread_count(monkeypatch, B):
     table = load_fixture("alzheimer")
     model = model_from_dict({"name": "ci", "logits": "local",
                              "constraints": [{"kind": "independence", "epsilon": 0.1}]},
@@ -352,10 +352,20 @@ def test_replicate_bf_chain_route_same_at_any_thread_count(monkeypatch):
     for n in THREAD_COUNTS:
         est = on_threads(monkeypatch, n, lambda: replicate_bf(
             model, table, PriorSpec.flat(table.r, table.s, 1.0), settings,
-            B=1, seed=14, schedule=sched))
+            B=B, seed=14, schedule=sched))
         outs.append(as_json(est.to_dict()))
     assert est.route == "importance/importance"
     assert outs[1] == outs[0] and outs[2] == outs[0]
+
+
+def test_replicate_bf_chain_route_same_at_any_thread_count(monkeypatch):
+    # one replicate: its parts fan out, and so do its retunes at each level
+    chain_same_at_any_thread_count(monkeypatch, B=1)
+
+
+def test_replicate_bf_chain_replicates_same_at_any_thread_count(monkeypatch):
+    # two replicates: their parts share one map, then each walks its levels
+    chain_same_at_any_thread_count(monkeypatch, B=2)
 
 
 def table_3x3_two_strata():
@@ -412,6 +422,107 @@ def test_replicate_bf_split_route_same_at_any_thread_count(monkeypatch):
         outs.append(as_json(est.to_dict()))
     assert est.route == "split/split"
     assert outs[1] == outs[0] and outs[2] == outs[0]
+
+
+def test_replicate_bf_father_son_split_same_at_any_thread_count(monkeypatch):
+    # an odd B on the split route: the parts of three replicates in one map.
+    # Each replicate's estimate comes from a call of engine.bayes_factor,
+    # looked up at call time, so a wrapper sees all B of them
+    table = load_fixture("father_son")
+    model = model_from_dict({"name": "tp2", "logits": "local", "constraints": [{"kind": "tp2"}]},
+                            table.dims, table.s)
+    settings = RunSettings(n_draws=2_000, pilot_n=2_000)
+    calls = []
+    orig = engine.bayes_factor
+
+    def recorded(*args, **kwargs):
+        est = orig(*args, **kwargs)
+        calls.append(est.log10_bf)
+        return est
+
+    monkeypatch.setattr(engine, "bayes_factor", recorded)
+    outs = []
+    for n in THREAD_COUNTS:
+        del calls[:]
+        est = on_threads(monkeypatch, n, lambda: replicate_bf(
+            model, table, PriorSpec.flat(table.r, table.s, 1.0), settings, B=3, seed=20))
+        outs.append(as_json(est.to_dict()))
+        assert sorted(calls) == sorted(est.replicates) and len(calls) == 3
+    assert est.route == "split/split"
+    assert outs[1] == outs[0] and outs[2] == outs[0]
+
+
+def replicate_seed(seed, i):
+    """The seed replicate i of replicate_bf runs at."""
+    return int(np.random.SeedSequence(
+        seed, spawn_key=(engine._PURPOSE["replicate"], i)).generate_state(1)[0])
+
+
+def split_3x3(monkeypatch, B, seed):
+    """replicate_bf of TP2 on a 3x3 table, split on both sides."""
+    set_engine(monkeypatch, _DIRECT_THRESHOLD=1.1)
+    return replicate_bf(model_tp2_3x3(), table_3x3(), PriorSpec.flat(9, 1, 1.0),
+                        RunSettings(n_draws=2_000, pilot_n=2_000), B=B, seed=seed)
+
+
+def test_every_replicates_parts_share_one_map(monkeypatch):
+    # on two threads with B = 3, the two parts of replicate 2 run side by
+    # side: they meet at a barrier, which a replicate that built its parts
+    # one after the other on its own thread would never pass
+    barrier = threading.Barrier(2, timeout=30)
+    third, met = replicate_seed(18, 2), []
+    orig = engine._Part.__init__
+
+    def init(self, side, ev, target_alpha, table, settings, seed, path):
+        if seed == third:
+            barrier.wait()
+            met.append(side)
+        orig(self, side, ev, target_alpha, table, settings, seed, path)
+
+    monkeypatch.setattr(engine._Part, "__init__", init)
+    est = on_threads(monkeypatch, 2, lambda: split_3x3(monkeypatch, 3, 18))
+    assert sorted(met) == ["posterior", "prior"] and len(est.replicates) == 3
+
+
+@pytest.mark.parametrize("n", THREAD_COUNTS)
+def test_lowest_failing_replicate_raises(monkeypatch, n):
+    # replicate 0 fails at its levels and replicate 1 at its posterior
+    # part: replicate 0's error is raised, as a loop over the replicates
+    # would raise it. Without replicate 0's failure the part's error is
+    # raised, from replicate 1's bayes_factor call
+    s0, s1 = replicate_seed(19, 0), replicate_seed(19, 1)
+    init, level = engine._Part.__init__, engine._Part.level
+
+    def failing_init(self, side, ev, target_alpha, table, settings, seed, path):
+        if seed == s1 and side == "posterior":
+            raise ValueError("part of replicate 1")
+        init(self, side, ev, target_alpha, table, settings, seed, path)
+
+    def failing_level(self, scale):
+        if self.seed == s0:
+            raise ValueError("levels of replicate 0")
+        return level(self, scale)
+
+    monkeypatch.setattr(engine._Part, "__init__", failing_init)
+    monkeypatch.setattr(engine._Part, "level", failing_level)
+    with pytest.raises(ValueError, match="levels of replicate 0"):
+        on_threads(monkeypatch, n, lambda: split_3x3(monkeypatch, 3, 19))
+
+    monkeypatch.setattr(engine._Part, "level", level)
+    raised = []
+    orig = engine.bayes_factor
+
+    def recorded(*args, **kwargs):
+        try:
+            return orig(*args, **kwargs)
+        except ValueError as err:
+            raised.append(str(err))
+            raise
+
+    monkeypatch.setattr(engine, "bayes_factor", recorded)
+    with pytest.raises(ValueError, match="part of replicate 1"):
+        on_threads(monkeypatch, n, lambda: split_3x3(monkeypatch, 3, 19))
+    assert raised == ["part of replicate 1"]
 
 
 @pytest.mark.parametrize("case", posterior_cases(), ids=lambda c: c[0])
