@@ -1308,12 +1308,12 @@ def replicate_bf(model: ModelSpec, table: StratifiedTable, prior: PriorSpec,
     replicate mean of the log Bayes factors. One map builds the parts
     (_part_makers) of every replicate, with one centring memo, so no core
     idles while parts are left; a map over the replicates then walks each
-    one's levels in a bayes_factor call, looked up at call time. The
-    lowest failing replicate's error is raised, as a loop would raise it.
-    Each replicate's entry keeps its estimate, route, seed, final
-    tolerances, truncation flag, level count and warnings; the route joins
-    each side's routes over the replicates with "+", as bayes_factor joins
-    strata, and the schedule is the one they walked (none for an
+    one's levels in a bayes_factor call, looked up at call time, then drops
+    its parts. The lowest failing replicate's error is raised, as a loop
+    would raise it. Each replicate's entry keeps its estimate, route, seed,
+    final tolerances, truncation flag, level count and warnings; the route
+    joins each side's routes over the replicates with "+", as bayes_factor
+    joins strata, and the schedule is the one they walked (none for an
     inequality-only model)."""
     if B < 1:
         raise EngineError("need B >= 1 replicates")
@@ -1327,8 +1327,8 @@ def replicate_bf(model: ModelSpec, table: StratifiedTable, prior: PriorSpec,
         built[k] = makers[k]()
 
     def run(i):
-        return bayes_factor(model, table, prior, settings, seeds[i], schedule,
-                            parts=built[i * width:(i + 1) * width])
+        parts, built[i * width:(i + 1) * width] = built[i * width:(i + 1) * width], [None] * width
+        return bayes_factor(model, table, prior, settings, seeds[i], schedule, parts=parts)
 
     centres = _CENTRES.set(_CentreMemo())
     try:
