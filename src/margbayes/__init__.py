@@ -19,7 +19,6 @@ from .tables import (
     ContingencyTable,
     StratifiedTable,
     TableError,
-    VariableSpec,
     dumps_csv,
     dumps_json,
     lex_index,
@@ -34,7 +33,6 @@ from .tables import (
 from .link import (
     LinkError,
     LinkMatrices,
-    build_link,
     build_logit_block,
     eta_from_pi,
     link_for,

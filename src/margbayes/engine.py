@@ -70,13 +70,13 @@ import os
 import threading
 from concurrent.futures import Future
 from contextvars import ContextVar, copy_context
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from functools import partial
 
 import numpy as np
 
 from . import fit as fitmod
-from .hypotheses import ConstraintSet, ModelSpec
+from .hypotheses import ModelSpec
 from .link import LOG_FLOOR, eta_batch, logsumexp
 from .tables import StratifiedTable
 
@@ -466,29 +466,11 @@ class ModelEval:
         proportion then factorises exactly over strata, and so does the
         posterior under the model.
         """
-        if self.s == 1:
+        sets = None if self.s == 1 else self.cs.per_stratum(self.s)
+        if sets is None:
             return None
-        t = self.link.t
-        cs = self.cs
-
-        def stratum_of(row):
-            ss = {int(c) // t for c in np.nonzero(row)[0]}
-            return ss.pop() if len(ss) == 1 else None
-
-        eb = [stratum_of(cs.E[j]) for j in range(cs.n_eq)]
-        ub = [stratum_of(cs.U[j]) for j in range(cs.n_ineq)]
-        if any(b is None for b in eb + ub):
-            return None
-        subs = []
-        for b in range(self.s):
-            e_rows = [j for j, x in enumerate(eb) if x == b]
-            u_rows = [j for j, x in enumerate(ub) if x == b]
-            csb = ConstraintSet(cs.E[e_rows][:, b * t:(b + 1) * t],
-                                cs.U[u_rows][:, b * t:(b + 1) * t], cs.epsilon[e_rows], t)
-            mb = ModelSpec(f"{self.model.name}@s{b}", self.model.logit_types, csb,
-                           self.model.notes)
-            subs.append(ModelEval(mb, self.dims, 1))
-        return subs
+        return [ModelEval(replace(self.model, name=f"{self.model.name}@s{b}", constraints=cs),
+                          self.dims, 1) for b, cs in enumerate(sets)]
 
     def eta_reduced(self, P: np.ndarray) -> np.ndarray:
         if self.local_rows.size == 0:
@@ -702,11 +684,8 @@ def _centring_model(model: ModelSpec, side: str) -> ModelSpec:
     row, sitting on the manifold would put the proposal where the
     posterior density is lowest and blow up the weight spread.
     """
-    if model.constraints.n_eq == 0:
-        return model
     frac = 0.01 if side == "prior" else 0.7
-    return ModelSpec(model.name, model.logit_types,
-                     model.constraints.scaled_epsilon(frac), model.notes)
+    return replace(model, constraints=model.constraints.scaled_epsilon(frac))
 
 
 class _CentreMemo:
@@ -832,7 +811,7 @@ def _has_interior(side: str, model: ModelSpec, margin: float) -> bool:
     return _max_slack(G, h) > 1e-9
 
 
-def _tuned_density(side: str, ev: ModelEval, target_alpha, model, table,
+def _tuned_density(side: str, ev: ModelEval, target_alpha, table,
                    settings: RunSettings, seed: int, path: tuple, grid=None):
     """Centre + tune, walking the side's interior-margin ladder
     (_MARGIN_LADDERS) until the pilot ESS looks healthy (or nothing works
@@ -850,16 +829,16 @@ def _tuned_density(side: str, ev: ModelEval, target_alpha, model, table,
     last_err = None
     best = None
     for j, margin in enumerate(_MARGIN_LADDERS[side]):
-        problem = margin if model.constraints.n_ineq else None
+        problem = margin if ev.cs.n_ineq else None
         if problem in walked:
             continue
         walked.add(problem)
-        if not _has_interior(side, model, margin):
+        if not _has_interior(side, ev.model, margin):
             last_err = last_err or TuningError(
                 f"the {side}-side constraint region has no interior at margin {margin:g}")
             continue
         try:
-            center = _centre(side, model, table, margin)
+            center = _centre(side, ev.model, table, margin)
             params, diag = tune_alpha(ev, target_alpha, center, settings, seed,
                                       path=(*path, j), grid=grid)
         except (TuningError, fitmod.FitError) as err:
@@ -1123,17 +1102,15 @@ class _Part:
             alpha, weight = self.target_alpha, None
             rng = substream(self.seed, self.side, "main", *self.path)
         else:
-            now, ev_now = self.ev.model, self.ev
-            cs = now.constraints
-            if cs.n_eq and scale != 1.0:
-                now = ModelSpec(now.name, now.logit_types,
-                                cs.with_epsilon(cs.epsilon * scale), now.notes)
+            ev_now = self.ev
+            if self.ev.cs.n_eq and scale != 1.0:
+                now = replace(self.ev.model, constraints=self.ev.cs.scaled_epsilon(scale))
                 ev_now = ModelEval(now, self.table.dims, self.table.s)
             grid = None
             if self.diag is not None:
                 grid = [self.diag["chosen"] * f for f in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)]
             alpha, self.diag = _tuned_density(
-                self.side, ev_now, self.target_alpha, now, self.table, self.settings,
+                self.side, ev_now, self.target_alpha, self.table, self.settings,
                 self.seed, (self.side, "tune", *self.path, self.draw_key), grid=grid)
             weight = _log_weight(self.target_alpha, alpha)
             rng = substream(self.seed, self.side, "main", *self.path, self.draw_key)
@@ -1190,8 +1167,7 @@ def _level_one(model: ModelSpec, schedule: EpsilonSchedule | None):
         return model, EpsilonSchedule(max_stages=1), np.zeros(0)
     schedule = schedule or EpsilonSchedule()
     eps1 = np.full(cs.n_eq, schedule.epsilon_start)
-    return ModelSpec(model.name, model.logit_types, cs.with_epsilon(eps1), model.notes), \
-        schedule, eps1
+    return replace(model, constraints=cs.with_epsilon(eps1)), schedule, eps1
 
 
 def _part_makers(model: ModelSpec, table: StratifiedTable, prior: PriorSpec,

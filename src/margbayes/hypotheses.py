@@ -6,11 +6,19 @@ bivariate hypotheses (positive association, independence, uniform
 association, marginal homogeneity, stochastic order), higher-way
 interaction zeroing, and the Kronecker stratified forms; a string
 registry maps model-spec JSON entries onto builders.
+
+Every builder has one shape: rows of one stratum's eta (log-odds ratios,
+margin logits or their differences), expanded within each stratum
+(I_s (x) rows) or differenced between strata (D_s (x) rows) by stratify,
+and then given a tolerance (_equalities) or a sign (_inequalities, with
+the one `direction` parser _sign). A set is formed and re-toleranced only
+here: the engine re-forms a model through ConstraintSet.with_epsilon,
+scaled_epsilon and per_stratum.
 """
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,6 +79,23 @@ class ConstraintSet:
 
     def scaled_epsilon(self, factor: float) -> "ConstraintSet":
         return ConstraintSet(self.E, self.U, self.epsilon * factor, self.ncols)
+
+    def per_stratum(self, s: int):
+        """One set per stratum over that stratum's columns, when every row
+        touches one stratum only (a set with no rows included); None when a
+        row couples strata."""
+        t = self.ncols // s
+
+        def stratum_of(rows):           # -1 for a row touching no stratum or several
+            touch = (rows != 0).reshape(len(rows), s, t).any(axis=2)
+            return np.where(touch.sum(axis=1) == 1, touch.argmax(axis=1), -1)
+
+        eb, ub = stratum_of(self.E), stratum_of(self.U)
+        if (eb < 0).any() or (ub < 0).any():
+            return None
+        return [ConstraintSet(self.E[eb == b, b * t:(b + 1) * t],
+                              self.U[ub == b, b * t:(b + 1) * t], self.epsilon[eb == b], t)
+                for b in range(s)]
 
     def active_eta_rows(self) -> np.ndarray:
         """Stacked-eta columns any constraint row touches."""
@@ -138,15 +163,6 @@ def _selector(link: LinkMatrices, rows) -> np.ndarray:
     return sel
 
 
-def _bivariate(link: LinkMatrices):
-    if link.q != 2:
-        raise ConstraintError(f"bivariate hypothesis on a {link.q}-way link")
-    m1, m2 = link.dims
-    c = m1 + m2 - 2
-    d = (m1 - 1) * (m2 - 1)
-    return m1, m2, c, d
-
-
 def stratify(base: np.ndarray, s: int, mode: str) -> np.ndarray:
     """Kronecker expansion over stacked per-stratum eta.
 
@@ -163,6 +179,59 @@ def stratify(base: np.ndarray, s: int, mode: str) -> np.ndarray:
     raise ConstraintError(f"unknown stratify mode {mode!r}")
 
 
+def _equalities(E: np.ndarray, epsilon) -> ConstraintSet:
+    """|E eta| <= epsilon, over E's columns."""
+    return ConstraintSet(E, np.zeros((0, E.shape[1])), epsilon, E.shape[1])
+
+
+def _inequalities(U: np.ndarray) -> ConstraintSet:
+    """U eta >= 0, over U's columns."""
+    return ConstraintSet(np.zeros((0, U.shape[1])), U, np.zeros(0), U.shape[1])
+
+
+# the words a builder's `direction` takes, +1 then -1, and how an error names them
+_ORDER = (("ge", "le"), "'ge' or 'le'")
+_TREND = (("increasing", "decreasing"), "increasing/decreasing")
+
+
+def _sign(direction, words=_TREND) -> float:
+    (up, down), named = words
+    if direction == up:
+        return 1.0
+    if direction == down:
+        return -1.0
+    raise ConstraintError(f"direction must be {named}, got {direction!r}")
+
+
+def _bivariate(link: LinkMatrices) -> None:
+    if link.q != 2:
+        raise ConstraintError(f"bivariate hypothesis on a {link.q}-way link")
+
+
+def _log_odds_ratios(link: LinkMatrices) -> np.ndarray:
+    """Selector of a bivariate link's interaction block (O I_d)."""
+    _bivariate(link)
+    return _selector(link, link.rows_of((1, 1)))
+
+
+def _margin_difference(link: LinkMatrices, what: str) -> np.ndarray:
+    """Second variable's logits minus the first's, (-I I O), on a square
+    bivariate link."""
+    _bivariate(link)
+    if link.dims[0] != link.dims[1]:
+        raise ConstraintError(f"{what} needs a square table")
+    return _selector(link, link.rows_of((0, 1))) - _selector(link, link.rows_of((1, 0)))
+
+
+def _margin_rows(link: LinkMatrices, variables=None):
+    if variables is None:
+        variables = range(link.q)
+    rows = []
+    for v in variables:
+        rows.extend(link.rows_of(tuple(1 if i == v else 0 for i in range(link.q))))
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # Named hypothesis builders. Each returns a ConstraintSet over s*t columns.
 # ---------------------------------------------------------------------------
@@ -172,19 +241,13 @@ def positive_association(link: LinkMatrices, s: int = 1) -> ConstraintSet:
 
     With local logits this is TP2, with global logits PQD.
     """
-    _, _, c, d = _bivariate(link)
-    sel = _selector(link, link.rows_of((1, 1)))
-    return ConstraintSet(np.zeros((0, s * link.t)), stratify(sel, s, "within"),
-                         np.zeros(0), s * link.t)
+    return _inequalities(stratify(_log_odds_ratios(link), s, "within"))
 
 
 def independence(link: LinkMatrices, s: int = 1, epsilon: float = 0.1) -> ConstraintSet:
     """|log-odds ratios| <= eps in every stratum (conditional independence
     when s > 1)."""
-    _, _, c, d = _bivariate(link)
-    sel = _selector(link, link.rows_of((1, 1)))
-    E = stratify(sel, s, "within")
-    return ConstraintSet(E, np.zeros((0, s * link.t)), epsilon, s * link.t)
+    return _equalities(stratify(_log_odds_ratios(link), s, "within"), epsilon)
 
 
 def uniform_association(link: LinkMatrices, s: int = 1, epsilon: float = 0.1,
@@ -198,37 +261,24 @@ def uniform_association(link: LinkMatrices, s: int = 1, epsilon: float = 0.1,
     d = len(rows)
     sel = _selector(link, rows)
     if across_strata and s > 1:
-        pooled = np.kron(np.eye(s), sel)          # (s*d, s*t)
-        E = first_differences(s * d) @ pooled
+        E = first_differences(s * d) @ stratify(sel, s, "within")
     elif d < 2:
         E = np.zeros((0, s * link.t))
     else:
         E = stratify(first_differences(d) @ sel, s, "within")
-    return ConstraintSet(E, np.zeros((0, s * link.t)), epsilon, s * link.t)
+    return _equalities(E, epsilon)
 
 
 def marginal_homogeneity(link: LinkMatrices, s: int = 1, epsilon: float = 0.1) -> ConstraintSet:
     """Equal univariate margins of a square table: E = (-I I O)."""
-    m1, m2, c, d = _bivariate(link)
-    if m1 != m2:
-        raise ConstraintError("marginal homogeneity needs a square table")
-    base = _selector(link, link.rows_of((0, 1))) - _selector(link, link.rows_of((1, 0)))
-    return ConstraintSet(stratify(base, s, "within"), np.zeros((0, s * link.t)),
-                         epsilon, s * link.t)
+    base = _margin_difference(link, "marginal homogeneity")
+    return _equalities(stratify(base, s, "within"), epsilon)
 
 
 def stochastic_order(link: LinkMatrices, s: int = 1, direction: str = "ge") -> ConstraintSet:
     """Second variable's logits >= first's ((-I I O) rows); 'le' flips it."""
-    m1, m2, c, d = _bivariate(link)
-    if m1 != m2:
-        raise ConstraintError("stochastic order needs a square table")
-    base = _selector(link, link.rows_of((0, 1))) - _selector(link, link.rows_of((1, 0)))
-    if direction == "le":
-        base = -base
-    elif direction != "ge":
-        raise ConstraintError(f"direction must be 'ge' or 'le', got {direction!r}")
-    return ConstraintSet(np.zeros((0, s * link.t)), stratify(base, s, "within"),
-                         np.zeros(0), s * link.t)
+    base = _margin_difference(link, "stochastic order")
+    return _inequalities(_sign(direction, _ORDER) * stratify(base, s, "within"))
 
 
 def zero_higher_interactions(link: LinkMatrices, s: int = 1, order: int = 2,
@@ -238,16 +288,12 @@ def zero_higher_interactions(link: LinkMatrices, s: int = 1, order: int = 2,
     rows = [i for b in link.blocks if b.order > order for i in range(b.lo, b.hi)]
     if not rows:
         return empty_constraints(s * link.t)
-    E = stratify(_selector(link, rows), s, "within")
-    return ConstraintSet(E, np.zeros((0, s * link.t)), epsilon, s * link.t)
+    return _equalities(stratify(_selector(link, rows), s, "within"), epsilon)
 
 
 def equal_association(link: LinkMatrices, s: int, epsilon: float = 0.1) -> ConstraintSet:
     """Same log-odds ratios in every stratum: E = D_s (x) (O I_d)."""
-    _, _, c, d = _bivariate(link)
-    sel = _selector(link, link.rows_of((1, 1)))
-    return ConstraintSet(stratify(sel, s, "between"), np.zeros((0, s * link.t)),
-                         epsilon, s * link.t)
+    return _equalities(stratify(_log_odds_ratios(link), s, "between"), epsilon)
 
 
 def association_trend(link: LinkMatrices, s: int, direction: str) -> ConstraintSet:
@@ -257,14 +303,8 @@ def association_trend(link: LinkMatrices, s: int, direction: str) -> ConstraintS
     stratum; 'decreasing' is the reverse (association stronger in earlier
     strata).
     """
-    _, _, c, d = _bivariate(link)
-    sel = _selector(link, link.rows_of((1, 1)))
-    U = stratify(sel, s, "between")
-    if direction == "decreasing":
-        U = -U
-    elif direction != "increasing":
-        raise ConstraintError(f"direction must be increasing/decreasing, got {direction!r}")
-    return ConstraintSet(np.zeros((0, s * link.t)), U, np.zeros(0), s * link.t)
+    U = stratify(_log_odds_ratios(link), s, "between")
+    return _inequalities(_sign(direction) * U)
 
 
 # Direction a variable's logits move when its marginal distribution
@@ -283,49 +323,29 @@ LOGIT_TREND_SIGN = {
 def margins_equal_across_strata(link: LinkMatrices, s: int,
                                 epsilon: float = 0.1, variables=None) -> ConstraintSet:
     """Univariate margins unaffected by the stratum: E = D_s (x) (I_c O)."""
-    rows = _margin_rows(link, variables)
-    E = stratify(_selector(link, rows), s, "between")
-    return ConstraintSet(E, np.zeros((0, s * link.t)), epsilon, s * link.t)
-
-
-def _margin_rows(link: LinkMatrices, variables=None):
-    if variables is None:
-        variables = range(link.q)
-    rows = []
-    for v in variables:
-        z = tuple(1 if i == v else 0 for i in range(link.q))
-        rows.extend(range(link.block_for(z).lo, link.block_for(z).hi))
-    return rows
+    return _equalities(stratify(_selector(link, _margin_rows(link, variables)), s, "between"),
+                       epsilon)
 
 
 def marginal_trend(link: LinkMatrices, s: int, direction: str = "increasing",
                    variables=None) -> ConstraintSet:
     """Univariate marginal distributions stochastically monotone in the
     stratum index, with the logit-type sign map applied per variable."""
-    if direction not in ("increasing", "decreasing"):
-        raise ConstraintError(f"direction must be increasing/decreasing, got {direction!r}")
-    flip = -1.0 if direction == "decreasing" else 1.0
+    flip = _sign(direction)
     if variables is None:
         variables = range(link.q)
-    parts = []
-    for v in variables:
-        sign = flip * LOGIT_TREND_SIGN[link.logit_types[v]]
-        rows = _margin_rows(link, [v])
-        parts.append(sign * stratify(_selector(link, rows), s, "between"))
-    U = np.vstack(parts)
-    return ConstraintSet(np.zeros((0, s * link.t)), U, np.zeros(0), s * link.t)
+    return _inequalities(np.vstack([
+        flip * LOGIT_TREND_SIGN[link.logit_types[v]]
+        * stratify(_selector(link, _margin_rows(link, [v])), s, "between")
+        for v in variables]))
 
 
 def logit_trend(link: LinkMatrices, s: int, direction: str,
                 variables=None) -> ConstraintSet:
     """Marginal logits themselves monotone across strata (no sign map)."""
-    if direction not in ("increasing", "decreasing"):
-        raise ConstraintError(f"direction must be increasing/decreasing, got {direction!r}")
-    rows = _margin_rows(link, variables)
-    U = stratify(_selector(link, rows), s, "between")
-    if direction == "decreasing":
-        U = -U
-    return ConstraintSet(np.zeros((0, s * link.t)), U, np.zeros(0), s * link.t)
+    sign = _sign(direction)
+    return _inequalities(sign * stratify(_selector(link, _margin_rows(link, variables)), s,
+                                         "between"))
 
 
 def additive_margin_shifts(link: LinkMatrices, s: int, epsilon: float = 0.1) -> ConstraintSet:
@@ -333,42 +353,26 @@ def additive_margin_shifts(link: LinkMatrices, s: int, epsilon: float = 0.1) -> 
     shifts between successive variables and between strata.
 
     Minimal row basis: per-stratum (variable x cutpoint) interactions, one
-    (stratum x cutpoint) row, and (stratum x variable) rows.
+    (stratum x cutpoint) row, and (stratum x variable) rows. With one
+    cutpoint (two categories) only the (stratum x variable) rows remain.
     """
     if link.q < 2:
         raise ConstraintError("additive margin shifts need q >= 2")
     m = link.dims[0]
     if any(d != m for d in link.dims):
         raise ConstraintError("additive margin shifts need equal category counts")
-    k = m - 1
-    t = link.t
     sels = [_selector(link, _margin_rows(link, [v])) for v in range(link.q)]
-    rows = []
+    steps = [nxt - cur for cur, nxt in zip(sels, sels[1:])]  # variable v to v + 1
+    # differences over the cutpoint; one cutpoint has none
+    D_a = first_differences(m - 1) if m > 2 else np.zeros((0, 1))
     # within each stratum: shift between variable v and v+1 constant in a
-    D_a = first_differences(k)
-    for b in range(s):
-        off = np.zeros((k, s * t))
-        for v in range(link.q - 1):
-            diff = sels[v + 1] - sels[v]
-            block = np.zeros((k, s * t))
-            block[:, b * t:(b + 1) * t] = diff
-            rows.append(D_a @ block)
+    E = stratify(np.vstack([D_a @ step for step in steps]), s, "within")
     if s > 1:
-        # stratum shift constant in a (anchored on variable 1)...
-        for b in range(s - 1):
-            blk = np.zeros((k, s * t))
-            blk[:, (b + 1) * t:(b + 2) * t] = sels[0]
-            blk[:, b * t:(b + 1) * t] -= sels[0]
-            rows.append(D_a @ blk)
-            # ...and constant across variables (first cutpoint)
-            for v in range(link.q - 1):
-                row = np.zeros((1, s * t))
-                dv = (sels[v + 1] - sels[v])[0:1, :]
-                row[:, (b + 1) * t:(b + 2) * t] = dv
-                row[:, b * t:(b + 1) * t] -= dv
-                rows.append(row)
-    E = np.vstack(rows)
-    return ConstraintSet(E, np.zeros((0, s * link.t)), epsilon, s * link.t)
+        # stratum shift constant in a (anchored on variable 1) and constant
+        # across variables (first cutpoint)
+        between = np.vstack([D_a @ sels[0], *(step[:1] for step in steps)])
+        E = np.vstack([E, stratify(between, s, "between")])
+    return _equalities(E, epsilon)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Marginal link construction and evaluation.
 
-Builds the contrast/marginalisation pair (C, M) that maps a joint
-probability vector to its stacked marginal-interaction parameters
+link_for is the one constructor of a link: from the category counts and
+per-variable logit types it builds the contrast/marginalisation pair
+(C, M) that maps a joint probability vector to its stacked
+marginal-interaction parameters
 
     eta = C log(M pi),
 
-with one block per non-empty margin set, and the analytic Jacobian used
-by the constrained fits.
+with one block per non-empty margin set. This module also evaluates eta
+and the analytic Jacobian used by the constrained fits.
 
 C and M are Kronecker products of small per-variable blocks, and batches
 of draws are evaluated through that structure rather than through the
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tables import LOGIT_TYPES, VariableSpec
+from .tables import LOGIT_TYPES
 
 # smallest log cell probability carried through batch evaluation; keeps
 # exp() above the subnormal range so log(M pi) never hits -inf
@@ -61,7 +63,7 @@ def build_logit_block(m: int, logit_type: str) -> np.ndarray:
     if m < 2:
         raise LinkError(f"m must be >= 2, got {m}")
     if logit_type not in LOGIT_TYPES:
-        raise LinkError(f"unknown logit type {logit_type!r}")
+        raise LinkError(f"unknown logit type {logit_type!r}; expected one of {LOGIT_TYPES}")
     I = np.eye(m - 1)
     T = np.tril(np.ones((m - 1, m - 1)))
     z = np.zeros((m - 1, 1))
@@ -120,56 +122,43 @@ class LinkMatrices:
         return np.arange(b.lo, b.hi)
 
 
-def build_link(variables) -> LinkMatrices:
-    """Assemble C and M over all margin sets of the given variables."""
-    variables = list(variables)
-    if not variables:
+def link_for(dims, logit_types) -> LinkMatrices:
+    """The link of variables with category counts `dims` and logit types
+    `logit_types` (one per variable, or one string for all): C and M
+    assembled over all margin sets."""
+    dims = tuple(dims)
+    if isinstance(logit_types, str):
+        logit_types = [logit_types] * len(dims)
+    if len(logit_types) != len(dims):
+        raise LinkError("one logit type per variable required")
+    if not dims:
         raise LinkError("need at least one variable")
-    dims = tuple(v.m for v in variables)
-    kinds = tuple(v.logit_type for v in variables)
-    q = len(dims)
+    kinds = tuple(logit_types)
+    # each variable's (aggregation, contrast) pair in a margin set it is
+    # active in, and in one it is summed out of
+    active = [(build_logit_block(m, kind), np.hstack([-np.eye(m - 1), np.eye(m - 1)]))
+              for m, kind in zip(dims, kinds)]
+    summed = [(np.ones((1, m)), np.ones((1, 1))) for m in dims]
     Cs, Ms, blocks = [], [], []
     lo = 0
-    for z in margin_sets(q):
+    for z in margin_sets(len(dims)):
         C_z = np.ones((1, 1))
         M_z = np.ones((1, 1))
-        for i in range(q):
-            if z[i]:
-                m = dims[i]
-                C_i = np.hstack([-np.eye(m - 1), np.eye(m - 1)])
-                M_i = build_logit_block(m, kinds[i])
-            else:
-                C_i = np.ones((1, 1))
-                M_i = np.ones((1, dims[i]))
+        for i, on in enumerate(z):
+            M_i, C_i = active[i] if on else summed[i]
             C_z = np.kron(C_z, C_i)
             M_z = np.kron(M_z, M_i)
         Cs.append(C_z)
         Ms.append(M_z)
         blocks.append(MarginSet(z, lo, lo + C_z.shape[0]))
         lo += C_z.shape[0]
-    t = lo
-    nm = sum(M.shape[0] for M in Ms)
-    r = int(np.prod(dims))
-    C = np.zeros((t, nm))
-    M = np.zeros((nm, r))
-    rc = rm = 0
-    for C_z, M_z in zip(Cs, Ms):
-        C[rc:rc + C_z.shape[0], rm:rm + M_z.shape[0]] = C_z
-        M[rm:rm + M_z.shape[0], :] = M_z
-        rc += C_z.shape[0]
-        rm += M_z.shape[0]
-    return LinkMatrices(dims, kinds, C, M, blocks, t)
-
-
-def link_for(dims, logit_types) -> LinkMatrices:
-    """Convenience constructor from dims and per-variable logit types."""
-    if isinstance(logit_types, str):
-        logit_types = [logit_types] * len(dims)
-    if len(logit_types) != len(dims):
-        raise LinkError("one logit type per variable required")
-    return build_link(
-        VariableSpec(f"A{i + 1}", m, lt) for i, (m, lt) in enumerate(zip(dims, logit_types))
-    )
+    M = np.vstack(Ms)
+    C = np.zeros((lo, M.shape[0]))        # block diagonal: C_z acts on M_z's rows
+    rm = 0
+    for b, C_z in zip(blocks, Cs):
+        C[b.lo:b.hi, rm:rm + C_z.shape[1]] = C_z
+        rm += C_z.shape[1]
+    return LinkMatrices(dims, kinds, C, M, blocks, lo)
 
 
 # ---------------------------------------------------------------------------

@@ -20,25 +20,6 @@ class TableError(ValueError):
     """Raised for malformed tables or table files."""
 
 
-@dataclass(frozen=True)
-class VariableSpec:
-    """One categorical response variable: its label, category count and
-    the logit family used for its margins."""
-
-    name: str
-    m: int
-    logit_type: str = "local"
-
-    def __post_init__(self):
-        if self.m < 2:
-            raise TableError(f"variable {self.name!r}: m must be >= 2, got {self.m}")
-        if self.logit_type not in LOGIT_TYPES:
-            raise TableError(
-                f"variable {self.name!r}: unknown logit type {self.logit_type!r}; "
-                f"expected one of {LOGIT_TYPES}"
-            )
-
-
 def lex_index(multi_index, dims) -> int:
     """Flat 0-based cell position of 1-based category indices.
 

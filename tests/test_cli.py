@@ -148,6 +148,8 @@ def test_unknown_reference_is_an_input_error(tmp_path, capsys):
     # an empty sweep printed no result and exited 0
     ({"concentrations": []}, "concentrations must be a non-empty list, got []"),
     ({"concentrations": 1}, "concentrations must be a non-empty list, got 1"),
+    # an unknown logit type is the link's error
+    ({"models": [dict(TP2, logits="probit")]}, "unknown logit type 'probit'"),
 ])
 def test_bad_manifest_is_an_input_error(tmp_path, capsys, extra, needle):
     if isinstance(extra, dict):

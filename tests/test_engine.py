@@ -970,8 +970,8 @@ def ladder_walk(monkeypatch, model, table, side, seed=100):
     target = prior.concentration if side == "prior" else prior.posterior(table)
     fits, tunes = record_fits(monkeypatch), record_tunes(monkeypatch)
     path = (side, "tune", 0)
-    engine._tuned_density(side, ModelEval(model, table.dims, table.s), target, model,
-                          table, settings, seed, path)
+    engine._tuned_density(side, ModelEval(model, table.dims, table.s), target, table,
+                          settings, seed, path)
     assert len(fits) == len(tunes)
     assert all(s == seed and p[:-1] == path for s, p in tunes)
     return [(c[-1], p[-1]) for c, (_, p) in zip(fits, tunes)]

@@ -24,6 +24,8 @@ from margbayes import (
     zero_higher_interactions,
 )
 
+from margbayes.link import eta_batch
+
 rng = np.random.default_rng(7071)
 
 
@@ -191,7 +193,8 @@ def test_marginal_homogeneity_violated_at_father_son_mode():
 
 
 def test_tp2_implies_continuation_and_pqd():
-    # hierarchy of positive-association notions, via 500 TP2-feasible draws
+    # hierarchy of positive-association notions, over at least 500
+    # TP2-feasible draws, drawn and checked in batches
     dims = (3, 3)
     link_l = link_for(dims, "local")
     link_c = link_for(dims, "continuation")
@@ -201,11 +204,11 @@ def test_tp2_implies_continuation_and_pqd():
     cs_g = positive_association(link_g)
     found = 0
     while found < 500:
-        pi = rng.dirichlet(np.ones(9))
-        if satisfies(eta_from_pi(pi, link_l), cs_l):
-            found += 1
-            assert satisfies(eta_from_pi(pi, link_c), cs_c)
-            assert satisfies(eta_from_pi(pi, link_g), cs_g)
+        P = rng.dirichlet(np.ones(9), size=4000)
+        P = P[satisfies(eta_batch(P, link_l), cs_l)]
+        found += len(P)
+        assert satisfies(eta_batch(P, link_c), cs_c).all()
+        assert satisfies(eta_batch(P, link_g), cs_g).all()
 
 
 def test_epsilon_shrinking_shrinks_satisfied_set():
@@ -308,6 +311,25 @@ def test_additive_margin_shifts_rank():
             eta[s_ix * link.t + b.lo:s_ix * link.t + b.hi] = th + bi[v] + ts[s_ix]
     assert np.max(np.abs(cs.E @ eta)) < 1e-12
 
+
+
+def test_additive_margin_shifts_on_two_category_variables():
+    # one cutpoint: only the (stratum x variable) rows remain,
+    # (q - 1)(s - 1) of them, and none in one stratum
+    link = link_for((2, 2, 2), "global")
+    assert additive_margin_shifts(link, s=1).n_eq == 0
+    cs = additive_margin_shifts(link, s=2)
+    assert np.linalg.matrix_rank(cs.E) == 2
+    bi = rng.normal(size=3)
+    ts = rng.normal(size=2)
+    eta = np.zeros(2 * link.t)
+    for s_ix in range(2):
+        for v in range(3):
+            b = link.block_for(tuple(1 if i == v else 0 for i in range(3)))
+            eta[s_ix * link.t + b.lo] = bi[v] + ts[s_ix]
+    assert np.max(np.abs(cs.E @ eta)) < 1e-12
+    eta[link.t + link.block_for((0, 1, 0)).lo] += 0.5     # one variable shifts alone
+    assert not satisfies(eta, cs)
 
 def test_uniform_association_all_pairs_across_strata():
     link = link_for((3, 3, 3, 3), "global")

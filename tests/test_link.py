@@ -52,6 +52,17 @@ def test_logit_block_rejects_m1():
         build_logit_block(1, "local")
 
 
+
+@pytest.mark.parametrize("dims,logits,needle", [
+    ((3, 3), "probit", "unknown logit type 'probit'"),
+    ((1, 3), "local", "m must be >= 2, got 1"),
+    ((3, 3), ["local"], "one logit type per variable required"),
+    ((3, 3), ["local"] * 3, "one logit type per variable required"),
+])
+def test_link_for_rejects_a_bad_variable(dims, logits, needle):
+    with pytest.raises(LinkError, match=needle):
+        link_for(dims, logits)
+
 def test_margin_set_order():
     assert margin_sets(2) == [(1, 0), (0, 1), (1, 1)]
 
