@@ -6,8 +6,9 @@ estimated as posterior-over-prior constraint-satisfaction proportions
 under an encompassing Dirichlet prior: directly where the region is
 common, by splitting in log-gamma coordinates where it is rare and its
 rows are linear in the log-gammas, by tuned importance sampling for other
-rare constraints, and by a geometric epsilon-shrinking chain for
-about-equality models. A run is set by its draw count, pilot size and
+rare constraints, at the epsilon -> 0 limit (a Savage-Dickey density
+ratio) for equality models whose rows are linear in the log-gammas, and
+by a geometric epsilon-shrinking chain for other about-equality models. A run is set by its draw count, pilot size and
 print base (RunSettings); how each side is routed and tuned is fixed in
 margbayes.engine.
 

@@ -6,10 +6,13 @@ manifest), sensitivity (the same over a prior-concentration sweep), fit
 success, 1 input error, 2 estimation failure.
 
 Each bf and sensitivity result names its route, "<prior>/<posterior>":
-per side "direct" (counted draws of the side's Dirichlet), "split"
-(splitting in log-gamma coordinates, for rare regions whose rows are
-+-1 combinations of log G) or "importance" (a tuned Dirichlet with
-weights), the routes of a side's strata joined by "+" where they differ.
+per side "limit" (an equality model whose rows are linear in log G: the
+epsilon -> 0 limit, by importance sampling on the null space of its
+rows; its tolerances and epsilon_schedule go unread), "direct" (counted
+draws of the side's Dirichlet), "split" (splitting in log-gamma
+coordinates, for rare regions whose rows are +-1 combinations of log G)
+or "importance" (a tuned Dirichlet with weights), the routes of a side's
+strata joined by "+" where they differ.
 
 A run manifest is a JSON object with these top-level keys:
     dataset           string, required: a bundled fixture's name, or the

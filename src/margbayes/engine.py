@@ -6,13 +6,21 @@ posterior-over-prior proportion ratios. bayes_factor is the one route:
 a model with about-equality rows runs the geometric epsilon-shrinking
 chain, and an inequality-only model is that chain's first level.
 
-Each side of each unit takes one of three routes, picked by its pilot:
+Each side of each unit takes one of four routes. The first is picked by
+the model, before any pilot; the others by the side's pilot:
+    limit       the model has equality rows, no inequality rows, and
+                every row is linear in the log-gammas y = log G of the
+                Dirichlet, with any coefficients (_rows_in_y): the
+                epsilon -> 0 limit of the chain, a Savage-Dickey density
+                ratio, by importance sampling on the null space of the
+                rows (_limit_run); the model's tolerances and schedule go
+                unread
     direct      the pilot accepts at least _DIRECT_THRESHOLD: count the
                 accepted draws of the side's own Dirichlet
     split       otherwise, when the model has no equality rows and every
-                inequality row is a +-1 combination of the log-gammas
-                y = log G of the Dirichlet (_linear_rows): subset
-                simulation on y, with exact colored moves (_split_run)
+                inequality row is a +-1 combination of y (_linear_rows):
+                subset simulation on y, with exact colored moves
+                (_split_run)
     importance  otherwise: a Dirichlet tuned on the region, centred at a
                 constrained fit, with importance weights
 
@@ -25,6 +33,7 @@ under the master seed, so every estimate is reproducible bit for bit and
 no two uses share a stream. A part of bayes_factor draws from paths of
 side, purpose, unit path (the stratum (b,) of a split model, else ()),
 then the purpose's own indices:
+    (side, "limit", *unit)                        a limit run's t draws
     (side, "pilot", *unit)                        the routing pilot
     (side, "main", *unit)                         a direct sample
     (side, "main", *unit, draw_key)               a tuned sample
@@ -46,9 +55,10 @@ units (several strata, or a shape below 1) the rows depend on the step
 size; a route can then differ from a whole-chunk pilot's only where the
 pilot's acceptance sits near _DIRECT_THRESHOLD.
 
-Every sampling loop takes its draws from _chunks, the one chunked draw
-loop. A model that factorises over strata is estimated per stratum, as
-_units splits it.
+Every Dirichlet sampling loop takes its draws from _chunks, the one
+chunked draw loop; a limit run draws its t variates _CHUNK at a time. A
+model that factorises over strata is estimated per stratum, as _units
+splits it.
 
 Independent units of work run concurrently through _ordered_map, one
 level of fan-out at a time on up to _THREADS threads: the parts (sides
@@ -221,7 +231,8 @@ class RunSettings:
     DEFAULT_ALPHA_GRID, _ESS_FLOOR, _CHUNK), not settings.
 
     n_draws   whole number >= 1: draws per side and unit of a direct or
-              tuned sample, and per redraw; a split side runs
+              tuned sample, and per redraw; a limit side draws n_draws
+              t variates and runs no pilot; a split side runs
               _SPLIT_PARTICLES particles whatever it is
     pilot_n   whole number >= 1: routing pilot size per side and unit; the
               pilot stops drawing once the route is fixed, so it draws at
@@ -266,7 +277,8 @@ class BFEstimate:
 # ---------------------------------------------------------------------------
 
 _SIDES = {"prior": 0, "posterior": 1}
-_PURPOSE = {"pilot": 0, "main": 1, "tune": 2, "replicate": 3, "split": 4, "summary": 5}
+_PURPOSE = {"pilot": 0, "main": 1, "tune": 2, "replicate": 3, "split": 4, "summary": 5,
+            "limit": 6}
 
 
 def substream(seed: int, *path) -> np.random.Generator:
@@ -874,31 +886,41 @@ _SPLIT_PARTICLES = 1000
 _SPLIT_SWEEPS = 2
 
 
-def _linear_rows(ev: ModelEval):
-    """(rows, s*r) matrix A with U eta = A y for y = log G, the log-gammas
-    of the unit's cells (stratum by stratum, as target_alpha.ravel() lays
-    them out), or None when the model has equality rows, a row is not
-    linear in y, or an entry of A is not -1, 0 or 1 (_split_move's bounds).
+def _rows_in_y(ev: ModelEval, rows: np.ndarray):
+    """(len(rows), s*r) matrix A with rows @ eta = A y for y = log G, the
+    log-gammas of the unit's cells (stratum by stratum, as
+    target_alpha.ravel() lays them out), or None when a row is not linear
+    in y. rows is ev.E or ev.U: the reader of both the limit route and the
+    split route.
 
-    Per stratum b, the rows are W = U_b C[local_rows] applied to log(M pi).
-    When every M row that W uses has exactly one nonzero, each of those
-    logs is one cell's log pi, and A_b = W M. The contrast rows of C sum
-    to zero, so each row of A sums to zero within each stratum: the
+    Per stratum b, the rows are W = rows_b C[local_rows] applied to
+    log(M pi). When every M row that W uses has exactly one nonzero, each
+    of those logs is one cell's log pi, and A_b = W M. The contrast rows of
+    C sum to zero, so each row of A sums to zero within each stratum: the
     normaliser of pi cancels, and unnormalised log-gammas give the same
     row values.
     """
-    if ev.E.shape[0] or not ev.U.shape[0]:
-        return None
     link, k = ev.link, ev.local_rows.size
     C = link.C[ev.local_rows]
     single = np.count_nonzero(link.M, axis=1) == 1
     blocks = []
     for b in range(ev.s):
-        W = ev.U[:, b * k:(b + 1) * k] @ C
-        blocks.append(W @ link.M)
-        if not single[np.any(W != 0, axis=0)].all() or not np.isin(blocks[-1], (-1, 0, 1)).all():
+        W = rows[:, b * k:(b + 1) * k] @ C
+        if not single[np.any(W != 0, axis=0)].all():
             return None
+        blocks.append(W @ link.M)
     return np.hstack(blocks)
+
+
+def _linear_rows(ev: ModelEval):
+    """The split route's rows: A with U eta = A y (_rows_in_y), or None
+    when the model has equality rows, has no inequality rows, a row is
+    not linear in y, or an entry of A is not -1, 0 or 1 (_split_move's
+    bounds)."""
+    if ev.E.shape[0] or not ev.U.shape[0]:
+        return None
+    A = _rows_in_y(ev, ev.U)
+    return A if A is not None and np.isin(A, (-1, 0, 1)).all() else None
 
 
 def _log_gammas(a: np.ndarray):
@@ -1030,6 +1052,125 @@ def _split_run(A: np.ndarray, a: np.ndarray, rng: np.random.Generator, side: str
         for _ in range(_SPLIT_SWEEPS):
             for cls in classes:
                 _split_move(cls, y, R, tau, rng, exponential)
+
+
+# ---------------------------------------------------------------------------
+# The epsilon -> 0 limit: equality rows linear in log-gamma coordinates
+# ---------------------------------------------------------------------------
+
+# Degrees of freedom of the limit route's multivariate t proposal, and the
+# Newton steps its mode search may take.
+_LIMIT_DF = 5
+_LIMIT_NEWTON = 100
+
+
+def _null_basis(ev: ModelEval):
+    """(s*r, d) orthonormal basis N of the null space of E', where
+    E eta = E' y for y = log G (_rows_in_y, any coefficients), when the
+    unit's model has equality rows and no inequality rows and every row is
+    linear in y; else None. E' is rank-reduced by its singular values, so
+    a redundant row changes nothing. Each row of E' sums to zero within a
+    stratum, so d >= 1."""
+    if not ev.E.shape[0] or ev.U.shape[0]:
+        return None
+    A = _rows_in_y(ev, ev.E)
+    if A is None:
+        return None
+    _, sv, vt = np.linalg.svd(A)
+    rank = int(np.count_nonzero(sv > sv[0] * max(A.shape) * np.finfo(float).eps))
+    return np.ascontiguousarray(vt[rank:].T)
+
+
+def _limit_run(N: np.ndarray, a: np.ndarray, n: int, rng: np.random.Generator):
+    """(ln f(0), ESS) for the density f of E' y at 0, y_i = log G_i with
+    G_i independent Gamma(a_i), up to a constant that depends only on E'.
+    As eps -> 0 a side's tube proportion over f(0) tends to a factor that
+    depends only on E' and eps, so the posterior-over-prior ratio of f(0)
+    is the limit of the Bayes factor (the Savage-Dickey density ratio).
+
+    On y = N z, ln f(0) = -sum lnGamma(a_i) + ln int exp(h(z)) dz with
+    h(z) = a . Nz - sum exp(Nz), which is concave. Damped Newton finds its
+    mode; n draws from a multivariate t (_LIMIT_DF degrees of freedom)
+    with the Laplace fit's centre and scale estimate the integral by
+    importance sampling, _CHUNK draws at a time: per chunk, the normal
+    variates (d rows) and then the chi-square ones.
+
+    The fit's algebra runs once, on matrices of at most s*r rows. Each
+    draw's y is built by elementwise adds over the d columns in a fixed
+    order, with no BLAS product over the draws, so no sum over them is
+    split by thread.
+    """
+    d, nu = N.shape[1], float(_LIMIT_DF)
+
+    def value(z):
+        y = N @ z
+        with np.errstate(over="ignore"):
+            return float(a @ y - np.exp(y).sum()), y
+
+    z = N.T @ np.log(a)
+    for _ in range(_LIMIT_NEWTON):
+        h, y = value(z)
+        e = np.exp(y)
+        g = N.T @ (a - e)
+        step = np.linalg.solve((N.T * e) @ N, g)
+        if g @ step < 1e-12:
+            break
+        t = 1.0
+        while t > 1e-12 and not value(z + t * step)[0] >= h:
+            t *= 0.5
+        z = z + t * step
+    h0, y0 = value(z)
+    L = np.linalg.cholesky((N.T * np.exp(y0)) @ N)
+    B = np.linalg.solve(L, N.T).T                # N L^-T: z - mode = L^-T t
+    # ln q(z) = q_const - (nu + d)/2 ln(1 + |u|^2 / w) for t = u sqrt(nu / w)
+    q_const = (math.lgamma((nu + d) / 2) - math.lgamma(nu / 2) - d / 2 * math.log(nu * math.pi)
+               + float(np.log(np.diag(L)).sum()))
+    logws = []
+    for i in range(0, n, _CHUNK):
+        m = min(_CHUNK, n - i)
+        u = rng.standard_normal((d, m))
+        w = 2.0 * rng.standard_gamma(nu / 2, size=m)
+        scale = np.sqrt(nu / w)
+        y = np.repeat(y0[:, None], m, axis=1)
+        for j in range(d):
+            y += B[:, j, None] * (u[j] * scale)
+        with np.errstate(over="ignore"):
+            e = np.exp(y)
+        y *= a[:, None]
+        y -= e
+        lw = y.sum(axis=0)
+        lw -= h0
+        lw += (nu + d) / 2 * np.log1p(np.square(u).sum(axis=0) / w)
+        logws.append(lw)
+        del y, e, u             # not held while the next chunk is drawn
+    ln_mean, ess = _log_mean_and_ess(np.concatenate(logws), n)
+    ln_f0 = h0 - q_const + ln_mean - sum(math.lgamma(x) for x in a)
+    return ln_f0, ess
+
+
+class _Limit:
+    """One side of a Bayes factor over one _units unit on the limit route:
+    ln f(0) of _limit_run, on the stream (side, "limit", *unit), with no
+    pilot. Its one level reads that value at every tolerance scale, with
+    the run's ESS and its draw count; ln_se is the delta-method SE of
+    ln f(0), sqrt(1/ESS - 1/n)."""
+
+    route = "limit"
+    diag = split = None
+    draw_key = 0
+
+    def __init__(self, side, N, target_alpha, settings, seed, path):
+        self.side = side
+        self.n = settings.n_draws
+        self.ln_f0, self.ess = _limit_run(N, target_alpha.ravel(), self.n,
+                                          substream(seed, side, "limit", *path))
+        self.ln_se = math.sqrt(max(1.0 / self.ess - 1.0 / self.n, 0.0))
+
+    def level(self, scale):
+        return self.ln_f0, self.ess, self.n
+
+    def ensure(self, scale):
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -1172,12 +1313,19 @@ def _level_one(model: ModelSpec, schedule: EpsilonSchedule | None):
 
 def _part_makers(model: ModelSpec, table: StratifiedTable, prior: PriorSpec,
                  settings: RunSettings, seed: int) -> list:
-    """The constructors of a Bayes factor's _Parts, for the level-1 model:
-    both sides times each _units unit, prior side first."""
+    """The constructors of a Bayes factor's parts, for the level-1 model:
+    both sides times each _units unit, prior side first. When every unit
+    with constraint rows reads a null basis (_null_basis), the model takes
+    the limit route and those units are _Limit parts, both sides of a unit
+    on the same basis; every other unit is a _Part."""
     targets = {"prior": prior.concentration, "posterior": prior.posterior(table)}
     units = _units(ModelEval(model, table.dims, table.s), table)
-    return [partial(_Part, side, ev, targets[side][sl], t, settings, seed, path)
-            for side in ("prior", "posterior") for ev, sl, t, path in units]
+    bases = [_null_basis(ev) for ev, *_ in units]
+    if not all(N is not None or ev.cs.is_empty() for N, (ev, *_) in zip(bases, units)):
+        bases = [None] * len(units)
+    return [partial(_Part, side, ev, targets[side][sl], t, settings, seed, path) if N is None
+            else partial(_Limit, side, N, targets[side][sl], settings, seed, path)
+            for side in ("prior", "posterior") for (ev, sl, t, path), N in zip(units, bases)]
 
 
 def bayes_factor(model: ModelSpec, table: StratifiedTable, prior: PriorSpec,
@@ -1200,16 +1348,25 @@ def bayes_factor(model: ModelSpec, table: StratifiedTable, prior: PriorSpec,
     tolerance scale 1 and without a retune; its schedule, if given, is not
     used.
 
+    A model on the limit route (_part_makers) reports the epsilon -> 0
+    limit as that one level, at final tolerances 0, without a retune; its
+    tolerances and schedule are not used. Its stage adds each side's SE of
+    ln ("prior_ln_se", "posterior_ln_se", over its units), and its
+    components the SE of the log10 value ("log10_se").
+
     Raises UnboundedEstimateError when a side accepts no draw at level 1.
     """
     model, schedule, eps1 = _level_one(model, schedule)
-    retune = bool(eps1.size)
     if parts is None:
         parts = _ordered_map(lambda make: make(),
                              _part_makers(model, table, prior, settings, seed))
     for p in parts:
         if isinstance(p, Exception):
             raise p
+    limit = [p for p in parts if p.route == "limit"]
+    if limit:
+        schedule, eps1 = EpsilonSchedule(max_stages=1), np.zeros(eps1.size)
+    retune = bool(eps1.size) and not limit
     sides = {side: [p for p in parts if p.side == side] for side in ("prior", "posterior")}
 
     def side_level(side, scale):
@@ -1268,6 +1425,11 @@ def bayes_factor(model: ModelSpec, table: StratifiedTable, prior: PriorSpec,
         "retunes": {side: [p.draw_key for p in sides[side]] for side in sides},
         "split": {side: [p.split for p in sides[side] if p.split] for side in sides},
     }
+    if limit:
+        se = {side: math.sqrt(sum(p.ln_se ** 2 for p in limit if p.side == side))
+              for side in sides}
+        stage_info[0].update(prior_ln_se=se["prior"], posterior_ln_se=se["posterior"])
+        comp["log10_se"] = math.hypot(se["prior"], se["posterior"]) / LN10
     return BFEstimate(
         log10_bf=log10, ln_bf=log10 * LN10, replicates=[log10], mean=log10, sd=0.0,
         route="/".join("+".join(sorted({p.route for p in sides[s]})) for s in sides),
@@ -1287,10 +1449,11 @@ def replicate_bf(model: ModelSpec, table: StratifiedTable, prior: PriorSpec,
     one's levels in a bayes_factor call, looked up at call time, then drops
     its parts. The lowest failing replicate's error is raised, as a loop
     would raise it. Each replicate's entry keeps its estimate, route, seed,
-    final tolerances, truncation flag, level count and warnings; the route
-    joins each side's routes over the replicates with "+", as bayes_factor
-    joins strata, and the schedule is the one they walked (none for an
-    inequality-only model)."""
+    final tolerances, truncation flag, level count and warnings, and on the
+    limit route the SE of its log10 value; the route joins each side's
+    routes over the replicates with "+", as bayes_factor joins strata, and
+    the schedule is the one they walked (none for an inequality-only model
+    or on the limit route)."""
     if B < 1:
         raise EngineError("need B >= 1 replicates")
     seeds = [int(np.random.SeedSequence(int(seed), spawn_key=(_PURPOSE["replicate"], i))
@@ -1322,7 +1485,9 @@ def replicate_bf(model: ModelSpec, table: StratifiedTable, prior: PriorSpec,
     infos = [{"log10_bf": est.log10_bf, "route": est.route, "seed": est.settings["seed"],
               "final_epsilon": est.components["final_epsilon"],
               "truncated": est.components["truncated"], "n_stages": len(est.components["stages"]),
-              "warnings": est.components["warnings"]} for est in ests]
+              "warnings": est.components["warnings"],
+              **({"log10_se": est.components["log10_se"]} if "log10_se" in est.components
+                 else {})} for est in ests]
     walked = ests[0].settings.get("schedule")
     reps = [info["log10_bf"] for info in infos]
     side_routes = zip(*(info["route"].split("/") for info in infos))

@@ -223,13 +223,26 @@ def _margin_difference(link: LinkMatrices, what: str) -> np.ndarray:
     return _selector(link, link.rows_of((0, 1))) - _selector(link, link.rows_of((1, 0)))
 
 
-def _margin_rows(link: LinkMatrices, variables=None):
+def _margin_rows(link: LinkMatrices, variables=None) -> list:
+    """(v, rows of variable v's margin logits) for each entry v of
+    `variables` in order, every variable by default; a ConstraintError
+    naming the entry that is not a variable index 0..q-1."""
     if variables is None:
         variables = range(link.q)
-    rows = []
+    if not isinstance(variables, (list, tuple, range)):
+        raise ConstraintError(f"variables must be a list of variable indices, got {variables!r}")
+    out = []
     for v in variables:
-        rows.extend(link.rows_of(tuple(1 if i == v else 0 for i in range(link.q))))
-    return rows
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 0 <= v < link.q:
+            raise ConstraintError(f"variables entry {v!r} is not a variable index "
+                                  f"0..{link.q - 1} (q = {link.q})")
+        out.append((v, link.rows_of(tuple(int(i == v) for i in range(link.q)))))
+    return out
+
+
+def _margin_logits(link: LinkMatrices, variables=None) -> np.ndarray:
+    """Selector of the margin logits of `variables` (_margin_rows), stacked."""
+    return _selector(link, [i for _, rows in _margin_rows(link, variables) for i in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +336,7 @@ LOGIT_TREND_SIGN = {
 def margins_equal_across_strata(link: LinkMatrices, s: int,
                                 epsilon: float = 0.1, variables=None) -> ConstraintSet:
     """Univariate margins unaffected by the stratum: E = D_s (x) (I_c O)."""
-    return _equalities(stratify(_selector(link, _margin_rows(link, variables)), s, "between"),
-                       epsilon)
+    return _equalities(stratify(_margin_logits(link, variables), s, "between"), epsilon)
 
 
 def marginal_trend(link: LinkMatrices, s: int, direction: str = "increasing",
@@ -332,20 +344,17 @@ def marginal_trend(link: LinkMatrices, s: int, direction: str = "increasing",
     """Univariate marginal distributions stochastically monotone in the
     stratum index, with the logit-type sign map applied per variable."""
     flip = _sign(direction)
-    if variables is None:
-        variables = range(link.q)
     return _inequalities(np.vstack([
         flip * LOGIT_TREND_SIGN[link.logit_types[v]]
-        * stratify(_selector(link, _margin_rows(link, [v])), s, "between")
-        for v in variables]))
+        * stratify(_selector(link, rows), s, "between")
+        for v, rows in _margin_rows(link, variables)]))
 
 
 def logit_trend(link: LinkMatrices, s: int, direction: str,
                 variables=None) -> ConstraintSet:
     """Marginal logits themselves monotone across strata (no sign map)."""
     sign = _sign(direction)
-    return _inequalities(sign * stratify(_selector(link, _margin_rows(link, variables)), s,
-                                         "between"))
+    return _inequalities(sign * stratify(_margin_logits(link, variables), s, "between"))
 
 
 def additive_margin_shifts(link: LinkMatrices, s: int, epsilon: float = 0.1) -> ConstraintSet:
@@ -361,7 +370,7 @@ def additive_margin_shifts(link: LinkMatrices, s: int, epsilon: float = 0.1) -> 
     m = link.dims[0]
     if any(d != m for d in link.dims):
         raise ConstraintError("additive margin shifts need equal category counts")
-    sels = [_selector(link, _margin_rows(link, [v])) for v in range(link.q)]
+    sels = [_selector(link, rows) for _, rows in _margin_rows(link)]
     steps = [nxt - cur for cur, nxt in zip(sels, sels[1:])]  # variable v to v + 1
     # differences over the cutpoint; one cutpoint has none
     D_a = first_differences(m - 1) if m > 2 else np.zeros((0, 1))

@@ -323,6 +323,51 @@ def independence_limit(counts, kappa: float = 1.0) -> float:
     return float(sum(ln_dens0(kappa + t) - ln_dens0(np.full_like(t, kappa)) for t in strata))
 
 
+def one_row_tube_limit(counts, weights, kappa: float = 1.0) -> float:
+    """ln of the epsilon -> 0 limit of the about-equality Bayes factor of
+    one row |w . y| <= epsilon, linear in y = log G with any coefficients,
+    under Dirichlet(kappa + counts) over the cells that counts and weights
+    list alike (strata side by side).
+
+    The cells are normalised independent gammas, and a row linear in y
+    whose coefficients sum to zero within each stratum does not see the
+    normalisers. The limit is the ratio, posterior over prior, of the
+    densities of L = w . y at 0. L has the moment generating function
+    M(s) = exp K(s) = prod_i Gamma(a_i + s w_i) / Gamma(a_i), so by
+    Fourier inversion along the line Re s = c,
+        f(0) = (1/pi) int_0^inf Re M(c + i t) dt,
+    for any c where every a_i + c w_i > 0. c is the saddle point K'(c) = 0
+    (brentq), where the integrand does not oscillate about t = 0, so a
+    density far below its peak keeps its digits; quad integrates it on
+    t = x / sqrt(K''(c)).
+    """
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
+    from scipy.special import loggamma, polygamma
+
+    w = np.asarray(weights, dtype=float).ravel()
+
+    def ln_dens0(a):
+        lo = max((-a[i] / w[i] for i in range(w.size) if w[i] > 0), default=-np.inf)
+        hi = min((-a[i] / w[i] for i in range(w.size) if w[i] < 0), default=np.inf)
+        pad = 1e-9 * (hi - lo)
+        c = brentq(lambda c: float(np.sum(w * polygamma(0, a + c * w))), lo + pad, hi - pad,
+                   xtol=1e-14, rtol=1e-15)
+        k0 = float(np.sum(loggamma(a + c * w).real - loggamma(a).real))
+        sd = math.sqrt(float(np.sum(w ** 2 * polygamma(1, a + c * w))))
+
+        def f(x):
+            return float(np.exp(np.sum(loggamma(a + (c + 1j * x / sd) * w)
+                                       - loggamma(a + c * w))).real)
+
+        head, _ = quad(f, 0.0, 50.0, limit=400, epsabs=0.0, epsrel=1e-11)
+        tail, _ = quad(f, 50.0, np.inf, limit=400)
+        return k0 + math.log((head + tail) / (math.pi * sd))
+
+    n = np.asarray(counts, dtype=float).ravel()
+    return ln_dens0(kappa + n) - ln_dens0(np.full_like(n, kappa))
+
+
 # The split kernel as first written: padded per-cell bound tensors with
 # |coefficient| divisors, an out-of-place inversion and np.where rejects.
 # The engine's unit-coefficient kernel must reproduce it bit for bit.

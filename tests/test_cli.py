@@ -315,3 +315,18 @@ def test_replicate_warnings_reach_the_report(tmp_path, capsys, monkeypatch):
     assert "level 1: ESS under 1e+09 on prior/posterior side" in rep["warnings"]
     assert "warning: pqd replicate 1: level 1: ESS under 1e+09 on prior/posterior side" \
         in text.splitlines()
+
+
+@pytest.mark.parametrize("kind,params", [("marginal_trend", {}),
+                                         ("logit_trend", {"direction": "increasing"}),
+                                         ("margins_equal_across_strata", {})])
+def test_out_of_range_variable_is_an_input_error(tmp_path, capsys, kind, params):
+    # marginal_trend ended in a bare IndexError traceback, the others in an
+    # error that named no entry
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"schema_version": 1, "name": kind, "logits": "local",
+                                 "constraints": [{"kind": kind, "variables": [5], **params}]}))
+    rc = cli.main(["fit", "alzheimer", str(model)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("input error") and "variables entry 5" in err and "q = 2" in err

@@ -24,6 +24,7 @@ from margbayes import (
     jeffreys_label,
     link_for,
     load_fixture,
+    marginal_homogeneity,
     positive_association,
     posterior_draws_under_model,
     replicate_bf,
@@ -54,6 +55,14 @@ def model_indep(dims=(2, 2), kind="local", s=1, eps=0.1):
     link = link_for(dims, kind)
     return ModelSpec("independence", tuple([kind] * len(dims)),
                      independence(link, s=s, epsilon=eps))
+
+
+def model_mh(s=1, eps=0.1):
+    """Marginal homogeneity of a 2x2 table: its margin logits sum cells,
+    so its row is not linear in log G and the model stays on the chain."""
+    link = link_for((2, 2), "local")
+    return ModelSpec("marginal_homogeneity", ("local", "local"),
+                     marginal_homogeneity(link, s=s, epsilon=eps))
 
 
 def se(est, n):
@@ -511,7 +520,7 @@ def test_epsilon_schedule_rejects_bad_values(kw):
 def test_about_equality_single_stage_is_fixed_epsilon():
     t = table_2x2((20.0, 18.0, 22.0, 21.0))
     sched = EpsilonSchedule(epsilon_start=0.2, b=0.5, stop_tol=0.0, max_stages=1)
-    est = bayes_factor(model_indep(eps=0.2), t, PriorSpec.flat(4, 1, 1.0), SMALL,
+    est = bayes_factor(model_mh(eps=0.2), t, PriorSpec.flat(4, 1, 1.0), SMALL,
                        seed=19, schedule=sched)
     assert len(est.components["stages"]) == 1
     assert est.components["final_epsilon"] == [pytest.approx(0.2)]
@@ -520,18 +529,20 @@ def test_about_equality_single_stage_is_fixed_epsilon():
 def test_about_equality_stage_sum_bookkeeping_exact():
     t = table_2x2((20.0, 18.0, 22.0, 21.0))
     sched = EpsilonSchedule(epsilon_start=0.2, b=0.5, stop_tol=0.02, max_stages=5)
-    est = bayes_factor(model_indep(eps=0.2), t, PriorSpec.flat(4, 1, 1.0), SMALL,
+    est = bayes_factor(model_mh(eps=0.2), t, PriorSpec.flat(4, 1, 1.0), SMALL,
                        seed=20, schedule=sched)
+    assert len(est.components["stages"]) > 1
     assert est.log10_bf == sum(est.components["stage_log10s"])
     assert est.ln_bf == pytest.approx(est.log10_bf * np.log(10.0), rel=1e-12)
 
 
 def test_about_equality_near_independent_data_mild_bf():
-    # data generated from an independent table: about-equality BF should be
-    # clearly positive (the model is supported)
+    # data generated from an independent table with equal margins: the
+    # about-equality BF of marginal homogeneity should be clearly positive
+    # (the model is supported)
     t = table_2x2((25.0, 25.0, 25.0, 25.0))
     sched = EpsilonSchedule(epsilon_start=0.2, b=0.5, stop_tol=0.05, max_stages=6)
-    est = bayes_factor(model_indep(eps=0.2), t, PriorSpec.flat(4, 1, 1.0), SMALL,
+    est = bayes_factor(model_mh(eps=0.2), t, PriorSpec.flat(4, 1, 1.0), SMALL,
                        seed=21, schedule=sched)
     assert est.ln_bf > 0.5
     assert not est.components["truncated"]
@@ -540,16 +551,20 @@ def test_about_equality_near_independent_data_mild_bf():
 def test_about_equality_determinism():
     t = table_2x2((20.0, 18.0, 22.0, 21.0))
     sched = EpsilonSchedule(epsilon_start=0.2, b=0.5, stop_tol=0.02, max_stages=4)
-    a = bayes_factor(model_indep(eps=0.2), t, PriorSpec.flat(4, 1, 1.0), SMALL,
+    a = bayes_factor(model_mh(eps=0.2), t, PriorSpec.flat(4, 1, 1.0), SMALL,
                      seed=22, schedule=sched)
-    b = bayes_factor(model_indep(eps=0.2), t, PriorSpec.flat(4, 1, 1.0), SMALL,
+    b = bayes_factor(model_mh(eps=0.2), t, PriorSpec.flat(4, 1, 1.0), SMALL,
                      seed=22, schedule=sched)
     assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
 
 
-def test_about_equality_fixed_epsilon_matches_exact_2x2():
+def test_about_equality_fixed_epsilon_matches_exact_2x2(monkeypatch):
     # log10 P_post(|log OR| <= 0.1) - log10 P_prior(|log OR| <= 0.1) under a
-    # flat prior, exactly -2.2926; the seed mean must lie within 4 SE of it
+    # flat prior, exactly -2.2926; the seed mean must lie within 4 SE of it.
+    # The log odds ratio is linear in log G, so the model takes the limit
+    # route; with no null basis read, it runs the chain's first level, the
+    # fixed-epsilon estimate that this exact value checks.
+    monkeypatch.setattr(engine, "_null_basis", lambda ev: None)
     counts, eps = (30.0, 10.0, 12.0, 25.0), 0.1
     exact = np.log10(about_equality_2x2(counts, eps, 1.0)
                      / about_equality_2x2((0, 0, 0, 0), eps, 1.0))
@@ -716,15 +731,19 @@ def test_linear_rows_reproduce_the_constraint_rows(dataset, spec):
         "coefficient_2"])
 def test_linear_rows_read_none_when_not_linear(dataset, spec):
     # global logits sum cells, margin logits sum over the other variable,
-    # a model with equality rows is left to the chain, and a row linear in
-    # log G with coefficients +-2 (twice the 2x2 log odds ratio) is left to
-    # the importance route, as the split moves take unit coefficients
+    # a model with equality rows is left to the limit route (its rows are
+    # read by _rows_in_y, see tests/test_limit.py) or the chain, and a row
+    # linear in log G with coefficients +-2 (twice the 2x2 log odds ratio)
+    # is left to the importance route, as the split moves take unit
+    # coefficients
     if dataset == "2x2":
         ev = ModelEval(spec, (2, 2), 1)
     else:
         table = load_fixture(dataset)
         ev = ModelEval(model_from_dict(spec, table.dims, table.s), table.dims, table.s)
     assert engine._linear_rows(ev) is None
+    if ev.E.shape[0]:
+        assert engine._rows_in_y(ev, ev.E) is not None
 
 
 def registry_units():
@@ -816,7 +835,7 @@ def test_replicate_route_joins_every_replicates_route(monkeypatch):
 def test_replicate_dispatches_equality_models():
     t = table_2x2((20.0, 18.0, 22.0, 21.0))
     sched = EpsilonSchedule(epsilon_start=0.2, b=0.5, stop_tol=0.05, max_stages=3)
-    est = replicate_bf(model_indep(eps=0.2), t, PriorSpec.flat(4, 1, 1.0),
+    est = replicate_bf(model_mh(eps=0.2), t, PriorSpec.flat(4, 1, 1.0),
                        SMALL, B=2, seed=26, schedule=sched)
     # the pilots send both sides to direct sampling; the chain walks its levels
     assert est.route == "direct/direct"
@@ -831,7 +850,7 @@ def test_replicate_reports_the_schedule_its_replicates_used():
     # run on the default schedule, and one an inequality-only model ignores
     settings = RunSettings(n_draws=2_000, pilot_n=1_000)
     prior = PriorSpec.flat(4, 1, 1.0)
-    tube = replicate_bf(model_indep(), table_2x2(), prior, settings, B=2, seed=27)
+    tube = replicate_bf(model_mh(), table_2x2(), prior, settings, B=2, seed=27)
     assert tube.settings["schedule"] == dataclasses.asdict(EpsilonSchedule())
     sched = EpsilonSchedule(epsilon_start=0.2, max_stages=3)
     ineq = replicate_bf(model_pa(), table_2x2(), prior, settings, B=2, seed=27,
@@ -886,10 +905,11 @@ def record_fits(monkeypatch):
 
 
 def test_centring_fits_made_once_per_problem_equality_model(monkeypatch):
-    # alzheimer conditional independence: equality rows only, split per stratum
+    # alzheimer uniform association on global logits: equality rows only,
+    # not linear in log G, split per stratum
     table = load_fixture("alzheimer")
-    model = model_from_dict({"name": "ci", "logits": "local",
-                             "constraints": [{"kind": "independence", "epsilon": 0.1}]},
+    model = model_from_dict({"name": "ua", "logits": "global",
+                             "constraints": [{"kind": "uniform_association", "epsilon": 0.1}]},
                             table.dims, table.s)
     prior = PriorSpec.flat(table.r, table.s, 1.0)
     settings = RunSettings(n_draws=2_000, pilot_n=1_000)
@@ -999,12 +1019,13 @@ def test_ladder_skips_a_repeated_margin_and_keeps_rung_seeds(monkeypatch):
 
 
 def test_every_stream_is_drawn_once(monkeypatch):
-    # every pilot, sample, tuning probe and split run of a replicate_bf
-    # call draws from its own (seed, spawn key). PQD's rows are not linear
-    # in log G, so both sides are tuned, and no pilot ESS is enough, so
-    # every rung of both sides' margin ladders runs: once on one unit over
-    # three rungs, and once per stratum on a chain whose parts are redrawn
-    # at every level. TP2 splits both sides of each stratum.
+    # every pilot, sample, tuning probe, split run and limit run of a
+    # replicate_bf call draws from its own (seed, spawn key). PQD's rows
+    # are not linear in log G, so both sides are tuned, and no pilot ESS is
+    # enough, so every rung of both sides' margin ladders runs: once on one
+    # unit over three rungs, and once per stratum on a chain (marginal
+    # homogeneity) whose parts are redrawn at every level. TP2 splits both
+    # sides of each stratum; independence takes the limit route on each.
     uses = []
     orig = engine.substream
 
@@ -1031,13 +1052,23 @@ def test_every_stream_is_drawn_once(monkeypatch):
     strata = StratifiedTable(("a", "b"), (ContingencyTable((2, 2), np.array([20.0, 18, 22, 21])),
                                           ContingencyTable((2, 2), np.array([30.0, 10, 12, 25]))))
     sched = EpsilonSchedule(epsilon_start=0.2, b=0.5, stop_tol=0.0, max_stages=2)
-    est = replicate_bf(model_indep(s=2, eps=0.2), strata, PriorSpec.flat(4, 2, 1.0), settings,
+    est = replicate_bf(model_mh(s=2, eps=0.2), strata, PriorSpec.flat(4, 2, 1.0), settings,
                        B=2, seed=9, schedule=sched)
+    assert est.route == "importance/importance"
     assert all(rep["n_stages"] == 2 for rep in est.components["replicates"])
     # per replicate, side and stratum: pilot, three samples, and the probes
     # of three tunings, the two redraws' on a six-point grid about the last pick
     assert len(uses) == 2 * 2 * 2 * (1 + 3 + 2 + 6 + 6)
     assert len(set(uses)) == len(uses)
+
+    del uses[:]
+    est = replicate_bf(model_indep(s=2, eps=0.2), strata, PriorSpec.flat(4, 2, 1.0), settings,
+                       B=2, seed=9, schedule=sched)
+    assert est.route == "limit/limit"
+    # per replicate, side and stratum: one limit run, on (side, "limit", b)
+    seeds = [rep["seed"] for rep in est.components["replicates"]]
+    assert sorted(uses) == sorted((seed, (side, engine._PURPOSE["limit"], b))
+                                  for seed in seeds for side in (0, 1) for b in (0, 1))
 
     del uses[:]
     strata = StratifiedTable(("a", "b"), (ContingencyTable((3, 3), t.tables[0].counts),

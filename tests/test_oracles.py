@@ -9,7 +9,8 @@ from scipy.stats import logistic
 
 from margbayes import load_fixture
 
-from oracles import about_equality_2x2, independence_limit, tp2_2x2, tp2_2xk
+from oracles import (about_equality_2x2, independence_limit, one_row_tube_limit, tp2_2x2,
+                     tp2_2xk)
 
 
 @pytest.mark.parametrize("eps", [0.0125, 0.1, 1.0])
@@ -82,3 +83,29 @@ def test_independence_limit_of_alzheimer_conditional_independence():
     per_stratum = [independence_limit(t) / math.log(10) for t in strata]
     assert per_stratum == [pytest.approx(-39.3245, abs=1e-4), pytest.approx(-79.8128, abs=1e-4)]
     assert independence_limit(strata) / math.log(10) == pytest.approx(-119.1373, abs=1e-4)
+
+
+@pytest.mark.parametrize("kappa", [0.1, 1.0, 10.0])
+@pytest.mark.parametrize("counts", [(0, 0, 0, 0), (3, 11, 15, 4), (30, 10, 12, 25),
+                                    (300, 100, 120, 250)])
+def test_one_row_tube_limit_is_independence_limit_on_2x2(counts, kappa):
+    # one log odds ratio: the Fourier inversion and Gunel & Dickey's closed
+    # form agree, also where the density at 0 is far below its peak
+    ln = one_row_tube_limit(counts, [1, -1, -1, 1], kappa)
+    assert ln == pytest.approx(independence_limit(np.reshape(counts, (2, 2)), kappa),
+                               rel=0, abs=1e-9)
+
+
+def test_one_row_tube_limit_reads_the_2x2_value_of_the_prototype():
+    # [[3, 11], [15, 4]] at kappa 1 reads -1.76006 decades
+    assert one_row_tube_limit((3, 11, 15, 4), [1, -1, -1, 1]) / math.log(10) == \
+        pytest.approx(-1.76006, abs=1e-5)
+
+
+def test_one_row_tube_limit_ignores_the_row_scale():
+    # the limit is a ratio of densities of the same row, so a factor on
+    # every coefficient cancels
+    w = np.array([1, -2, 1, -1, 2, -1])
+    counts = (6, 3, 2, 2, 4, 5)
+    assert one_row_tube_limit(counts, 3 * w) == pytest.approx(one_row_tube_limit(counts, w),
+                                                              rel=0, abs=1e-9)

@@ -338,9 +338,11 @@ def test_replicate_bf_importance_route_same_at_any_thread_count(monkeypatch):
 
 
 def chain_same_at_any_thread_count(monkeypatch, B):
+    # alzheimer uniform association on global logits: equality rows not
+    # linear in log G, so the chain runs, with parts per stratum
     table = load_fixture("alzheimer")
-    model = model_from_dict({"name": "ci", "logits": "local",
-                             "constraints": [{"kind": "independence", "epsilon": 0.1}]},
+    model = model_from_dict({"name": "ua", "logits": "global",
+                             "constraints": [{"kind": "uniform_association", "epsilon": 0.1}]},
                             table.dims, table.s)
     # the short grid still reaches the geometric extension, and the retune
     # tunes again on a grid around the first multiplier
@@ -366,6 +368,23 @@ def test_replicate_bf_chain_route_same_at_any_thread_count(monkeypatch):
 def test_replicate_bf_chain_replicates_same_at_any_thread_count(monkeypatch):
     # two replicates: their parts share one map, then each walks its levels
     chain_same_at_any_thread_count(monkeypatch, B=2)
+
+
+@pytest.mark.parametrize("kind", ["independence", "equal_association"])
+def test_replicate_bf_limit_route_same_at_any_thread_count(monkeypatch, kind):
+    # alzheimer on local logits: independence has a limit part per side and
+    # stratum, equal association one per side, whose 40 cells span both strata
+    table = load_fixture("alzheimer")
+    model = model_from_dict({"name": kind, "logits": "local", "constraints": [{"kind": kind}]},
+                            table.dims, table.s)
+    outs = []
+    for n in THREAD_COUNTS:
+        est = on_threads(monkeypatch, n, lambda: replicate_bf(
+            model, table, PriorSpec.flat(table.r, table.s, 1.0),
+            RunSettings(n_draws=40_000), B=2, seed=17))
+        outs.append(as_json(est.to_dict()))
+    assert est.route == "limit/limit"
+    assert outs[1] == outs[0] and outs[2] == outs[0]
 
 
 def table_3x3_two_strata():
